@@ -5,6 +5,22 @@ phi.  Controls are a tangential load factor nx, a normal load factor nz and
 a bank angle mu.  The model is deliberately scalar (math module, no arrays):
 a single integration step is a few microseconds, which is what keeps
 search-in-the-loop training affordable.
+
+There is one integration path.  `_substep` advances a plain float tuple
+(x, y, z, v, gamma, phi) by one RK4 step under controls given as nx, nz,
+cos(mu) and sin(mu), so a caller that holds the controls over many substeps
+computes the bank-angle trigonometry once.  It evaluates `_derivatives`
+four times; the derivatives do not depend on position, so the stages carry
+only (v, gamma, phi).  `rk4_step` is the one-substep wrapper over the
+dataclasses, and `environment.env_step` calls `_substep` directly for the
+25 substeps of a decision.
+
+The guards stay in `_derivatives`: a non-positive speed or a flight-path
+angle at the vertical raises DegenerateStateError instead of producing
+infinities.  The integrator's output floors (v >= 100 m/s, |gamma| just
+inside pi/2) keep every stage away from both inside the envelope, but
+`rk4_step` accepts any state, including one below the speed floor, so the
+guards are reachable and cost one comparison each per stage.
 """
 
 from __future__ import annotations
@@ -79,36 +95,54 @@ def aircraft_derivatives(s: AircraftState, c: ControlInput) -> AircraftState:
     Raises DegenerateStateError when v is not positive or gamma is within
     numerical range of +-pi/2, where the heading equation blows up.
     """
-    d = _derivatives(s.x, s.y, s.z, s.v, s.gamma, s.phi, c.nx, c.nz, c.mu)
+    d = _derivatives(s.v, s.gamma, s.phi, c.nx, c.nz,
+                     math.cos(c.mu), math.sin(c.mu))
     return AircraftState(*d)
 
 
-def _derivatives(x, y, z, v, gamma, phi, nx, nz, mu):
+def _derivatives(v, gamma, phi, nx, nz, cmu, smu):
     if v < 1e-6:
         raise DegenerateStateError(f"non-positive speed {v}")
     cg = math.cos(gamma)
     if abs(cg) < 1e-9:
         raise DegenerateStateError(f"flight-path angle {gamma} too close to vertical")
     sg = math.sin(gamma)
-    dx = v * cg * math.cos(phi)
-    dy = v * cg * math.sin(phi)
-    dz = v * sg
-    dv = G * (nx - sg)
-    dgamma = (G / v) * (nz * math.cos(mu) - cg)
-    dphi = (G / (v * cg)) * nz * math.sin(mu)
-    return dx, dy, dz, dv, dgamma, dphi
+    vcg = v * cg
+    return (vcg * math.cos(phi), vcg * math.sin(phi), v * sg, G * (nx - sg),
+            (G / v) * (nz * cmu - cg), (G / vcg) * nz * smu)
 
 
-def _stage_gamma(g: float) -> float:
-    # RK4 stage states can poke past the vertical limit that the integrators
-    # clip their OUTPUT to; stages are evaluated at the clipped angle so the
-    # heading equation stays defined.  In-envelope stages pass through
-    # untouched, bit for bit.
-    if g > GAMMA_LIMIT:
-        return GAMMA_LIMIT
-    if g < -GAMMA_LIMIT:
-        return -GAMMA_LIMIT
-    return g
+def _substep(s, nx, nz, cmu, smu, dt):
+    x, y, z, v, gamma, phi = s
+    k1 = _derivatives(v, gamma, phi, nx, nz, cmu, smu)
+    # RK4 stage states can poke past the vertical limit that the output is
+    # clipped to; stages are evaluated at the clipped angle so the heading
+    # equation stays defined.  In-envelope stages pass through bit for bit.
+    h = dt / 2.0
+    g = gamma + h * k1[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k2 = _derivatives(v + h * k1[3], g, phi + h * k1[5], nx, nz, cmu, smu)
+    g = gamma + h * k2[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k3 = _derivatives(v + h * k2[3], g, phi + h * k2[5], nx, nz, cmu, smu)
+    g = gamma + dt * k3[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k4 = _derivatives(v + dt * k3[3], g, phi + dt * k3[5], nx, nz, cmu, smu)
+
+    sixth = dt / 6.0
+    v += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
+    gamma += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
+    phi += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
+    if v < V_FLOOR:
+        v = V_FLOOR
+    if gamma > GAMMA_LIMIT:
+        gamma = GAMMA_LIMIT
+    elif gamma < -GAMMA_LIMIT:
+        gamma = -GAMMA_LIMIT
+    return (x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+            y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+            z + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+            v, gamma, wrap_angle(phi))
 
 
 def rk4_step(s: AircraftState, c: ControlInput, dt: float = PHYSICS_DT) -> AircraftState:
@@ -120,41 +154,15 @@ def rk4_step(s: AircraftState, c: ControlInput, dt: float = PHYSICS_DT) -> Aircr
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    nx, nz, mu = c.nx, c.nz, c.mu
-    x, y, z, v, gamma, phi = s.x, s.y, s.z, s.v, s.gamma, s.phi
+    return AircraftState(*_substep((s.x, s.y, s.z, s.v, s.gamma, s.phi),
+                                   c.nx, c.nz, math.cos(c.mu), math.sin(c.mu), dt))
 
-    k1 = _derivatives(x, y, z, v, gamma, phi, nx, nz, mu)
-    h = dt / 2.0
-    k2 = _derivatives(x + h * k1[0], y + h * k1[1], z + h * k1[2],
-                      v + h * k1[3], _stage_gamma(gamma + h * k1[4]),
-                      phi + h * k1[5], nx, nz, mu)
-    k3 = _derivatives(x + h * k2[0], y + h * k2[1], z + h * k2[2],
-                      v + h * k2[3], _stage_gamma(gamma + h * k2[4]),
-                      phi + h * k2[5], nx, nz, mu)
-    k4 = _derivatives(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2],
-                      v + dt * k3[3], _stage_gamma(gamma + dt * k3[4]),
-                      phi + dt * k3[5], nx, nz, mu)
 
-    sixth = dt / 6.0
-    x += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-    y += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-    z += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-    v += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-    gamma += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-    phi += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
-
-    if v < V_FLOOR:
-        v = V_FLOOR
-    if gamma > GAMMA_LIMIT:
-        gamma = GAMMA_LIMIT
-    elif gamma < -GAMMA_LIMIT:
-        gamma = -GAMMA_LIMIT
-    return AircraftState(x, y, z, v, gamma, wrap_angle(phi))
+def _velocity(v, gamma, phi):
+    cg = math.cos(gamma)
+    return (v * cg * math.cos(phi), v * cg * math.sin(phi), v * math.sin(gamma))
 
 
 def velocity_vector(s: AircraftState) -> tuple[float, float, float]:
     """Inertial velocity components implied by (v, gamma, phi)."""
-    cg = math.cos(s.gamma)
-    return (s.v * cg * math.cos(s.phi),
-            s.v * cg * math.sin(s.phi),
-            s.v * math.sin(s.gamma))
+    return _velocity(s.v, s.gamma, s.phi)

@@ -19,20 +19,28 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+# rk4_step and missile_step are not called here: env_step integrates through
+# the models' float substeps.  The names stay bound in this module because
+# the benchmark's tracer (bench/tracing.py) rebinds them here.
 from .dynamics import (
     PHYSICS_DT,
+    V_FLOOR,
     AircraftState,
+    _substep as _aircraft_substep,
+    _velocity,
     clamp_controls,
-    rk4_step,
-    velocity_vector,
+    rk4_step,  # noqa: F401
     wrap_angle,
 )
 from .missile import (
     MissileParams,
     MissileState,
     MissileStatus,
+    _advanced,
+    _kinematics,
+    _substep as _missile_substep,
     launch_missile,
-    missile_step,
+    missile_step,  # noqa: F401
 )
 
 BLUE = "blue"
@@ -113,6 +121,15 @@ class ScenarioConfig:
         for lo, hi in pairs:
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
                 raise ValueError(f"invalid scenario bounds [{lo}, {hi}]")
+        # Starts must lie inside the envelope the integrator holds: a slower
+        # start is floored after one substep, or raises DegenerateStateError
+        # under hard deceleration, and a lower one ends drawn at once.
+        if self.speed_min < V_FLOOR:
+            raise ValueError(f"speed_min {self.speed_min} is below the "
+                             f"{V_FLOOR} m/s speed floor")
+        if self.alt_min < GROUND_FLOOR:
+            raise ValueError(f"alt_min {self.alt_min} is below the "
+                             f"{GROUND_FLOOR} m ground floor")
 
 
 DEFAULT_SCENARIO = ScenarioConfig()
@@ -241,9 +258,11 @@ def fire_allowed(own: AircraftState, target: AircraftState) -> bool:
     return abs(bearing) < FIRE_BEARING
 
 
-def _evaluate(blue, red, bm, rm, blue_fired, red_fired, t) -> Outcome:
-    blue_hit = rm is not None and rm.status is MissileStatus.HIT
-    red_hit = bm is not None and bm.status is MissileStatus.HIT
+def _evaluate(blue_z, red_z, bm_status, rm_status, blue_fired, red_fired,
+              t) -> Outcome:
+    # A missile status is None while that side has no missile.
+    blue_hit = rm_status is MissileStatus.HIT
+    red_hit = bm_status is MissileStatus.HIT
     if blue_hit and red_hit:
         return Outcome.DRAW
     if blue_hit:
@@ -252,13 +271,13 @@ def _evaluate(blue, red, bm, rm, blue_fired, red_fired, t) -> Outcome:
         return Outcome.BLUE_WIN
     # Ground contact aborts the engagement with no winner; a win has to
     # come from a missile, so random descents cannot feed the reward.
-    if blue.z < GROUND_FLOOR or red.z < GROUND_FLOOR:
+    if blue_z < GROUND_FLOOR or red_z < GROUND_FLOOR:
         return Outcome.DRAW
     if t >= EPISODE_TIME_LIMIT:
         return Outcome.DRAW
     if blue_fired and red_fired \
-            and bm.status is MissileStatus.EXPIRED \
-            and rm.status is MissileStatus.EXPIRED:
+            and bm_status is MissileStatus.EXPIRED \
+            and rm_status is MissileStatus.EXPIRED:
         return Outcome.DRAW
     return Outcome.ONGOING
 
@@ -316,29 +335,58 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
         rm = launch_missile(red, RED, BLUE)
         red_fired = True
 
+    # The substeps run over plain floats: each aircraft is the tuple
+    # (x, y, z, v, gamma, phi) and each missile in flight the kinematics tuple
+    # of missile._substep.  State objects are built once at the end, or at
+    # every substep only for a recorder.
+    b = (blue.x, blue.y, blue.z, blue.v, blue.gamma, blue.phi)
+    r = (red.x, red.y, red.z, red.v, red.gamma, red.phi)
+    b_nx, b_nz = ctrl_b.nx, ctrl_b.nz
+    b_cmu, b_smu = math.cos(ctrl_b.mu), math.sin(ctrl_b.mu)
+    r_nx, r_nz = ctrl_r.nx, ctrl_r.nz
+    r_cmu, r_smu = math.cos(ctrl_r.mu), math.sin(ctrl_r.mu)
+    bm_status = None if bm is None else bm.status
+    rm_status = None if rm is None else rm.status
+    bm_live = bm_status is MissileStatus.IN_FLIGHT
+    rm_live = rm_status is MissileStatus.IN_FLIGHT
+    bk = _kinematics(bm) if bm_live else None
+    rk = _kinematics(rm) if rm_live else None
+
     t0 = s.t
     t = t0
     outcome = Outcome.ONGOING
     for i in range(n):
-        if bm is not None and bm.status is MissileStatus.IN_FLIGHT:
-            bm = missile_step(bm, params, (red.x, red.y, red.z),
-                              velocity_vector(red), PHYSICS_DT)
-        if rm is not None and rm.status is MissileStatus.IN_FLIGHT:
-            rm = missile_step(rm, params, (blue.x, blue.y, blue.z),
-                              velocity_vector(blue), PHYSICS_DT)
-        blue = rk4_step(blue, ctrl_b, PHYSICS_DT)
-        red = rk4_step(red, ctrl_r, PHYSICS_DT)
+        # Missiles first, against the aircraft at the start of the substep.
+        if bm_status is MissileStatus.IN_FLIGHT:
+            bk, bm_status = _missile_substep(params, bk, r[:3],
+                                             _velocity(r[3], r[4], r[5]),
+                                             PHYSICS_DT)
+        if rm_status is MissileStatus.IN_FLIGHT:
+            rk, rm_status = _missile_substep(params, rk, b[:3],
+                                             _velocity(b[3], b[4], b[5]),
+                                             PHYSICS_DT)
+        b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
+        r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
         t = t0 + (i + 1) * PHYSICS_DT
-        outcome = _evaluate(blue, red, bm, rm, blue_fired, red_fired, t)
+        outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                            red_fired, t)
         if recorder is not None:
-            state_i = EngagementState(blue, red, bm, rm, blue_fired,
-                                      red_fired, t, outcome)
+            state_i = EngagementState(
+                AircraftState(*b), AircraftState(*r),
+                _advanced(bm, bk, bm_status) if bm_live else bm,
+                _advanced(rm, rk, rm_status) if rm_live else rm,
+                blue_fired, red_fired, t, outcome)
             for row in trajectory_rows(state_i):
                 recorder(row)
         if outcome is not Outcome.ONGOING:
             break
 
-    ns = EngagementState(blue, red, bm, rm, blue_fired, red_fired, t, outcome)
+    if bm_live:
+        bm = _advanced(bm, bk, bm_status)
+    if rm_live:
+        rm = _advanced(rm, rk, rm_status)
+    ns = EngagementState(AircraftState(*b), AircraftState(*r), bm, rm,
+                         blue_fired, red_fired, t, outcome)
     reward_blue, reward_red = _REWARDS[outcome]
     done = outcome is not Outcome.ONGOING
     return StepResult(ns, observe(ns, BLUE), observe(ns, RED),

@@ -6,6 +6,11 @@ as priors, the critic values leaves, and PUCT balances prior against mean
 backed-up value.  The opponent is folded into the environment model by
 always playing its policy mean, which keeps the tree single-agent.  The
 action returned is the root child with the most visits.
+
+A node keeps the (own, opponent) observation pair of its state.  A child
+takes it from the StepResult of the env model call that made it, so the env
+model must return obs_blue and obs_red equal to `observe` of its returned
+state, as `environment.env_step` does; only the root is observed here.
 """
 
 from __future__ import annotations
@@ -40,13 +45,15 @@ class SearchConfig:
 class SearchNode:
     """One tree node: a state snapshot plus per-child edge statistics."""
 
-    __slots__ = ("state", "depth", "expanded", "terminal", "terminal_value",
-                 "actions", "priors", "visit_counts", "total_values",
-                 "children", "opp_action", "eval_value")
+    __slots__ = ("state", "depth", "obs", "expanded", "terminal",
+                 "terminal_value", "actions", "priors", "visit_counts",
+                 "total_values", "children", "mean", "opp_action", "eval_value")
 
-    def __init__(self, state: EngagementState, depth: int):
+    def __init__(self, state: EngagementState, depth: int,
+                 obs: Optional[tuple[np.ndarray, np.ndarray]] = None):
         self.state = state
         self.depth = depth
+        self.obs = obs  # (own, opponent) observations; built on first use if None
         self.expanded = False
         self.terminal = False
         self.terminal_value = 0.0
@@ -55,8 +62,9 @@ class SearchNode:
         self.visit_counts: Optional[np.ndarray] = None
         self.total_values: Optional[np.ndarray] = None
         self.children: Optional[list[Optional[SearchNode]]] = None
+        self.mean: Optional[np.ndarray] = None  # actor mean at the node
         self.opp_action: Optional[np.ndarray] = None
-        self.eval_value: Optional[float] = None
+        self.eval_value: Optional[float] = None  # critic output, unclamped
 
     def q_values(self) -> np.ndarray:
         """Mean backed-up value per child; 0 for unvisited children."""
@@ -66,24 +74,35 @@ class SearchNode:
 
 @dataclass
 class SearchResult:
-    """Chosen action plus the search trace for optional logging."""
+    """Chosen action plus the search trace for optional logging.
+
+    root_mean is the actor's mean at the root and root_critic the critic's
+    unclamped output there, so callers need no second forward of either.
+    """
 
     action: np.ndarray
     root_value: float
     visit_counts: np.ndarray
     priors: np.ndarray
     chosen_index: int
+    root_mean: np.ndarray
+    root_critic: float
+
+
+def _observations(node: SearchNode, side: str) -> tuple[np.ndarray, np.ndarray]:
+    if node.obs is None:
+        node.obs = (observe(node.state, side), observe(node.state, other_side(side)))
+    return node.obs
 
 
 def _evaluate_state(node: SearchNode, side: str, critic: Critic) -> float:
     """Critic value of the node state, clamped to the outcome scale."""
     if node.eval_value is None:
         if isinstance(critic, MlpParams):
-            v = float(forward(critic, observe(node.state, side))[0])
+            node.eval_value = float(forward(critic, _observations(node, side)[0])[0])
         else:
-            v = float(critic(node.state))
-        node.eval_value = min(max(v, -1.0), 1.0)
-    return node.eval_value
+            node.eval_value = float(critic(node.state))
+    return min(max(node.eval_value, -1.0), 1.0)
 
 
 def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
@@ -99,8 +118,8 @@ def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
     if node.expanded:
         raise ValueError("node is already expanded")
     k = config.num_actions
-    obs = observe(node.state, side)
-    mean = forward(actor, obs)
+    own_obs, opp_obs = _observations(node, side)
+    mean = forward(actor, own_obs)
     draws = rng.standard_normal((k, actor.out_dim))
     actions = mean + np.exp(actor.log_std) * draws
     logps = log_density(mean, actor.log_std, actions)
@@ -110,7 +129,8 @@ def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
     node.visit_counts = np.zeros(k, dtype=np.int64)
     node.total_values = np.zeros(k)
     node.children = [None] * k
-    node.opp_action = forward(opponent, observe(node.state, other_side(side)))
+    node.mean = mean
+    node.opp_action = forward(opponent, opp_obs)
     node.expanded = True
     return _evaluate_state(node, side, critic)
 
@@ -140,9 +160,11 @@ def _make_child(node: SearchNode, idx: int, side: str,
     action = node.actions[idx]
     if side == BLUE:
         res = env_model(node.state, action, node.opp_action)
+        obs = (res.obs_blue, res.obs_red)
     else:
         res = env_model(node.state, node.opp_action, action)
-    child = SearchNode(res.state, node.depth + 1)
+        obs = (res.obs_red, res.obs_blue)
+    child = SearchNode(res.state, node.depth + 1, obs)
     if res.done:
         child.terminal = True
         child.terminal_value = res.reward_blue if side == BLUE else res.reward_red
@@ -186,4 +208,5 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
 
     chosen = int(np.argmax(root.visit_counts))
     return SearchResult(root.actions[chosen].copy(), root_value,
-                        root.visit_counts.copy(), root.priors.copy(), chosen)
+                        root.visit_counts.copy(), root.priors.copy(), chosen,
+                        root.mean, root.eval_value)

@@ -5,6 +5,11 @@ decreases linearly while the motor burns.  Guidance measures line-of-sight
 rates to the target and turns them into a yaw command n_mc and a pitch
 command n_mh.  Integration uses the same fixed-step RK4 scheme and shares
 the gravitational constant with the aircraft model.
+
+As in the aircraft model there is one integration path: `_substep` advances
+the plain float tuple (x, y, z, vm, gamma, phi, t, n_mc, n_mh) by one
+guided RK4 step, `missile_step` wraps it for a `MissileState`, and
+`environment.env_step` calls it directly for the substeps of a decision.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import (G, GAMMA_LIMIT, PHYSICS_DT, AircraftState, _stage_gamma,
-                       wrap_angle)
+from .dynamics import G, GAMMA_LIMIT, PHYSICS_DT, AircraftState, _velocity, wrap_angle
 
 Vec3 = tuple[float, float, float]
 
@@ -163,7 +167,7 @@ def pn_command(p: MissileParams, geom: RelativeGeometry, vm: float,
     return (min(max(n_mc, -lim), lim), min(max(n_mh, -lim), lim))
 
 
-def _derivatives(p, x, y, z, v, gamma, phi, t, n_mc, n_mh):
+def _derivatives(p, v, gamma, phi, t, n_mc, n_mh):
     if v < 1e-6:
         raise ValueError(f"non-positive missile speed {v}")
     cg = math.cos(gamma)
@@ -172,21 +176,15 @@ def _derivatives(p, x, y, z, v, gamma, phi, t, n_mc, n_mh):
     gm = p.g0 - p.gt * min(t, p.tw)
     pm = p.p0 if t <= p.tw else 0.0
     qm = 0.5 * p.rho * v * v * p.sm * p.cdm
-    dx = v * cg * math.cos(phi)
-    dy = v * cg * math.sin(phi)
-    dz = v * math.sin(gamma)
-    dv = (pm - qm) * G / gm - G * math.sin(gamma)
-    dgamma = (n_mh - cg) * G / v
-    dphi = n_mc * G / (v * cg)
-    return dx, dy, dz, dv, dgamma, dphi
+    sg = math.sin(gamma)
+    vcg = v * cg
+    return (vcg * math.cos(phi), vcg * math.sin(phi), v * sg,
+            (pm - qm) * G / gm - G * sg, (n_mh - cg) * G / v, n_mc * G / vcg)
 
 
 def missile_velocity(m: MissileState) -> Vec3:
     """Inertial velocity components implied by (vm, gamma, phi)."""
-    cg = math.cos(m.gamma)
-    return (m.vm * cg * math.cos(m.phi),
-            m.vm * cg * math.sin(m.phi),
-            m.vm * math.sin(m.gamma))
+    return _velocity(m.vm, m.gamma, m.phi)
 
 
 def _segment_min_distance(r0: Vec3, r1: Vec3) -> float:
@@ -206,43 +204,29 @@ def _segment_min_distance(r0: Vec3, r1: Vec3) -> float:
     return math.sqrt(cx * cx + cy * cy + cz * cz)
 
 
-def missile_step(m: MissileState, p: MissileParams, target_pos: Vec3,
-                 target_vel: Vec3, dt: float = PHYSICS_DT) -> MissileState:
-    """Advance an in-flight missile by one step against a moving target.
-
-    Guidance commands are computed from the geometry at the start of the
-    step and held constant through the RK4 stages; if the geometry is
-    singular the previous commands are held instead.  The target is assumed
-    to move linearly during the step, and a hit is declared when the closest
-    approach of the relative segment falls inside the hit radius.  Without a
-    hit, the missile expires once its flight time exceeds the maximum or its
-    speed falls below the minimum.
-    """
-    if m.status is not MissileStatus.IN_FLIGHT:
-        raise ValueError(f"cannot step a missile with status {m.status.name}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
+def _substep(p, k, target_pos, target_vel, dt):
+    x, y, z, v, gamma, phi, t, n_mc, n_mh = k
     try:
-        geom = relative_geometry((m.x, m.y, m.z), missile_velocity(m),
+        geom = relative_geometry((x, y, z), _velocity(v, gamma, phi),
                                  target_pos, target_vel)
         gamma_t = math.atan2(target_vel[2], math.hypot(target_vel[0], target_vel[1]))
-        n_mc, n_mh = pn_command(p, geom, m.vm, gamma_t)
+        n_mc, n_mh = pn_command(p, geom, v, gamma_t)
     except (GuidanceSingularityError, ZeroRangeError):
-        n_mc, n_mh = m.n_mc, m.n_mh
+        pass  # hold the previous commands
 
-    x, y, z, v, gamma, phi, t = m.x, m.y, m.z, m.vm, m.gamma, m.phi, m.t
-    k1 = _derivatives(p, x, y, z, v, gamma, phi, t, n_mc, n_mh)
+    k1 = _derivatives(p, v, gamma, phi, t, n_mc, n_mh)
+    # Stages are evaluated at the flight-path angle clipped like the output,
+    # as in the aircraft model, so the heading equation stays defined.
     h = dt / 2.0
-    k2 = _derivatives(p, x + h * k1[0], y + h * k1[1], z + h * k1[2],
-                      v + h * k1[3], _stage_gamma(gamma + h * k1[4]),
-                      phi + h * k1[5], t + h, n_mc, n_mh)
-    k3 = _derivatives(p, x + h * k2[0], y + h * k2[1], z + h * k2[2],
-                      v + h * k2[3], _stage_gamma(gamma + h * k2[4]),
-                      phi + h * k2[5], t + h, n_mc, n_mh)
-    k4 = _derivatives(p, x + dt * k3[0], y + dt * k3[1], z + dt * k3[2],
-                      v + dt * k3[3], _stage_gamma(gamma + dt * k3[4]),
-                      phi + dt * k3[5], t + dt, n_mc, n_mh)
+    g = gamma + h * k1[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k2 = _derivatives(p, v + h * k1[3], g, phi + h * k1[5], t + h, n_mc, n_mh)
+    g = gamma + h * k2[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k3 = _derivatives(p, v + h * k2[3], g, phi + h * k2[5], t + h, n_mc, n_mh)
+    g = gamma + dt * k3[4]
+    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
+    k4 = _derivatives(p, v + dt * k3[3], g, phi + dt * k3[5], t + dt, n_mc, n_mh)
 
     sixth = dt / 6.0
     nx = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
@@ -268,8 +252,38 @@ def missile_step(m: MissileState, p: MissileParams, target_pos: Vec3,
         status = MissileStatus.EXPIRED
     else:
         status = MissileStatus.IN_FLIGHT
-    return MissileState(nx, ny, nz, nv, ngamma, wrap_angle(nphi), nt,
-                        m.shooter, m.target, status, n_mc, n_mh)
+    return (nx, ny, nz, nv, ngamma, wrap_angle(nphi), nt, n_mc, n_mh), status
+
+
+def _kinematics(m: MissileState) -> tuple:
+    """The float tuple `_substep` advances."""
+    return (m.x, m.y, m.z, m.vm, m.gamma, m.phi, m.t, m.n_mc, m.n_mh)
+
+
+def _advanced(m: MissileState, k: tuple, status: MissileStatus) -> MissileState:
+    """m moved to the kinematics k and the given status."""
+    x, y, z, v, gamma, phi, t, n_mc, n_mh = k
+    return MissileState(x, y, z, v, gamma, phi, t, m.shooter, m.target,
+                        status, n_mc, n_mh)
+
+
+def missile_step(m: MissileState, p: MissileParams, target_pos: Vec3,
+                 target_vel: Vec3, dt: float = PHYSICS_DT) -> MissileState:
+    """Advance an in-flight missile by one step against a moving target.
+
+    Guidance commands are computed from the geometry at the start of the
+    step and held constant through the RK4 stages; if the geometry is
+    singular the previous commands are held instead.  The target is assumed
+    to move linearly during the step, and a hit is declared when the closest
+    approach of the relative segment falls inside the hit radius.  Without a
+    hit, the missile expires once its flight time exceeds the maximum or its
+    speed falls below the minimum.
+    """
+    if m.status is not MissileStatus.IN_FLIGHT:
+        raise ValueError(f"cannot step a missile with status {m.status.name}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return _advanced(m, *_substep(p, _kinematics(m), target_pos, target_vel, dt))
 
 
 def launch_missile(shooter: AircraftState, shooter_side: str,

@@ -123,7 +123,9 @@ def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
          search_config: SearchConfig, missile_params: MissileParams):
     """One side's decision: search when flagged, raw policy sample otherwise.
 
-    Returns (obs, action, log-probability of the action under the actor).
+    Returns (obs, action, log-probability of the action under the actor,
+    critic output at obs), the last taken from the search root and None
+    when the action was sampled without search.
     """
     obs = observe(state, side)
     if use_mcts:
@@ -133,11 +135,10 @@ def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
         found = run_search(state, side, agent.actor, agent.critic, opponent,
                            model, search_config, rng)
         action = found.action
-        logp = float(log_density(forward(agent.actor, obs),
-                                 agent.actor.log_std, action))
-    else:
-        action, logp = sample_and_logprob(agent.actor, obs, rng)
-    return obs, action, float(logp)
+        logp = log_density(found.root_mean, agent.actor.log_std, action)
+        return obs, action, float(logp), found.root_critic
+    action, logp = sample_and_logprob(agent.actor, obs, rng)
+    return obs, action, float(logp), None
 
 
 def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
@@ -172,15 +173,17 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
 
     steps = 0
     while True:
-        obs_a, act_a, logp_a = _act(agent_a, BLUE, state, use_mcts_a, rng_a,
-                                    agent_b.actor, search_config, missile_params)
-        _, act_b, _ = _act(agent_b, RED, state, use_mcts_b, rng_b,
-                           agent_a.actor, search_config, missile_params)
+        obs_a, act_a, logp_a, value_a = _act(agent_a, BLUE, state, use_mcts_a,
+                                             rng_a, agent_b.actor, search_config,
+                                             missile_params)
+        _, act_b, _, _ = _act(agent_b, RED, state, use_mcts_b, rng_b,
+                              agent_a.actor, search_config, missile_params)
         res = env_step(state, act_a, act_b, params=missile_params,
                        recorder=recorder)
         steps += 1
         if buffer is not None and record_side == BLUE:
-            value = float(forward(agent_a.critic, obs_a)[0])
+            value = value_a if value_a is not None \
+                else float(forward(agent_a.critic, obs_a)[0])
             buffer.add(Transition(obs=obs_a, action=np.asarray(act_a, float),
                                   logp=logp_a, reward=res.reward_blue,
                                   value=value, done=res.done))

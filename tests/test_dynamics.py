@@ -5,6 +5,7 @@ integration accuracy, from the same integrator run at a much finer step.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dogfight.dynamics import (
     G,
     GAMMA_LIMIT,
     PHYSICS_DT,
+    V_FLOOR,
     AircraftState,
     ControlInput,
     DegenerateStateError,
@@ -228,3 +230,64 @@ def test_velocity_vector_consistent_with_derivatives():
     s = AircraftState(1.0, 2.0, 3000.0, 320.0, 0.4, -2.1)
     d = aircraft_derivatives(s, ControlInput(0.0, 1.0, 0.0))
     assert velocity_vector(s) == (d.x, d.y, d.z)
+
+
+def textbook_rk4(s, c, dt):
+    """Classical RK4 over the dataclasses, as the model specifies it.
+
+    Stage states are evaluated with gamma clipped to +-GAMMA_LIMIT; the
+    result is floored at V_FLOOR, clipped to +-GAMMA_LIMIT and wrapped.  The
+    weighted sum is grouped as k1 + 2 (k2 + k3) + k4, the model's rounding.
+    """
+    def stage(k, w):
+        g = min(max(s.gamma + w * k.gamma, -GAMMA_LIMIT), GAMMA_LIMIT)
+        return AircraftState(s.x + w * k.x, s.y + w * k.y, s.z + w * k.z,
+                             s.v + w * k.v, g, s.phi + w * k.phi)
+
+    k1 = aircraft_derivatives(s, c)
+    k2 = aircraft_derivatives(stage(k1, dt / 2.0), c)
+    k3 = aircraft_derivatives(stage(k2, dt / 2.0), c)
+    k4 = aircraft_derivatives(stage(k3, dt), c)
+    x, y, z, v, gamma, phi = (
+        getattr(s, f) + dt / 6.0 * (getattr(k1, f) + 2.0 * (getattr(k2, f)
+                                    + getattr(k3, f)) + getattr(k4, f))
+        for f in ("x", "y", "z", "v", "gamma", "phi"))
+    return AircraftState(x, y, z, max(v, V_FLOOR),
+                         min(max(gamma, -GAMMA_LIMIT), GAMMA_LIMIT), wrap_angle(phi))
+
+
+def _bits(s):
+    return struct.pack("<6d", s.x, s.y, s.z, s.v, s.gamma, s.phi)
+
+
+def test_rk4_step_equals_textbook_rk4_bit_for_bit():
+    # 300 seeded states, 25 substeps each (one decision).  A third start
+    # just above the speed floor under full deceleration, a third just
+    # inside the vertical under full pull toward it; the rest are anywhere
+    # in the envelope.
+    rng = np.random.default_rng(314)
+    floored = clamped = 0
+    for i in range(300):
+        kind = i % 3
+        v = float(rng.uniform(100.0, 110.0) if kind == 0 else rng.uniform(100.0, 600.0))
+        if kind == 1:
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            gamma = sign * (GAMMA_LIMIT - float(rng.uniform(0.0, 0.05)))
+            c = ControlInput(float(rng.uniform(-2.0, 2.0)), 8.0,
+                             0.0 if sign > 0.0 else math.pi)
+        else:
+            gamma = float(rng.uniform(-1.5, 1.5))
+            c = clamp_controls(*map(float, rng.uniform((-2.0, 0.0, -math.pi),
+                                                       (2.0, 8.0, math.pi))))
+        if kind == 0:
+            c = ControlInput(-2.0, c.nz, c.mu)
+        x, y = map(float, rng.uniform(-1e4, 1e4, 2))
+        s = AircraftState(x, y, float(rng.uniform(100.0, 9000.0)), v, gamma,
+                          float(rng.uniform(-math.pi, math.pi)))
+        for _ in range(25):
+            ref = textbook_rk4(s, c, PHYSICS_DT)
+            s = rk4_step(s, c, PHYSICS_DT)
+            assert _bits(s) == _bits(ref)
+            floored += s.v == V_FLOOR
+            clamped += abs(s.gamma) == GAMMA_LIMIT
+    assert floored > 0 and clamped > 0

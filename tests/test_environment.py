@@ -1,17 +1,19 @@
 """Engagement environment tests."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dogfight.dynamics import AircraftState
+from dogfight.dynamics import GAMMA_LIMIT, V_FLOOR, AircraftState
 from dogfight.missile import MissileState, MissileStatus
 from dogfight.environment import (
     BLUE,
     DECISION_DT,
     EPISODE_TIME_LIMIT,
+    GROUND_FLOOR,
     OBS_BOUNDS,
     OBS_DIM,
     RED,
@@ -75,6 +77,13 @@ def test_scenario_validation():
         ScenarioConfig(speed_min=400.0, speed_max=250.0)
     with pytest.raises(ValueError):
         ScenarioConfig(alt_min=-10.0)
+    # Starts below the speed floor or the ground floor are outside the
+    # envelope the integrator and the termination check hold.
+    with pytest.raises(ValueError, match="speed floor"):
+        ScenarioConfig(speed_min=V_FLOOR - 1e-9)
+    with pytest.raises(ValueError, match="ground floor"):
+        ScenarioConfig(alt_min=GROUND_FLOOR - 1e-9)
+    ScenarioConfig(speed_min=V_FLOOR, alt_min=GROUND_FLOOR)
 
 
 def test_reward_shaping_stub_is_off():
@@ -333,3 +342,44 @@ def test_outcome_latches_through_noop_steps():
         nxt = env_step(state, TRIM, TRIM)
         assert nxt.outcome is res.outcome
         state = nxt.state
+
+
+# sha256 of the rollout below, taken from the integrator as it stood before
+# env_step was rewritten over plain floats.  Any change to the arithmetic of
+# the aircraft, missile or termination code moves it.
+ROLLOUT_SHA256 = "742ae6c3996f3b1557d5e28117f9ab395ff091a06cc86193c0db34afcb97206d"
+
+
+def test_seeded_rollout_is_pinned():
+    # Random raw actions wider than the control envelope, fire enabled, each
+    # held for a few decisions so that climbs reach the flight-path clamp and
+    # decelerations reach the speed floor.  Every recorder row, every
+    # returned state and both observations go into the digest.
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    rows = []
+    state = held = None
+    floored = clamped = hits = 0
+    for _ in range(10_000):
+        if state is None:
+            state = reset(int(rng.integers(0, 2 ** 63)))
+        if held is None or rng.random() < 0.2:
+            held = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
+                               size=(2, 4))
+        res = env_step(state, held[0], held[1], recorder=rows.append)
+        floored += sum(r[5] == V_FLOOR for r in rows)
+        clamped += sum(abs(r[6]) == GAMMA_LIMIT for r in rows)
+        digest.update(repr(rows).encode())
+        digest.update(repr(res.state).encode())
+        digest.update(res.obs_blue.tobytes())
+        digest.update(res.obs_red.tobytes())
+        digest.update(repr((res.reward_blue, res.reward_red, res.done,
+                            res.outcome.value)).encode())
+        rows.clear()
+        if res.done:
+            hits += res.outcome in (Outcome.BLUE_WIN, Outcome.RED_WIN)
+            state = None
+        else:
+            state = res.state
+    assert floored > 0 and clamped > 0 and hits > 0
+    assert digest.hexdigest() == ROLLOUT_SHA256

@@ -93,6 +93,10 @@ def test_parse_rejects_bad_values():
         parse_config("[run]\nuse_mcts = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("[scenario]\nspeed_min = -5.0\n")  # domain validation
+    with pytest.raises(ConfigError, match="speed floor"):
+        parse_config("[scenario]\nspeed_min = 0.05\n")
+    with pytest.raises(ConfigError, match="ground floor"):
+        parse_config("[scenario]\nalt_min = 50.0\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\niterations = 0\n")
     with pytest.raises(ConfigError, match="malformed"):

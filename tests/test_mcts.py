@@ -165,6 +165,19 @@ def test_run_search_root_visit_sum():
     assert res.chosen_index == int(np.argmax(res.visit_counts))
 
 
+def test_run_search_returns_root_forwards():
+    # The root's actor mean and unclamped critic output come back with the
+    # result, equal to fresh forwards on the root observation.
+    state = reset(4)
+    actor, critic = make_actor(0), make_critic(1)
+    res = run_search(state, BLUE, actor, critic, make_actor(2), env_model,
+                     SearchConfig(), np.random.default_rng(7))
+    obs = observe(state, BLUE)
+    np.testing.assert_array_equal(res.root_mean, mlp.forward(actor, obs))
+    assert res.root_critic == float(mlp.forward(critic, obs)[0])
+    assert res.root_value == min(max(res.root_critic, -1.0), 1.0)
+
+
 def test_run_search_rejects_terminal_root():
     state = reset(0)
     from dataclasses import replace
@@ -225,6 +238,10 @@ def test_tree_invariants_after_search():
 
     assert int(root.visit_counts.sum()) == cfg.num_simulations
     for node in _walk(root):
+        # Each node's observations are the env model's, equal to observe's.
+        own, opp = node.obs
+        np.testing.assert_array_equal(own, observe(node.state, BLUE))
+        np.testing.assert_array_equal(opp, observe(node.state, RED))
         if not node.expanded:
             continue
         assert abs(node.priors.sum() - 1.0) < 1e-9
