@@ -10,7 +10,8 @@ action returned is the root child with the most visits.
 A node keeps the (own, opponent) observation pair of its state.  A child
 takes it from the StepResult of the env model call that made it, so the env
 model must return obs_blue and obs_red equal to `observe` of its returned
-state, as `environment.env_step` does; only the root is observed here.
+state, as `environment.env_step` does.  The caller may pass the root's pair
+too; only a root without one is observed here.
 """
 
 from __future__ import annotations
@@ -173,17 +174,21 @@ def _make_child(node: SearchNode, idx: int, side: str,
 
 def run_search(root_state: EngagementState, side: str, actor: MlpParams,
                critic: Critic, opponent: MlpParams, env_model: EnvModel,
-               config: SearchConfig, rng: np.random.Generator) -> SearchResult:
+               config: SearchConfig, rng: np.random.Generator, *,
+               root_obs: Optional[tuple[np.ndarray, np.ndarray]] = None
+               ) -> SearchResult:
     """Search from root_state and return the most-visited root action.
 
-    The root is expanded up front, then each simulation descends by PUCT,
-    creating child states lazily, until it reaches a terminal node, an
-    unexpanded node (expanded and evaluated on the spot), or the depth cap
-    (evaluated by the critic); the value is backed up along the path.
+    root_obs, when given, must be the (own, opponent) pair that `observe`
+    returns for root_state.  The root is expanded up front, then each
+    simulation descends by PUCT, creating child states lazily, until it
+    reaches a terminal node, an unexpanded node (expanded and evaluated on
+    the spot), or the depth cap (evaluated by the critic); the value is
+    backed up along the path.
     """
     if root_state.outcome is not Outcome.ONGOING:
         raise ValueError("cannot search from a terminal state")
-    root = SearchNode(root_state, 0)
+    root = SearchNode(root_state, 0, root_obs)
     root_value = expand_node(root, side, actor, critic, opponent, config, rng)
 
     for _ in range(config.num_simulations):

@@ -4,13 +4,21 @@ The loop alternates collection (current agent vs the most recent past
 checkpoint), a PPO update, checkpointing, and evaluation against a random
 sample of earlier checkpoints.  Everything is driven by spawned seed
 sequences so a master seed reproduces the whole run bit-exactly.
+
+Matches share nothing but read-only agents, so both match loops can run on
+forked worker processes.  The parent draws every seed, consumes the results
+in seed order and alone touches the tallies, the sinks and the rollout
+buffer; the worker count therefore cannot move a byte of any artifact.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -118,27 +126,78 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# (fn, agents) of the pool being forked, None otherwise; see _in_order.
+_FORKED: Optional[tuple[Callable[[Any, Any], Any], Any]] = None
+
+
+def _forked_call(task):
+    fn, agents = _FORKED
+    return fn(agents, task)
+
+
+def _in_order(fn: Callable[[Any, Any], Any], agents: Any, tasks: Iterable,
+              workers: int) -> Iterator:
+    """Yield fn(agents, task) for each task, in task order.
+
+    With one worker the calls run here, one by one, as tasks yields them.
+    With more, they run on that many forked processes with at most
+    2 * workers tasks drawn ahead, so tasks may be endless.  The workers
+    inherit fn and agents from a module global set only while the pool
+    forks; as initargs they would live on in the pool's reference cycle
+    until the cyclic collector ran.  A worker's exception reaches the caller
+    with its type.  The pool is terminated and joined however the generator
+    ends: exhausted, closed early, or raising.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
+        for task in tasks:
+            yield fn(agents, task)
+        return
+    import multiprocessing  # only when forking: keeps `import dogfight` lean
+
+    global _FORKED
+    _FORKED = (fn, agents)
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    finally:
+        _FORKED = None
+    try:
+        tasks = iter(tasks)
+        pending = deque(pool.apply_async(_forked_call, (task,))
+                        for task in itertools.islice(tasks, 2 * workers))
+        while pending:
+            result = pending.popleft().get()
+            for task in itertools.islice(tasks, 1):
+                pending.append(pool.apply_async(_forked_call, (task,)))
+            yield result
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
-         use_mcts: bool, rng: np.random.Generator, opponent: MlpParams,
+         obs: tuple[np.ndarray, np.ndarray], use_mcts: bool,
+         rng: np.random.Generator, opponent: MlpParams,
          search_config: SearchConfig, missile_params: MissileParams):
     """One side's decision: search when flagged, raw policy sample otherwise.
 
-    Returns (obs, action, log-probability of the action under the actor,
-    critic output at obs), the last taken from the search root and None
-    when the action was sampled without search.
+    obs is the (own, opponent) observation pair of state.  Returns (action,
+    log-probability of the action under the actor, critic output at the
+    own observation), the last taken from the search root and None when the
+    action was sampled without search.
     """
-    obs = observe(state, side)
     if use_mcts:
         def model(s, a_blue, a_red):
             return env_step(s, a_blue, a_red, params=missile_params)
 
         found = run_search(state, side, agent.actor, agent.critic, opponent,
-                           model, search_config, rng)
+                           model, search_config, rng, root_obs=obs)
         action = found.action
         logp = log_density(found.root_mean, agent.actor.log_std, action)
-        return obs, action, float(logp), found.root_critic
-    action, logp = sample_and_logprob(agent.actor, obs, rng)
-    return obs, action, float(logp), None
+        return action, float(logp), found.root_critic
+    action, logp = sample_and_logprob(agent.actor, obs[0], rng)
+    return action, float(logp), None
 
 
 def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
@@ -171,13 +230,15 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
     if state.outcome is not Outcome.ONGOING:
         raise ValueError("initial state is already terminal")
 
+    # Each later pair comes from the env_step that made the state.
+    obs_a, obs_b = observe(state, BLUE), observe(state, RED)
     steps = 0
     while True:
-        obs_a, act_a, logp_a, value_a = _act(agent_a, BLUE, state, use_mcts_a,
-                                             rng_a, agent_b.actor, search_config,
-                                             missile_params)
-        _, act_b, _, _ = _act(agent_b, RED, state, use_mcts_b, rng_b,
-                              agent_a.actor, search_config, missile_params)
+        act_a, logp_a, value_a = _act(agent_a, BLUE, state, (obs_a, obs_b),
+                                      use_mcts_a, rng_a, agent_b.actor,
+                                      search_config, missile_params)
+        act_b, _, _ = _act(agent_b, RED, state, (obs_b, obs_a), use_mcts_b,
+                           rng_b, agent_a.actor, search_config, missile_params)
         res = env_step(state, act_a, act_b, params=missile_params,
                        recorder=recorder)
         steps += 1
@@ -187,7 +248,7 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
             buffer.add(Transition(obs=obs_a, action=np.asarray(act_a, float),
                                   logp=logp_a, reward=res.reward_blue,
                                   value=value, done=res.done))
-        state = res.state
+        state, obs_a, obs_b = res.state, res.obs_blue, res.obs_red
         if res.done:
             break
 
@@ -207,29 +268,39 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
                      search_config: SearchConfig = SearchConfig(),
                      scenario: ScenarioConfig = DEFAULT_SCENARIO,
                      missile_params: MissileParams = DEFAULT_MISSILE_PARAMS,
-                     match_sink: Optional[MatchSink] = None) -> IterationMetrics:
+                     match_sink: Optional[MatchSink] = None,
+                     workers: int = 1) -> IterationMetrics:
     """Play the current agent against sampled past checkpoints.
 
     With a pool of at least `opponents` entries, that many are drawn with
     replacement; a smaller pool is used in full.  Three games (by default)
     per opponent, fresh seeds from rng, search on both sides when the
-    training configuration uses it.
+    training configuration uses it.  Every (opponent, game, seed) triple is
+    drawn from rng before the first game starts; the games run on up to
+    `workers` processes (never more than there are games), and the tallies
+    and match_sink see them in the order drawn, whatever the worker count.
     """
     if not pool:
         raise ValueError("checkpoint pool is empty")
     if len(pool) >= opponents:
-        chosen = [pool[int(i)] for i in rng.integers(0, len(pool), size=opponents)]
+        picks = [int(i) for i in rng.integers(0, len(pool), size=opponents)]
     else:
-        chosen = list(pool)
+        picks = list(range(len(pool)))
+    drawn = [(i, g, int(rng.integers(0, 2 ** 63)))
+             for i in picks for g in range(games)]
+
+    def play(agents, game):
+        me, past = agents
+        opp, g, seed = game
+        return play_match(me, past[opp], use_mcts, use_mcts, seed,
+                          search_config=search_config, scenario=scenario,
+                          missile_params=missile_params, game_index=g)
 
     wins = losses = draws = 0
     seconds = 0.0
-    for opp in chosen:
-        for g in range(games):
-            record = play_match(current, opp, use_mcts, use_mcts,
-                                int(rng.integers(0, 2 ** 63)),
-                                search_config=search_config, scenario=scenario,
-                                missile_params=missile_params, game_index=g)
+    with closing(_in_order(play, (current, pool), drawn,
+                           min(workers, max(len(drawn), 1)))) as records:
+        for record in records:
             wins += record.outcome == WIN
             losses += record.outcome == LOSS
             draws += record.outcome == DRAW
@@ -239,14 +310,15 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
 
     return IterationMetrics(iteration=current.iteration, wins=wins,
                             losses=losses, draws=draws,
-                            games=len(chosen) * games, train=None,
+                            games=len(drawn), train=None,
                             seconds=seconds)
 
 
 def train_loop(config: LeagueConfig, rng: int, *,
                checkpoint_sink: Optional[CheckpointSink] = None,
                metrics_sink: Optional[MetricsSink] = None,
-               match_sink: Optional[MatchSink] = None
+               match_sink: Optional[MatchSink] = None,
+               workers: int = 1
                ) -> tuple[list[AgentCheckpoint], list[IterationMetrics]]:
     """Iterate collect, train, checkpoint, evaluate; rng is the master seed.
 
@@ -255,7 +327,25 @@ def train_loop(config: LeagueConfig, rng: int, *,
     full batch.  The pool starts with the untrained agent as iteration 0,
     which is not written to the checkpoint sink; each later iteration's
     snapshot is evaluated against the pool before joining it.
+
+    Matches run on `workers` processes.  Collection plays one match per
+    seed drawn from the iteration's own collection stream, and with more
+    than one worker it plays ahead on the next seeds speculatively; whole
+    episodes join the buffer in seed order until it is full, and the
+    matches still running are dropped.  That stream feeds nothing else, so
+    the extra draws move no byte: every artifact is the same for any
+    worker count.
     """
+    def collect(agents, seed):
+        blue, red = agents
+        own = RolloutBuffer()
+        record = play_match(blue, red, config.use_mcts, False, seed,
+                            search_config=config.search,
+                            scenario=config.scenario,
+                            missile_params=config.missile,
+                            record_side=BLUE, buffer=own)
+        return record.sim_time, own.episodes
+
     t_start = time.monotonic()
     master = np.random.SeedSequence(rng)
     ss_actor, ss_critic = master.spawn(2)
@@ -272,16 +362,16 @@ def train_loop(config: LeagueConfig, rng: int, *,
         ss_collect, ss_train, ss_eval = master.spawn(3)
         collect_rng = np.random.default_rng(ss_collect)
         live = AgentCheckpoint(iteration, actor, critic, rng, config.config_hash)
+        seeds = (int(collect_rng.integers(0, 2 ** 63)) for _ in itertools.count())
         buffer = RolloutBuffer()
         collect_seconds = 0.0
-        while len(buffer) < config.train.batch_size:
-            record = play_match(live, pool[-1], config.use_mcts, False,
-                                int(collect_rng.integers(0, 2 ** 63)),
-                                search_config=config.search,
-                                scenario=config.scenario,
-                                missile_params=config.missile,
-                                record_side=BLUE, buffer=buffer)
-            collect_seconds += record.sim_time
+        with closing(_in_order(collect, (live, pool[-1]), seeds,
+                               workers)) as matches:
+            for sim_time, episodes in matches:
+                buffer.episodes.extend(episodes)
+                collect_seconds += sim_time
+                if len(buffer) >= config.train.batch_size:
+                    break
 
         compute_advantages(buffer, config.train)
         train_metrics = train_iteration(actor, critic, buffer, config.train,
@@ -300,7 +390,8 @@ def train_loop(config: LeagueConfig, rng: int, *,
                                      search_config=config.search,
                                      scenario=config.scenario,
                                      missile_params=config.missile,
-                                     match_sink=match_sink)
+                                     match_sink=match_sink,
+                                     workers=workers)
         now = time.monotonic()
         row = replace(evaluated, train=train_metrics,
                       seconds=evaluated.seconds + collect_seconds,

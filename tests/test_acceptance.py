@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import mlp
+from dogfight import cli, mlp
 from dogfight.cli import _max_fd_error, main
 from dogfight.dynamics import PHYSICS_DT, AircraftState, ControlInput, rk4_step
 from dogfight.environment import BLUE, env_step, observe, reset
@@ -282,15 +282,25 @@ def test_criterion_6_search_properties():
 
 @pytest.fixture(scope="session")
 def smoke_runs(tmp_path_factory):
-    """Two smoke trainings with the same seed; returns (dir_a, dir_b, wall_a)."""
+    """Two smoke trainings with the same seed; returns (dir_a, dir_b, wall_a).
+
+    The first runs matches on every usable CPU, the second on one.  Each
+    writes to the same relative --out from its own directory, because
+    out_dir goes into config.ini and from there into every checkpoint.
+    """
     root = tmp_path_factory.mktemp("smoke")
-    t0 = time.perf_counter()
-    assert main(["train", "--seed", "7", "--smoke",
-                 "--out", str(root / "a")]) == 0
-    wall_a = time.perf_counter() - t0
-    assert main(["train", "--seed", "7", "--smoke",
-                 "--out", str(root / "b")]) == 0
-    return root / "a", root / "b", wall_a
+    argv = ["train", "--seed", "7", "--smoke", "--out", "run"]
+    with pytest.MonkeyPatch.context() as mp:
+        (root / "a").mkdir()
+        mp.chdir(root / "a")
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        wall_a = time.perf_counter() - t0
+        (root / "b").mkdir()
+        mp.chdir(root / "b")
+        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        assert main(argv) == 0
+    return root / "a" / "run", root / "b" / "run", wall_a
 
 
 def test_criterion_7_smoke_gate(smoke_runs):
@@ -383,11 +393,17 @@ def test_criterion_7_full_protocol(tmp_path_factory):
 
 def test_criterion_8_deterministic_metrics(smoke_runs):
     dir_a, dir_b, _ = smoke_runs
-    a = (dir_a / "metrics.jsonl").read_bytes()
-    b = (dir_b / "metrics.jsonl").read_bytes()
-    ok = a == b and len(a) > 0
-    _verdict(8, ok, f"two seed-7 smoke runs wrote byte-identical "
-                    f"metrics.jsonl ({len(a)} bytes)")
+    names = sorted(p.name for p in dir_a.iterdir())
+    differ = [name for name in names
+              if (dir_a / name).read_bytes() != (dir_b / name).read_bytes()]
+    size = len((dir_a / "metrics.jsonl").read_bytes())
+    ok = (not differ and size > 0
+          and names == sorted(p.name for p in dir_b.iterdir())
+          and {"metrics.jsonl", "matches.jsonl", "config.ini",
+               "checkpoint_0010.ckpt"} <= set(names))
+    _verdict(8, ok, f"two seed-7 smoke runs, on every usable CPU and on one, "
+                    f"wrote byte-identical files ({len(names)} files, "
+                    f"metrics.jsonl {size} bytes; differing: {differ or 'none'})")
 
 
 # --- 9: untrained agents -----------------------------------------------------

@@ -4,14 +4,23 @@ The mirror test replays one match with the sides' labels swapped and
 asserts the two trajectory streams are bit-identical with roles
 exchanged, which pins the whole match loop (sampling streams, stepping,
 outcome mapping) to the environment's side symmetry.
+
+The worker tests run the match loops on two forked processes and require
+the same results, in the same order, as in-process, and no child process
+left behind however the loop ends.
 """
 
+import itertools
+import multiprocessing
+import time
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dogfight.dynamics import AircraftState
+from dogfight import selfplay
+from dogfight.dynamics import AircraftState, DegenerateStateError
 from dogfight.environment import BLUE, RED, EngagementState, Outcome, reset
 from dogfight.mcts import SearchConfig
 from dogfight.mlp import init_params
@@ -21,6 +30,7 @@ from dogfight.selfplay import (
     IterationMetrics,
     LeagueConfig,
     MatchRecord,
+    _in_order,
     evaluate_vs_past,
     play_match,
     train_loop,
@@ -218,3 +228,80 @@ def test_train_loop_deterministic_history():
         assert (a.wins, a.losses, a.draws, a.games) == (b.wins, b.losses, b.draws, b.games)
         assert a.seconds == b.seconds
         assert a.train == b.train  # bitwise equal diagnostics
+
+
+def _slow_echo(agents, task):
+    time.sleep(0.02 * (task % 3))  # later tasks often finish first
+    return agents, task
+
+
+def test_in_order_keeps_task_order_and_stops_early():
+    with closing(_in_order(_slow_echo, "agents", itertools.count(), 2)) as out:
+        got = list(itertools.islice(out, 7))
+    assert got == [("agents", t) for t in range(7)]
+    assert multiprocessing.active_children() == []
+    assert list(_in_order(_slow_echo, "agents", range(3), 1)) == \
+        [("agents", t) for t in range(3)]
+    with pytest.raises(ValueError):
+        next(_in_order(_slow_echo, "agents", range(3), 0))
+
+
+def test_evaluate_vs_past_worker_invariant():
+    current = make_agent(30, iteration=3)
+    pool = [make_agent(31 + i, iteration=i) for i in range(3)]
+
+    def run(workers):
+        records = []
+        metrics = evaluate_vs_past(current, pool, np.random.default_rng(5),
+                                   opponents=2, games=2,
+                                   search_config=FAST_SEARCH,
+                                   match_sink=records.append, workers=workers)
+        return metrics, records
+
+    one, two = run(1), run(2)
+    assert one == two
+    assert len(one[1]) == 4 and one[0].games == 4
+    assert evaluate_vs_past(current, pool, np.random.default_rng(5), games=0,
+                            workers=2).games == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("use_mcts", [True, False])
+def test_train_loop_worker_invariant(use_mcts):
+    def run(workers):
+        saved, matches = [], []
+        pool, history = train_loop(_tiny_league(use_mcts=use_mcts), 4,
+                                   checkpoint_sink=saved.append,
+                                   match_sink=matches.append, workers=workers)
+        return pool, [replace(row, wall_clock=0.0) for row in history], \
+            [c.iteration for c in saved], matches
+
+    pool1, *rest1 = run(1)
+    pool2, *rest2 = run(2)
+    assert multiprocessing.active_children() == []
+    assert rest1 == rest2
+    assert len(pool1) == len(pool2) == 3
+    for a, b in zip(pool1, pool2):
+        assert (a.iteration, a.seed, a.config_hash) == \
+            (b.iteration, b.seed, b.config_hash)
+        for x, y in zip(a.actor.tensors() + a.critic.tensors(),
+                        b.actor.tensors() + b.critic.tensors()):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    real = selfplay.play_match
+
+    def fails_second_game(*args, game_index=0, **kwargs):
+        if game_index == 1:
+            raise DegenerateStateError("airspeed below the floor")
+        return real(*args, game_index=game_index, **kwargs)
+
+    monkeypatch.setattr(selfplay, "play_match", fails_second_game)
+    records = []
+    with pytest.raises(DegenerateStateError, match="airspeed"):
+        evaluate_vs_past(make_agent(40, iteration=1), [make_agent(41)],
+                         np.random.default_rng(2), use_mcts=False,
+                         match_sink=records.append, workers=2)
+    assert [r.game_index for r in records] == [0]  # fed in order up to the fault
+    assert multiprocessing.active_children() == []
