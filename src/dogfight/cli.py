@@ -7,7 +7,6 @@ runtime errors (unreadable checkpoints, I/O failures, numeric blowups).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 from dataclasses import replace
@@ -37,13 +36,6 @@ from .mlp import backprop, forward, init_params, log_density
 # reaches into ppo for the closures that backprop consumes.
 from .ppo import TrainConfig, _actor_loss, _critic_loss
 from .selfplay import DRAW, LOSS, WIN, AgentCheckpoint, play_match, train_loop
-
-
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask, or 1 where the platform cannot
-    tell, which also keeps such platforms off fork."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else len(affinity(0))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -82,11 +74,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         def on_checkpoint(ckpt: AgentCheckpoint) -> None:
             save_checkpoint(out / f"checkpoint_{ckpt.iteration:04d}.ckpt", ckpt)
 
-        # Matches run on every usable CPU; the count changes no artifact.
         train_loop(league, cfg.seed, checkpoint_sink=on_checkpoint,
                    metrics_sink=on_metrics,
-                   match_sink=lambda rec: write_match(xfp, rec),
-                   workers=_usable_cpus())
+                   match_sink=lambda rec: write_match(xfp, rec))
     print(f"trained {cfg.iterations} iterations into {out}")
     return 0
 

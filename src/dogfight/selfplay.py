@@ -5,19 +5,21 @@ checkpoint), a PPO update, checkpointing, and evaluation against a random
 sample of earlier checkpoints.  Everything is driven by spawned seed
 sequences so a master seed reproduces the whole run bit-exactly.
 
-Matches share nothing but read-only agents, so both match loops can run on
-forked worker processes.  The parent draws every seed, consumes the results
-in seed order and alone touches the tallies, the sinks and the rollout
-buffer; the worker count therefore cannot move a byte of any artifact.
+Matches share nothing but read-only agents, so both match loops run on
+forked worker processes, one per usable CPU (the affinity mask, cut to the
+cgroup CPU quota).  The parent draws every seed, consumes the results in
+seed order and alone touches the tallies, the sinks and the rollout
+buffer; the CPU count therefore cannot move a byte of any artifact.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -126,54 +128,145 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# (fn, agents) of the pool being forked, None otherwise; see _in_order.
-_FORKED: Optional[tuple[Callable[[Any, Any], Any], Any]] = None
+# The cgroup file system.  Under a cgroup namespace, a container's default,
+# the process's own cgroup is its root.
+_CGROUP = Path("/sys/fs/cgroup")
 
 
-def _forked_call(task):
-    fn, agents = _FORKED
-    return fn(agents, task)
+def _cpu_quota() -> Optional[int]:
+    """Whole CPUs the cgroup CPU quota grants (at least 1); None without one.
+
+    Reads cgroup v2's cpu.max ("quota period", quota "max" when unlimited),
+    else cgroup v1's cpu.cfs_quota_us and cpu.cfs_period_us (quota -1 when
+    unlimited).
+    """
+    try:
+        quota, period = (_CGROUP / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max"
+        return None
+    if quota_us <= 0 or period_us <= 0:
+        return None
+    return max(1, quota_us // period_us)
 
 
-def _in_order(fn: Callable[[Any, Any], Any], agents: Any, tasks: Iterable,
+def _usable_cpus() -> int:
+    """CPUs to run matches on: the affinity mask, cut to the cgroup quota.
+
+    1 where the platform cannot report the mask, which also keeps such
+    platforms off fork.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return 1
+    quota = _cpu_quota()
+    cpus = len(affinity(0))
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _serve(fn: Callable[[Any], Any], conn) -> None:
+    """A worker's loop: answer each task with (True, fn(task)), or with
+    (False, exception) when fn raises, until the parent's end closes."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        try:
+            answer = (True, fn(task))
+        except Exception as exc:
+            answer = (False, exc)
+        conn.send(answer)
+
+
+_NO_TASK = object()
+
+
+def _in_order(fn: Callable[[Any], Any], tasks: Iterable,
               workers: int) -> Iterator:
-    """Yield fn(agents, task) for each task, in task order.
+    """Yield fn(task) for each task, in task order.
 
     With one worker the calls run here, one by one, as tasks yields them.
-    With more, they run on that many forked processes with at most
-    2 * workers tasks drawn ahead, so tasks may be endless.  The workers
-    inherit fn and agents from a module global set only while the pool
-    forks; as initargs they would live on in the pool's reference cycle
-    until the cyclic collector ran.  A worker's exception reaches the caller
-    with its type.  The pool is terminated and joined however the generator
-    ends: exhausted, closed early, or raising.
+    With more, they run on that many forked processes, one task each at a
+    time over the worker's own pipe, and at most 2 * workers tasks are
+    drawn ahead of the next one to yield, so tasks may be endless.  The
+    workers inherit fn by fork: only tasks and answers are pickled, and fn
+    is released with the generator.  A worker's exception reaches the
+    caller with its type; a worker that dies (killed by a signal, say)
+    raises ChildProcessError.  The workers are killed and reaped however
+    the generator ends: exhausted, closed early, or raising.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers == 1:
         for task in tasks:
-            yield fn(agents, task)
+            yield fn(task)
         return
     import multiprocessing  # only when forking: keeps `import dogfight` lean
+    from multiprocessing.connection import wait
 
-    global _FORKED
-    _FORKED = (fn, agents)
+    context = multiprocessing.get_context("fork")
+    procs, conns = [], []
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    finally:
-        _FORKED = None
-    try:
+        for _ in range(workers):
+            mine, theirs = context.Pipe()
+            proc = context.Process(target=_serve, args=(fn, theirs),
+                                   daemon=True)
+            proc.start()
+            theirs.close()  # the worker alone holds it: EOF when it dies
+            procs.append(proc)
+            conns.append(mine)
+
         tasks = iter(tasks)
-        pending = deque(pool.apply_async(_forked_call, (task,))
-                        for task in itertools.islice(tasks, 2 * workers))
-        while pending:
-            result = pending.popleft().get()
-            for task in itertools.islice(tasks, 1):
-                pending.append(pool.apply_async(_forked_call, (task,)))
-            yield result
+        idle = list(range(workers))
+        running: dict[int, int] = {}  # worker -> number of its task
+        answers: dict[int, tuple[bool, Any]] = {}  # by task number
+        drawn = yielded = 0
+        while True:
+            while idle and drawn < yielded + 2 * workers:
+                task = next(tasks, _NO_TASK)
+                if task is _NO_TASK:
+                    break
+                worker = idle.pop()
+                conns[worker].send(task)
+                running[worker] = drawn
+                drawn += 1
+            if yielded in answers:
+                ok, value = answers.pop(yielded)
+                yielded += 1
+                if not ok:
+                    raise value
+                yield value
+                continue
+            if not running:
+                return
+            ready = wait([conns[w] for w in running])
+            for worker in list(running):
+                if conns[worker] not in ready:
+                    continue
+                try:
+                    answers[running.pop(worker)] = conns[worker].recv()
+                except (EOFError, OSError):
+                    procs[worker].join()
+                    raise ChildProcessError(
+                        f"match worker {procs[worker].pid} died "
+                        f"(exit code {procs[worker].exitcode})") from None
+                idle.append(worker)
     finally:
-        pool.terminate()
-        pool.join()
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
 
 
 def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
@@ -268,17 +361,16 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
                      search_config: SearchConfig = SearchConfig(),
                      scenario: ScenarioConfig = DEFAULT_SCENARIO,
                      missile_params: MissileParams = DEFAULT_MISSILE_PARAMS,
-                     match_sink: Optional[MatchSink] = None,
-                     workers: int = 1) -> IterationMetrics:
+                     match_sink: Optional[MatchSink] = None) -> IterationMetrics:
     """Play the current agent against sampled past checkpoints.
 
     With a pool of at least `opponents` entries, that many are drawn with
     replacement; a smaller pool is used in full.  Three games (by default)
     per opponent, fresh seeds from rng, search on both sides when the
     training configuration uses it.  Every (opponent, game, seed) triple is
-    drawn from rng before the first game starts; the games run on up to
-    `workers` processes (never more than there are games), and the tallies
-    and match_sink see them in the order drawn, whatever the worker count.
+    drawn from rng before the first game starts; the games run on every
+    usable CPU (never more workers than games), and the tallies and
+    match_sink see them in the order drawn, whatever the CPU count.
     """
     if not pool:
         raise ValueError("checkpoint pool is empty")
@@ -289,17 +381,16 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
     drawn = [(i, g, int(rng.integers(0, 2 ** 63)))
              for i in picks for g in range(games)]
 
-    def play(agents, game):
-        me, past = agents
+    def play(game):
         opp, g, seed = game
-        return play_match(me, past[opp], use_mcts, use_mcts, seed,
+        return play_match(current, pool[opp], use_mcts, use_mcts, seed,
                           search_config=search_config, scenario=scenario,
                           missile_params=missile_params, game_index=g)
 
     wins = losses = draws = 0
     seconds = 0.0
-    with closing(_in_order(play, (current, pool), drawn,
-                           min(workers, max(len(drawn), 1)))) as records:
+    workers = min(_usable_cpus(), max(len(drawn), 1))
+    with closing(_in_order(play, drawn, workers)) as records:
         for record in records:
             wins += record.outcome == WIN
             losses += record.outcome == LOSS
@@ -317,8 +408,7 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
 def train_loop(config: LeagueConfig, rng: int, *,
                checkpoint_sink: Optional[CheckpointSink] = None,
                metrics_sink: Optional[MetricsSink] = None,
-               match_sink: Optional[MatchSink] = None,
-               workers: int = 1
+               match_sink: Optional[MatchSink] = None
                ) -> tuple[list[AgentCheckpoint], list[IterationMetrics]]:
     """Iterate collect, train, checkpoint, evaluate; rng is the master seed.
 
@@ -328,24 +418,13 @@ def train_loop(config: LeagueConfig, rng: int, *,
     which is not written to the checkpoint sink; each later iteration's
     snapshot is evaluated against the pool before joining it.
 
-    Matches run on `workers` processes.  Collection plays one match per
-    seed drawn from the iteration's own collection stream, and with more
-    than one worker it plays ahead on the next seeds speculatively; whole
-    episodes join the buffer in seed order until it is full, and the
-    matches still running are dropped.  That stream feeds nothing else, so
-    the extra draws move no byte: every artifact is the same for any
-    worker count.
+    Matches run on every usable CPU.  Collection plays one match per seed
+    drawn from the iteration's own collection stream, and with more than
+    one CPU it plays ahead on the next seeds speculatively; whole episodes
+    join the buffer in seed order until it is full, and the matches still
+    running are dropped.  That stream feeds nothing else, so the extra
+    draws move no byte: every artifact is the same for any CPU count.
     """
-    def collect(agents, seed):
-        blue, red = agents
-        own = RolloutBuffer()
-        record = play_match(blue, red, config.use_mcts, False, seed,
-                            search_config=config.search,
-                            scenario=config.scenario,
-                            missile_params=config.missile,
-                            record_side=BLUE, buffer=own)
-        return record.sim_time, own.episodes
-
     t_start = time.monotonic()
     master = np.random.SeedSequence(rng)
     ss_actor, ss_critic = master.spawn(2)
@@ -362,11 +441,20 @@ def train_loop(config: LeagueConfig, rng: int, *,
         ss_collect, ss_train, ss_eval = master.spawn(3)
         collect_rng = np.random.default_rng(ss_collect)
         live = AgentCheckpoint(iteration, actor, critic, rng, config.config_hash)
+
+        def collect(seed):
+            own = RolloutBuffer()
+            record = play_match(live, pool[-1], config.use_mcts, False, seed,
+                                search_config=config.search,
+                                scenario=config.scenario,
+                                missile_params=config.missile,
+                                record_side=BLUE, buffer=own)
+            return record.sim_time, own.episodes
+
         seeds = (int(collect_rng.integers(0, 2 ** 63)) for _ in itertools.count())
         buffer = RolloutBuffer()
         collect_seconds = 0.0
-        with closing(_in_order(collect, (live, pool[-1]), seeds,
-                               workers)) as matches:
+        with closing(_in_order(collect, seeds, _usable_cpus())) as matches:
             for sim_time, episodes in matches:
                 buffer.episodes.extend(episodes)
                 collect_seconds += sim_time
@@ -390,8 +478,7 @@ def train_loop(config: LeagueConfig, rng: int, *,
                                      search_config=config.search,
                                      scenario=config.scenario,
                                      missile_params=config.missile,
-                                     match_sink=match_sink,
-                                     workers=workers)
+                                     match_sink=match_sink)
         now = time.monotonic()
         row = replace(evaluated, train=train_metrics,
                       seconds=evaluated.seconds + collect_seconds,

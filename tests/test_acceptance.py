@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import cli, mlp
+from dogfight import mlp, selfplay
 from dogfight.cli import _max_fd_error, main
 from dogfight.dynamics import PHYSICS_DT, AircraftState, ControlInput, rk4_step
 from dogfight.environment import BLUE, env_step, observe, reset
@@ -298,7 +298,7 @@ def smoke_runs(tmp_path_factory):
         wall_a = time.perf_counter() - t0
         (root / "b").mkdir()
         mp.chdir(root / "b")
-        mp.setattr(cli, "_usable_cpus", lambda: 1)
+        mp.setattr(selfplay, "_usable_cpus", lambda: 1)
         assert main(argv) == 0
     return root / "a" / "run", root / "b" / "run", wall_a
 

@@ -7,12 +7,16 @@ outcome mapping) to the environment's side symmetry.
 
 The worker tests run the match loops on two forked processes and require
 the same results, in the same order, as in-process, and no child process
-left behind however the loop ends.
+left behind however the loop ends, a worker's death included.
 """
 
+import gc
 import itertools
 import multiprocessing
+import os
+import signal
 import time
+import weakref
 from contextlib import closing
 from dataclasses import replace
 
@@ -230,49 +234,113 @@ def test_train_loop_deterministic_history():
         assert a.train == b.train  # bitwise equal diagnostics
 
 
-def _slow_echo(agents, task):
+def _slow_echo(task):
     time.sleep(0.02 * (task % 3))  # later tasks often finish first
-    return agents, task
+    return task
 
 
 def test_in_order_keeps_task_order_and_stops_early():
-    with closing(_in_order(_slow_echo, "agents", itertools.count(), 2)) as out:
+    with closing(_in_order(_slow_echo, itertools.count(), 2)) as out:
         got = list(itertools.islice(out, 7))
-    assert got == [("agents", t) for t in range(7)]
+    assert got == list(range(7))
     assert multiprocessing.active_children() == []
-    assert list(_in_order(_slow_echo, "agents", range(3), 1)) == \
-        [("agents", t) for t in range(3)]
+    assert list(_in_order(_slow_echo, range(3), 1)) == [0, 1, 2]
+    assert list(_in_order(_slow_echo, [], 2)) == []
     with pytest.raises(ValueError):
-        next(_in_order(_slow_echo, "agents", range(3), 0))
+        next(_in_order(_slow_echo, range(3), 0))
 
 
-def test_evaluate_vs_past_worker_invariant():
+def test_in_order_releases_fn_without_the_cyclic_collector():
+    class Echo:
+        def __call__(self, task):
+            return task
+
+    echo = Echo()
+    ref = weakref.ref(echo)
+    gc.disable()
+    try:
+        assert list(_in_order(echo, range(5), 2)) == list(range(5))
+        del echo
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_dead_worker_fails_the_caller(monkeypatch):
+    """A worker killed mid-match (as by the OOM killer) fails the run."""
+    parent = os.getpid()
+    real = selfplay.play_match
+
+    def killed_in_second_game(*args, game_index=0, **kwargs):
+        if game_index == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, game_index=game_index, **kwargs)
+
+    def hung(signum, frame):
+        raise AssertionError("a dead worker left the caller waiting")
+
+    monkeypatch.setattr(selfplay, "play_match", killed_in_second_game)
+    monkeypatch.setattr(selfplay, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            evaluate_vs_past(make_agent(40, iteration=1), [make_agent(41)],
+                             np.random.default_rng(2), use_mcts=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("quota, cpus", [
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "250000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "1600000 100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({}, 8),
+])
+def test_usable_cpus_honours_the_cgroup_quota(tmp_path, monkeypatch, quota, cpus):
+    for name, text in quota.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(selfplay, "_CGROUP", tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    assert selfplay._usable_cpus() == cpus
+
+
+def test_evaluate_vs_past_worker_invariant(monkeypatch):
     current = make_agent(30, iteration=3)
     pool = [make_agent(31 + i, iteration=i) for i in range(3)]
 
     def run(workers):
+        monkeypatch.setattr(selfplay, "_usable_cpus", lambda: workers)
         records = []
         metrics = evaluate_vs_past(current, pool, np.random.default_rng(5),
                                    opponents=2, games=2,
                                    search_config=FAST_SEARCH,
-                                   match_sink=records.append, workers=workers)
+                                   match_sink=records.append)
         return metrics, records
 
     one, two = run(1), run(2)
     assert one == two
     assert len(one[1]) == 4 and one[0].games == 4
-    assert evaluate_vs_past(current, pool, np.random.default_rng(5), games=0,
-                            workers=2).games == 0
+    assert evaluate_vs_past(current, pool, np.random.default_rng(5),
+                            games=0).games == 0
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("use_mcts", [True, False])
-def test_train_loop_worker_invariant(use_mcts):
+def test_train_loop_worker_invariant(monkeypatch, use_mcts):
     def run(workers):
+        monkeypatch.setattr(selfplay, "_usable_cpus", lambda: workers)
         saved, matches = [], []
         pool, history = train_loop(_tiny_league(use_mcts=use_mcts), 4,
                                    checkpoint_sink=saved.append,
-                                   match_sink=matches.append, workers=workers)
+                                   match_sink=matches.append)
         return pool, [replace(row, wall_clock=0.0) for row in history], \
             [c.iteration for c in saved], matches
 
@@ -298,10 +366,11 @@ def test_worker_exception_reaches_caller(monkeypatch):
         return real(*args, game_index=game_index, **kwargs)
 
     monkeypatch.setattr(selfplay, "play_match", fails_second_game)
+    monkeypatch.setattr(selfplay, "_usable_cpus", lambda: 2)
     records = []
     with pytest.raises(DegenerateStateError, match="airspeed"):
         evaluate_vs_past(make_agent(40, iteration=1), [make_agent(41)],
                          np.random.default_rng(2), use_mcts=False,
-                         match_sink=records.append, workers=2)
+                         match_sink=records.append)
     assert [r.game_index for r in records] == [0]  # fed in order up to the fault
     assert multiprocessing.active_children() == []
