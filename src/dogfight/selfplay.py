@@ -171,19 +171,23 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
-def _serve(fn: Callable[[Any], Any], conn) -> None:
+def _serve(fn: Callable[[Any], Any], conn, parent_end) -> None:
     """A worker's loop: answer each task with (True, fn(task)), or with
-    (False, exception) when fn raises, until the parent's end closes."""
+    (False, exception) when fn raises, until the parent is gone."""
+    parent_end.close()  # the fork copied it; held, EOF would never come
     while True:
         try:
             task = conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):
             return
         try:
             answer = (True, fn(task))
         except Exception as exc:
             answer = (False, exc)
-        conn.send(answer)
+        try:
+            conn.send(answer)
+        except (BrokenPipeError, ConnectionResetError):
+            return
 
 
 _NO_TASK = object()
@@ -217,7 +221,7 @@ def _in_order(fn: Callable[[Any], Any], tasks: Iterable,
     try:
         for _ in range(workers):
             mine, theirs = context.Pipe()
-            proc = context.Process(target=_serve, args=(fn, theirs),
+            proc = context.Process(target=_serve, args=(fn, theirs, mine),
                                    daemon=True)
             proc.start()
             theirs.close()  # the worker alone holds it: EOF when it dies

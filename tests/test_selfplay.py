@@ -15,10 +15,13 @@ import itertools
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import weakref
 from contextlib import closing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +294,47 @@ def test_dead_worker_fails_the_caller(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+_ORPHANING_PARENT = """
+import multiprocessing, time
+from dogfight.selfplay import _in_order
+
+def slow(task):
+    time.sleep(0.2)
+    return task
+
+for i, _ in enumerate(_in_order(slow, range(1000), 2)):
+    if i == 1:
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+"""
+
+
+def _running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # zombies wait for init
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_the_parent_dies():
+    src = str(Path(selfplay.__file__).parents[1])
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHANING_PARENT],
+                              stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    pids = [int(pid) for pid in parent.stdout.readline().split()]
+    parent.kill()
+    parent.wait()
+    parent.stdout.close()
+    deadline = time.monotonic() + 20
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert len(pids) == 2 and left == []
 
 
 @pytest.mark.parametrize("quota, cpus", [
