@@ -9,18 +9,24 @@ search-in-the-loop training affordable.
 There is one integration path.  `_substep` advances a plain float tuple
 (x, y, z, v, gamma, phi) by one RK4 step under controls given as nx, nz,
 cos(mu) and sin(mu), so a caller that holds the controls over many substeps
-computes the bank-angle trigonometry once.  It evaluates `_derivatives`
-four times; the derivatives do not depend on position, so the stages carry
-only (v, gamma, phi).  `rk4_step` is the one-substep wrapper over the
-dataclasses, and `environment.env_step` calls `_substep` directly for the
-25 substeps of a decision.
+computes the bank-angle trigonometry once.  Its four stages are the
+equations of `_derivatives` written out inline, which saves four calls and
+their result tuples per substep; the derivatives do not depend on position,
+so the stages carry only (v, gamma, phi).  `_derivatives` remains the one
+reference definition, behind `aircraft_derivatives`, and a test holds
+`_substep` bit for bit to a textbook RK4 built from it.  `rk4_step` is the
+one-substep wrapper over the dataclasses, and `environment.env_step` calls
+`_substep` directly for the 25 substeps of a decision.
 
-The guards stay in `_derivatives`: a non-positive speed or a flight-path
-angle at the vertical raises DegenerateStateError instead of producing
-infinities.  The integrator's output floors (v >= 100 m/s, |gamma| just
-inside pi/2) keep every stage away from both inside the envelope, but
-`rk4_step` accepts any state, including one below the speed floor, so the
-guards are reachable and cost one comparison each per stage.
+Every stage keeps both guards of `_derivatives`: a non-positive speed or a
+flight-path angle at the vertical raises DegenerateStateError instead of
+producing infinities.  The integrator's output floors (v >= 100 m/s,
+|gamma| just inside pi/2) keep every stage away from both inside the
+envelope, but `rk4_step` accepts any state, including one below the speed
+floor, so the speed guards are reachable at every stage and cost one
+comparison each.  Stages 2 to 4 evaluate at a flight-path angle clipped to
+GAMMA_LIMIT, where |cos(gamma)| is about 1e-6, so their vertical guard
+cannot fire while the clip is in place; only the first stage's can.
 """
 
 from __future__ import annotations
@@ -113,36 +119,83 @@ def _derivatives(v, gamma, phi, nx, nz, cmu, smu):
 
 
 def _substep(s, nx, nz, cmu, smu, dt):
+    # The four stages are `_derivatives` written out inline, guards included,
+    # so that a substep calls no Python function.
     x, y, z, v, gamma, phi = s
-    k1 = _derivatives(v, gamma, phi, nx, nz, cmu, smu)
+    cos, sin = math.cos, math.sin
+
+    if v < 1e-6:
+        raise DegenerateStateError(f"non-positive speed {v}")
+    cg = cos(gamma)
+    if abs(cg) < 1e-9:
+        raise DegenerateStateError(f"flight-path angle {gamma} too close to vertical")
+    sg = sin(gamma)
+    vcg = v * cg
+    k1x, k1y, k1z = vcg * cos(phi), vcg * sin(phi), v * sg
+    k1v, k1g, k1p = G * (nx - sg), (G / v) * (nz * cmu - cg), (G / vcg) * nz * smu
+
     # RK4 stage states can poke past the vertical limit that the output is
     # clipped to; stages are evaluated at the clipped angle so the heading
     # equation stays defined.  In-envelope stages pass through bit for bit.
     h = dt / 2.0
-    g = gamma + h * k1[4]
+    sv = v + h * k1v
+    g = gamma + h * k1g
     g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k2 = _derivatives(v + h * k1[3], g, phi + h * k1[5], nx, nz, cmu, smu)
-    g = gamma + h * k2[4]
+    sp = phi + h * k1p
+    if sv < 1e-6:
+        raise DegenerateStateError(f"non-positive speed {sv}")
+    cg = cos(g)
+    if abs(cg) < 1e-9:
+        raise DegenerateStateError(f"flight-path angle {g} too close to vertical")
+    sg = sin(g)
+    vcg = sv * cg
+    k2x, k2y, k2z = vcg * cos(sp), vcg * sin(sp), sv * sg
+    k2v, k2g, k2p = G * (nx - sg), (G / sv) * (nz * cmu - cg), (G / vcg) * nz * smu
+
+    sv = v + h * k2v
+    g = gamma + h * k2g
     g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k3 = _derivatives(v + h * k2[3], g, phi + h * k2[5], nx, nz, cmu, smu)
-    g = gamma + dt * k3[4]
+    sp = phi + h * k2p
+    if sv < 1e-6:
+        raise DegenerateStateError(f"non-positive speed {sv}")
+    cg = cos(g)
+    if abs(cg) < 1e-9:
+        raise DegenerateStateError(f"flight-path angle {g} too close to vertical")
+    sg = sin(g)
+    vcg = sv * cg
+    k3x, k3y, k3z = vcg * cos(sp), vcg * sin(sp), sv * sg
+    k3v, k3g, k3p = G * (nx - sg), (G / sv) * (nz * cmu - cg), (G / vcg) * nz * smu
+
+    sv = v + dt * k3v
+    g = gamma + dt * k3g
     g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k4 = _derivatives(v + dt * k3[3], g, phi + dt * k3[5], nx, nz, cmu, smu)
+    sp = phi + dt * k3p
+    if sv < 1e-6:
+        raise DegenerateStateError(f"non-positive speed {sv}")
+    cg = cos(g)
+    if abs(cg) < 1e-9:
+        raise DegenerateStateError(f"flight-path angle {g} too close to vertical")
+    sg = sin(g)
+    vcg = sv * cg
+    k4x, k4y, k4z = vcg * cos(sp), vcg * sin(sp), sv * sg
+    k4v, k4g, k4p = G * (nx - sg), (G / sv) * (nz * cmu - cg), (G / vcg) * nz * smu
 
     sixth = dt / 6.0
-    v += sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-    gamma += sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
-    phi += sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
+    v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+    gamma += sixth * (k1g + 2.0 * (k2g + k3g) + k4g)
+    phi = math.remainder(phi + sixth * (k1p + 2.0 * (k2p + k3p) + k4p), math.tau)
+    if phi == -math.pi:  # wrap_angle, inline
+        phi = math.pi
     if v < V_FLOOR:
         v = V_FLOOR
     if gamma > GAMMA_LIMIT:
         gamma = GAMMA_LIMIT
     elif gamma < -GAMMA_LIMIT:
         gamma = -GAMMA_LIMIT
-    return (x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-            y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-            z + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-            v, gamma, wrap_angle(phi))
+    return (x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x),
+            y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y),
+            z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z),
+            v, gamma, phi)
 
 
 def rk4_step(s: AircraftState, c: ControlInput, dt: float = PHYSICS_DT) -> AircraftState:

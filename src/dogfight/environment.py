@@ -63,6 +63,10 @@ FIRE_BEARING = math.pi / 3
 
 DEFAULT_MISSILE_PARAMS = MissileParams()
 
+_IN_FLIGHT = MissileStatus.IN_FLIGHT
+_HIT = MissileStatus.HIT
+_EXPIRED = MissileStatus.EXPIRED
+
 _PI = math.pi
 _HPI = math.pi / 2
 
@@ -86,6 +90,8 @@ OBS_BOUNDS = (
 
 OBS_DIM = len(OBS_BOUNDS)
 
+_OBS_SPANS = tuple((lo, hi - lo) for lo, hi in OBS_BOUNDS)
+
 
 class Outcome(Enum):
     ONGOING = "Ongoing"
@@ -93,6 +99,8 @@ class Outcome(Enum):
     RED_WIN = "RedWin"
     DRAW = "Draw"
 
+
+_ONGOING = Outcome.ONGOING
 
 _REWARDS = {
     Outcome.ONGOING: (0.0, 0.0),
@@ -112,7 +120,6 @@ class ScenarioConfig:
     alt_max: float = 8000.0
     sep_min: float = 5000.0
     sep_max: float = 15000.0
-    reward_shaping: bool = False  # stub, must stay off
 
     def __post_init__(self):
         pairs = ((self.speed_min, self.speed_max),
@@ -183,8 +190,6 @@ def reset(seed: int, scenario: ScenarioConfig = DEFAULT_SCENARIO) -> EngagementS
     order is fixed (speeds, altitudes, separation, headings, blue before
     red) so a seed always reproduces the same engagement.
     """
-    if scenario.reward_shaping:
-        raise NotImplementedError("continuous reward shaping is not implemented")
     rng = np.random.default_rng(seed)
     v_b = float(rng.uniform(scenario.speed_min, scenario.speed_max))
     v_r = float(rng.uniform(scenario.speed_min, scenario.speed_max))
@@ -231,11 +236,11 @@ def observe(s: EngagementState, side: str) -> np.ndarray:
 
     feats = (own.phi, own.gamma, own.v, own.z, d, f1, aspect_az, aspect_el,
              tgt.phi, tgt.gamma, d1, beta, f2)
-    out = np.empty(OBS_DIM)
-    for i, (x, (lo, hi)) in enumerate(zip(feats, OBS_BOUNDS)):
-        u = (x - lo) / (hi - lo)
-        out[i] = 0.0 if u < 0.0 else (1.0 if u > 1.0 else u)
-    return out
+    out = []
+    for x, (lo, span) in zip(feats, _OBS_SPANS):
+        u = (x - lo) / span
+        out.append(0.0 if u < 0.0 else (1.0 if u > 1.0 else u))
+    return np.array(out)
 
 
 def _as_raw(a: Action) -> tuple[float, float, float, float]:
@@ -357,19 +362,25 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     outcome = Outcome.ONGOING
     for i in range(n):
         # Missiles first, against the aircraft at the start of the substep.
-        if bm_status is MissileStatus.IN_FLIGHT:
+        if bm_status is _IN_FLIGHT:
             bk, bm_status = _missile_substep(params, bk, r[:3],
                                              _velocity(r[3], r[4], r[5]),
                                              PHYSICS_DT)
-        if rm_status is MissileStatus.IN_FLIGHT:
+        if rm_status is _IN_FLIGHT:
             rk, rm_status = _missile_substep(params, rk, b[:3],
                                              _velocity(b[3], b[4], b[5]),
                                              PHYSICS_DT)
         b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
         r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
         t = t0 + (i + 1) * PHYSICS_DT
-        outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
-                            red_fired, t)
+        # Only a hit, two spent missiles, ground contact or the time limit
+        # can end the engagement; _evaluate decides which, if any, did.
+        if bm_status is _HIT or rm_status is _HIT \
+                or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
+                or t >= EPISODE_TIME_LIMIT \
+                or (bm_status is _EXPIRED and rm_status is _EXPIRED):
+            outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                                red_fired, t)
         if recorder is not None:
             state_i = EngagementState(
                 AircraftState(*b), AircraftState(*r),
@@ -378,7 +389,7 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
                 blue_fired, red_fired, t, outcome)
             for row in trajectory_rows(state_i):
                 recorder(row)
-        if outcome is not Outcome.ONGOING:
+        if outcome is not _ONGOING:
             break
 
     if bm_live:

@@ -12,6 +12,12 @@ takes it from the StepResult of the env model call that made it, so the env
 model must return obs_blue and obs_red equal to `observe` of its returned
 state, as `environment.env_step` does.  The caller may pass the root's pair
 too; only a root without one is observed here.
+
+Priors, visit counts and value sums are Python lists: a node has only
+`num_actions` children, and on a handful of floats a numpy call costs more
+than the arithmetic.  `puct_select` and `backup` compute in the order the
+array expressions did, so a search's result is the same to the bit;
+`SearchResult` hands the root's counts and priors back as arrays.
 """
 
 from __future__ import annotations
@@ -59,18 +65,18 @@ class SearchNode:
         self.terminal = False
         self.terminal_value = 0.0
         self.actions: Optional[np.ndarray] = None
-        self.priors: Optional[np.ndarray] = None
-        self.visit_counts: Optional[np.ndarray] = None
-        self.total_values: Optional[np.ndarray] = None
+        self.priors: Optional[list[float]] = None
+        self.visit_counts: Optional[list[int]] = None
+        self.total_values: Optional[list[float]] = None
         self.children: Optional[list[Optional[SearchNode]]] = None
         self.mean: Optional[np.ndarray] = None  # actor mean at the node
         self.opp_action: Optional[np.ndarray] = None
         self.eval_value: Optional[float] = None  # critic output, unclamped
 
-    def q_values(self) -> np.ndarray:
+    def q_values(self) -> list[float]:
         """Mean backed-up value per child; 0 for unvisited children."""
-        n = self.visit_counts
-        return np.where(n > 0, self.total_values / np.maximum(n, 1), 0.0)
+        return [w / n if n else 0.0
+                for w, n in zip(self.total_values, self.visit_counts)]
 
 
 @dataclass
@@ -125,10 +131,10 @@ def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
     actions = mean + np.exp(actor.log_std) * draws
     logps = log_density(mean, actor.log_std, actions)
     stable = np.exp(logps - logps.max())
-    node.priors = stable / stable.sum()
+    node.priors = (stable / stable.sum()).tolist()
     node.actions = actions
-    node.visit_counts = np.zeros(k, dtype=np.int64)
-    node.total_values = np.zeros(k)
+    node.visit_counts = [0] * k
+    node.total_values = [0.0] * k
     node.children = [None] * k
     node.mean = mean
     node.opp_action = forward(opponent, opp_obs)
@@ -144,9 +150,10 @@ def puct_select(node: SearchNode, c_puct: float) -> int:
     """
     if not node.expanded:
         raise ValueError("cannot select from an unexpanded node")
-    n = node.visit_counts
-    explore = c_puct * node.priors * math.sqrt(float(n.sum()) + 1.0) / (1.0 + n)
-    return int(np.argmax(node.q_values() + explore))
+    root_n = math.sqrt(float(sum(node.visit_counts)) + 1.0)
+    scores = [q + c_puct * p * root_n / (1.0 + n)
+              for q, p, n in zip(node.q_values(), node.priors, node.visit_counts)]
+    return scores.index(max(scores))
 
 
 def backup(path: list[tuple[SearchNode, int]], value: float) -> None:
@@ -211,7 +218,8 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
             node = node.children[idx]
         backup(path, value)
 
-    chosen = int(np.argmax(root.visit_counts))
+    visits = root.visit_counts
+    chosen = visits.index(max(visits))
     return SearchResult(root.actions[chosen].copy(), root_value,
-                        root.visit_counts.copy(), root.priors.copy(), chosen,
-                        root.mean, root.eval_value)
+                        np.array(visits, dtype=np.int64), np.array(root.priors),
+                        chosen, root.mean, root.eval_value)

@@ -10,6 +10,9 @@ As in the aircraft model there is one integration path: `_substep` advances
 the plain float tuple (x, y, z, vm, gamma, phi, t, n_mc, n_mh) by one
 guided RK4 step, `missile_step` wraps it for a `MissileState`, and
 `environment.env_step` calls it directly for the substeps of a decision.
+Guidance is one float function, `pn_commands`, which takes the line of
+sight and its rate as components and returns the two commands or raises;
+`_substep` holds the previous commands when it raises.
 """
 
 from __future__ import annotations
@@ -79,19 +82,6 @@ class MissileState:
     n_mh: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class RelativeGeometry:
-    """Line-of-sight vector, its rate, and the derived angles and rates."""
-
-    r: Vec3
-    r_dot: Vec3
-    r_mag: float
-    beta: float          # azimuth of the line of sight
-    epsilon: float       # elevation of the line of sight
-    beta_dot: float
-    epsilon_dot: float
-
-
 def mass_at(p: MissileParams, t: float) -> float:
     """Missile mass at time t since launch; constant after burnout."""
     return p.g0 - p.gt * min(t, p.tw)
@@ -107,64 +97,49 @@ def drag_of(p: MissileParams, vm: float) -> float:
     return 0.5 * p.rho * vm * vm * p.sm * p.cdm
 
 
-def relative_geometry(missile_pos: Vec3, missile_vel: Vec3,
-                      target_pos: Vec3, target_vel: Vec3) -> RelativeGeometry:
-    """Measure the line of sight from missile to target.
+def pn_commands(p: MissileParams, rx: float, ry: float, rz: float,
+                wx: float, wy: float, wz: float, vm: float,
+                gamma_t: float) -> tuple[float, float]:
+    """Proportional-navigation commands (n_mc, n_mh), clamped symmetrically.
 
-    Raises ZeroRangeError for coincident positions and
-    GuidanceSingularityError when the line of sight is vertical, where the
-    azimuth is undefined.
+    (rx, ry, rz) is the target's position relative to the missile, (wx, wy,
+    wz) its velocity relative to the missile, vm the missile's speed and
+    gamma_t the target's flight-path angle.  The line of sight has azimuth
+    beta and elevation epsilon.  Raises ZeroRangeError for coincident
+    positions, and GuidanceSingularityError when the line of sight is
+    vertical, where beta is undefined, or when epsilon + beta is a right
+    angle, where the pitch channel is undefined.
     """
-    rx = target_pos[0] - missile_pos[0]
-    ry = target_pos[1] - missile_pos[1]
-    rz = target_pos[2] - missile_pos[2]
-    vx = target_vel[0] - missile_vel[0]
-    vy = target_vel[1] - missile_vel[1]
-    vz = target_vel[2] - missile_vel[2]
-
     h2 = rx * rx + ry * ry
     r2 = h2 + rz * rz
-    r_mag = math.sqrt(r2)
-    if r_mag < 1e-9:
+    if math.sqrt(r2) < 1e-9:
         raise ZeroRangeError("missile and target are coincident")
     h = math.sqrt(h2)
     if h < 1e-9:
         raise GuidanceSingularityError("line of sight is vertical")
-
-    beta = math.atan2(ry, rx)
+    beta_dot = (wy * rx - wx * ry) / h2
+    epsilon_dot = (h2 * wz - rz * (wx * rx + wy * ry)) / (r2 * h)
     epsilon = math.atan2(rz, h)
-    beta_dot = (vy * rx - vx * ry) / h2
-    epsilon_dot = (h2 * vz - rz * (vx * rx + vy * ry)) / (r2 * h)
-    return RelativeGeometry((rx, ry, rz), (vx, vy, vz), r_mag,
-                            beta, epsilon, beta_dot, epsilon_dot)
 
-
-def pn_command(p: MissileParams, geom: RelativeGeometry, vm: float,
-               gamma_t: float) -> tuple[float, float]:
-    """Proportional-navigation commands (n_mc, n_mh), clamped symmetrically.
-
-    gamma_t is the target's flight-path angle.  Raises
-    GuidanceSingularityError when epsilon + beta is a right angle, where the
-    pitch channel is undefined.
-    """
     # The law is written with the principal-value azimuth arctan(ry / rx).
     # Folding the atan2 branch keeps cos(epsilon + beta) > 0 on chases down
     # the -x axis; with the unfolded azimuth the pitch channel feeds back
     # positively there and the missile diverges instead of homing.
-    beta = geom.beta
+    beta = math.atan2(ry, rx)
     if beta > 0.5 * math.pi:
         beta -= math.pi
     elif beta < -0.5 * math.pi:
         beta += math.pi
-    s = geom.epsilon + beta
+    s = epsilon + beta
     cs = math.cos(s)
     if abs(cs) < 1e-9:
         raise GuidanceSingularityError(f"cos(epsilon + beta) vanishes at {s}")
     n_mc = p.k_pn * (vm * math.cos(gamma_t) / G) * (
-        geom.beta_dot + math.tan(geom.epsilon) * math.tan(s) * geom.epsilon_dot)
-    n_mh = vm * p.k_pn * geom.epsilon_dot / (G * cs)
+        beta_dot + math.tan(epsilon) * math.tan(s) * epsilon_dot)
+    n_mh = vm * p.k_pn * epsilon_dot / (G * cs)
     lim = p.max_command
-    return (min(max(n_mc, -lim), lim), min(max(n_mh, -lim), lim))
+    return (-lim if n_mc < -lim else lim if n_mc > lim else n_mc,
+            -lim if n_mh < -lim else lim if n_mh > lim else n_mh)
 
 
 def _derivatives(p, v, gamma, phi, t, n_mc, n_mh):
@@ -206,11 +181,14 @@ def _segment_min_distance(r0: Vec3, r1: Vec3) -> float:
 
 def _substep(p, k, target_pos, target_vel, dt):
     x, y, z, v, gamma, phi, t, n_mc, n_mh = k
+    tx, ty, tz = target_pos
+    tvx, tvy, tvz = target_vel
+    vcg = v * math.cos(gamma)
     try:
-        geom = relative_geometry((x, y, z), _velocity(v, gamma, phi),
-                                 target_pos, target_vel)
-        gamma_t = math.atan2(target_vel[2], math.hypot(target_vel[0], target_vel[1]))
-        n_mc, n_mh = pn_command(p, geom, v, gamma_t)
+        n_mc, n_mh = pn_commands(
+            p, tx - x, ty - y, tz - z, tvx - vcg * math.cos(phi),
+            tvy - vcg * math.sin(phi), tvz - v * math.sin(gamma), v,
+            math.atan2(tvz, math.hypot(tvx, tvy)))
     except (GuidanceSingularityError, ZeroRangeError):
         pass  # hold the previous commands
 

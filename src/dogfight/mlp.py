@@ -67,21 +67,6 @@ class MlpParams:
 
 
 @dataclass
-class Gradients:
-    """Loss gradients, congruent to MlpParams."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    log_std: Optional[np.ndarray] = None
-
-    def tensors(self) -> list[np.ndarray]:
-        ts = self.weights + self.biases
-        if self.log_std is not None:
-            ts.append(self.log_std)
-        return ts
-
-
-@dataclass
 class AdamState:
     """First and second moment accumulators, congruent to the parameters."""
 
@@ -152,8 +137,10 @@ LossFn = Callable[[np.ndarray, Optional[np.ndarray]],
                   tuple[float, np.ndarray, Optional[np.ndarray]]]
 
 
-def backprop(params: MlpParams, inputs, loss_fn: LossFn) -> tuple[float, Gradients]:
+def backprop(params: MlpParams, inputs, loss_fn: LossFn) -> tuple[float, MlpParams]:
     """Loss value and exact reverse-mode gradients for every parameter.
+
+    The gradients come back as an MlpParams congruent to params.
 
     loss_fn(outputs, log_std) must return (loss, dloss/doutputs,
     dloss/dlog_std or None); any normalization over the batch belongs in
@@ -180,7 +167,7 @@ def backprop(params: MlpParams, inputs, loss_fn: LossFn) -> tuple[float, Gradien
 
     if params.log_std is not None and d_log_std is None:
         d_log_std = np.zeros_like(params.log_std)
-    grads = Gradients(d_weights, d_biases,
+    grads = MlpParams(d_weights, d_biases,
                       None if params.log_std is None else np.asarray(d_log_std, dtype=np.float64))
     for g in grads.tensors():
         if not np.all(np.isfinite(g)):
@@ -188,7 +175,7 @@ def backprop(params: MlpParams, inputs, loss_fn: LossFn) -> tuple[float, Gradien
     return loss, grads
 
 
-def adam_step(params: MlpParams, state: AdamState, grads: Gradients,
+def adam_step(params: MlpParams, state: AdamState, grads: MlpParams,
               lr: float) -> None:
     """One in-place Adam update with bias correction.
 

@@ -18,13 +18,12 @@ from .mlp import (
     AdamState,
     MlpParams,
     NonFiniteError,
+    _LOG_TAU,
     adam_state_for,
     adam_step,
     backprop,
     entropy,
 )
-
-_LOG_TAU = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

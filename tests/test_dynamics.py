@@ -5,6 +5,7 @@ integration accuracy, from the same integrator run at a much finer step.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -88,6 +89,38 @@ def test_degenerate_states_raise():
         aircraft_derivatives(AircraftState(0, 0, 1000, 1e-7, 0.0, 0.0), c)
     with pytest.raises(DegenerateStateError):
         aircraft_derivatives(AircraftState(0, 0, 1000, 300.0, math.pi / 2, 0.0), c)
+
+
+def test_every_rk4_stage_guards_the_speed():
+    # rk4_step accepts speeds below the floor.  From such a start, the first
+    # RK4 stage whose speed is not positive must raise, naming that stage's
+    # speed; the cases make each of the four stages the first.
+    h = PHYSICS_DT / 2.0
+    first = set()
+    for v0, gamma0, c in ((5e-7, 0.0, ControlInput(1.0, 1.0, 0.0)),
+                          (0.05, 0.3, ControlInput(-2.0, 1.0, 0.0)),
+                          (0.05, 0.0, ControlInput(0.0, 8.0, 0.0)),
+                          (0.15, 0.0, ControlInput(0.0, 8.0, 0.0))):
+        s = AircraftState(0.0, 0.0, 5000.0, v0, gamma0, 0.0)
+        stage, k = s, None
+        for i, w in enumerate((0.0, h, h, PHYSICS_DT)):
+            if k is not None:
+                gamma = min(max(s.gamma + w * k.gamma, -GAMMA_LIMIT), GAMMA_LIMIT)
+                stage = AircraftState(0.0, 0.0, 5000.0, s.v + w * k.v, gamma,
+                                      s.phi + w * k.phi)
+            if stage.v < 1e-6:
+                break
+            k = aircraft_derivatives(stage, c)
+        else:
+            raise AssertionError(f"no stage of v0={v0} reaches zero speed")
+        first.add(i)
+        with pytest.raises(DegenerateStateError,
+                           match=re.escape(f"non-positive speed {stage.v}")):
+            rk4_step(s, c)
+    assert first == {0, 1, 2, 3}
+    with pytest.raises(DegenerateStateError, match="too close to vertical"):
+        rk4_step(AircraftState(0.0, 0.0, 5000.0, 300.0, math.pi / 2, 0.0),
+                 ControlInput(0.0, 1.0, 0.0))
 
 
 def test_clamp_examples():

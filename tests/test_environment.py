@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dogfight.dynamics import GAMMA_LIMIT, V_FLOOR, AircraftState
+from dogfight.dynamics import GAMMA_LIMIT, PHYSICS_DT, V_FLOOR, AircraftState
 from dogfight.missile import MissileState, MissileStatus
 from dogfight.environment import (
     BLUE,
@@ -84,11 +84,6 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="ground floor"):
         ScenarioConfig(alt_min=GROUND_FLOOR - 1e-9)
     ScenarioConfig(speed_min=V_FLOOR, alt_min=GROUND_FLOOR)
-
-
-def test_reward_shaping_stub_is_off():
-    with pytest.raises(NotImplementedError):
-        reset(0, ScenarioConfig(reward_shaping=True))
 
 
 def test_observation_shape_and_speed_feature():
@@ -277,6 +272,78 @@ def test_both_missiles_expired_is_draw():
     res = env_step(s, TRIM, TRIM)
     assert res.done and res.outcome is Outcome.DRAW
     assert res.state.t == pytest.approx(0.02)  # ends on the first sub-step
+
+
+def test_termination_fast_path_agrees_with_evaluate(monkeypatch):
+    # env_step calls _evaluate only after a hit, two spent missiles, ground
+    # contact or the time limit.  Both models are replaced by stubs that land
+    # a one-substep decision on drawn altitudes and missile statuses, so the
+    # outcome must equal _evaluate of exactly those, boundaries included.
+    from dogfight import environment as env
+
+    landing = {}
+    monkeypatch.setattr(env, "_aircraft_substep",
+                        lambda k, *_: k[:2] + (landing["z"].pop(0),) + k[3:])
+    monkeypatch.setattr(env, "_missile_substep",
+                        lambda p, k, *_: (k, landing["status"].pop(0)))
+    t_limit = EPISODE_TIME_LIMIT - PHYSICS_DT
+    while t_limit + PHYSICS_DT < EPISODE_TIME_LIMIT:
+        t_limit = math.nextafter(t_limit, math.inf)
+    while t_limit + PHYSICS_DT > EPISODE_TIME_LIMIT:
+        t_limit = math.nextafter(t_limit, -math.inf)
+    assert t_limit + PHYSICS_DT == EPISODE_TIME_LIMIT
+
+    flying, hit, spent = (MissileStatus.IN_FLIGHT, MissileStatus.HIT,
+                          MissileStatus.EXPIRED)
+    below = math.nextafter(GROUND_FLOOR, -math.inf)
+    # (blue z, red z, blue missile (before, after), red missile, t0); a
+    # missile is None while unfired, and fired flags follow the missiles.
+    cases = [
+        (5000.0, 5000.0, None, None, 0.0),
+        (GROUND_FLOOR, GROUND_FLOOR, None, None, 0.0),
+        (below, 5000.0, None, None, 0.0),
+        (5000.0, below, None, None, 0.0),
+        (5000.0, 5000.0, None, None, t_limit),
+        (5000.0, 5000.0, None, None, math.nextafter(t_limit, -math.inf)),
+        (5000.0, 5000.0, (flying, spent), None, 0.0),
+        (5000.0, 5000.0, (flying, spent), (flying, flying), 0.0),
+        (5000.0, 5000.0, (spent, spent), (flying, spent), 0.0),
+        (5000.0, 5000.0, (flying, spent), (flying, spent), 0.0),
+        (5000.0, 5000.0, (flying, hit), (flying, flying), 0.0),
+        (5000.0, 5000.0, (spent, spent), (flying, hit), 0.0),
+        (5000.0, 5000.0, (flying, hit), (flying, hit), 0.0),
+        (below, below, (flying, hit), (flying, hit), t_limit),
+    ]
+    rng = np.random.default_rng(99)
+    missiles = (None, (flying, flying), (flying, hit), (flying, spent),
+                (spent, spent))
+    for _ in range(500):
+        zs = [float(rng.choice((GROUND_FLOOR, below, rng.uniform(0.0, 300.0))))
+              for _ in range(2)]
+        t0 = float(rng.choice((0.0, t_limit, math.nextafter(t_limit, -math.inf),
+                               rng.uniform(190.0, 200.0))))
+        cases.append((*zs, missiles[rng.integers(5)], missiles[rng.integers(5)], t0))
+
+    seen = set()
+    for z_b, z_r, m_b, m_r, t0 in cases:
+        s = head_on_state()
+        fired = []
+        for side, m in ((BLUE, m_b), (RED, m_r)):
+            fired.append(m is not None and bool(rng.random() < 0.9))
+            if m is not None:
+                s = replace(s, **{f"{side}_missile": MissileState(
+                    0.0, 0.0, 5000.0, 600.0, 0.0, 0.0, 1.0, side,
+                    RED if side == BLUE else BLUE, m[0])})
+        s = replace(s, blue_fired=fired[0], red_fired=fired[1], t=t0)
+        landing["z"] = [z_b, z_r]
+        landing["status"] = [m[1] for m in (m_b, m_r)
+                             if m is not None and m[0] is flying]
+        res = env_step(s, TRIM, TRIM, decision_dt=PHYSICS_DT)
+        assert not landing["z"] and not landing["status"]
+        after = [None if m is None else m[1] for m in (m_b, m_r)]
+        assert res.outcome is env._evaluate(z_b, z_r, *after, *fired, t0 + PHYSICS_DT)
+        seen.add(res.outcome)
+    assert seen == set(Outcome)
 
 
 def test_zero_sum_and_sparse_rewards():

@@ -7,6 +7,7 @@ one root child; the resulting visit counts follow a hand-derived recurrence
 it), which the test asserts exactly.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -42,10 +43,9 @@ def manual_node(priors, visits=None, values=None):
     node = SearchNode(None, 0)
     k = len(priors)
     node.expanded = True
-    node.priors = np.asarray(priors, dtype=float)
-    node.visit_counts = np.zeros(k, dtype=np.int64) if visits is None \
-        else np.asarray(visits, dtype=np.int64)
-    node.total_values = np.zeros(k) if values is None else np.asarray(values, float)
+    node.priors = [float(p) for p in priors]
+    node.visit_counts = [0] * k if visits is None else [int(n) for n in visits]
+    node.total_values = [0.0] * k if values is None else [float(w) for w in values]
     node.actions = np.zeros((k, 4))
     node.children = [None] * k
     return node
@@ -122,8 +122,8 @@ def test_expand_node_populates_children():
                         cfg, np.random.default_rng(0))
     assert node.expanded
     assert node.actions.shape == (9, 4)
-    assert abs(node.priors.sum() - 1.0) < 1e-9
-    assert np.all(node.visit_counts == 0) and np.all(node.total_values == 0.0)
+    assert abs(sum(node.priors) - 1.0) < 1e-9
+    assert node.visit_counts == [0] * 9 and node.total_values == [0.0] * 9
     assert -1.0 <= value <= 1.0
     with pytest.raises(ValueError):
         expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
@@ -236,7 +236,7 @@ def test_tree_invariants_after_search():
             node = node.children[idx]
         backup(path, value)
 
-    assert int(root.visit_counts.sum()) == cfg.num_simulations
+    assert sum(root.visit_counts) == cfg.num_simulations
     for node in _walk(root):
         # Each node's observations are the env model's, equal to observe's.
         own, opp = node.obs
@@ -244,14 +244,14 @@ def test_tree_invariants_after_search():
         np.testing.assert_array_equal(opp, observe(node.state, RED))
         if not node.expanded:
             continue
-        assert abs(node.priors.sum() - 1.0) < 1e-9
-        q = node.q_values()
+        assert abs(sum(node.priors) - 1.0) < 1e-9
+        q = np.asarray(node.q_values())
         assert np.all(q >= -1.0 - 1e-12) and np.all(q <= 1.0 + 1e-12)
         # Visits entering an expanded interior node: one expanded it, the
         # rest descended to its children.
         for i, child in enumerate(node.children):
             if child is not None and child.expanded:
-                assert int(child.visit_counts.sum()) == int(node.visit_counts[i]) - 1
+                assert sum(child.visit_counts) == node.visit_counts[i] - 1
 
 
 def test_opponent_plays_policy_mean():
@@ -312,3 +312,52 @@ def test_single_action_degenerates_to_raw_sample():
                                          np.random.default_rng(77))
     np.testing.assert_array_equal(res.action, expected)
     assert res.chosen_index == 0
+
+
+SEARCH_SHA256 = "4de0bfb8347d42c2b64fe597ff3182c7da603dff81f22690e6954b528799ba65"
+
+
+def test_seeded_searches_are_pinned():
+    # 200 searches from states along seeded random-action engagements, both
+    # sides, fire enabled so that many roots and children carry missiles in
+    # flight, and some configurations beyond the default.  Every field of
+    # every SearchResult goes into the digest.
+    rng = np.random.default_rng(77)
+    nets = [(make_actor(3 * i), make_critic(3 * i + 1), make_actor(3 * i + 2))
+            for i in range(3)]
+    configs = (SearchConfig(), SearchConfig(num_actions=4, c_puct=2.0),
+               SearchConfig(num_simulations=30, max_depth=3))
+    seen = {"missile_roots": 0, "terminal_children": 0}
+
+    def model(s, a_blue, a_red):
+        res = env_step(s, a_blue, a_red)
+        seen["terminal_children"] += res.done
+        return res
+
+    digest = hashlib.sha256()
+    state = None
+    for i in range(200):
+        while state is None or state.outcome is not Outcome.ONGOING:
+            state = reset(int(rng.integers(0, 2 ** 31)))
+            for _ in range(int(rng.integers(0, 60))):
+                acts = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
+                                   size=(2, 4))
+                res = env_step(state, acts[0], acts[1])
+                if res.done:
+                    break
+                state = res.state
+        seen["missile_roots"] += (state.blue_missile is not None
+                                  or state.red_missile is not None)
+        actor, critic, opponent = nets[i % 3]
+        res = run_search(state, (BLUE, RED)[i % 2], actor, critic, opponent,
+                         model, configs[i % 3], np.random.default_rng(i))
+        digest.update(res.action.tobytes())
+        digest.update(np.asarray(res.visit_counts, dtype=np.int64).tobytes())
+        digest.update(res.priors.tobytes())
+        digest.update(res.root_mean.tobytes())
+        digest.update(repr((res.chosen_index, res.root_value,
+                            res.root_critic)).encode())
+        step = env_step(state, res.action, res.action[::-1])
+        state = None if step.done else step.state
+    assert seen["missile_roots"] > 50 and seen["terminal_children"] > 100
+    assert digest.hexdigest() == SEARCH_SHA256

@@ -25,8 +25,7 @@ from dogfight.missile import (
     mass_at,
     missile_step,
     missile_velocity,
-    pn_command,
-    relative_geometry,
+    pn_commands,
     thrust_at,
 )
 
@@ -84,71 +83,61 @@ def test_params_must_be_positive():
         MissileParams(tw=math.nan)
 
 
+# The guidance cases below give pn_commands the target's position and
+# velocity relative to the missile.  With k_pn, vm and cos(epsilon + beta)
+# non-zero, n_mh is zero exactly when the elevation rate is, and then n_mc
+# is zero exactly when the azimuth rate is.
+
+
 def test_zero_rate_head_on_geometry_gives_zero_commands():
-    geom = relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 0.0),
-                             (5000.0, 0.0, 5000.0), (-300.0, 0.0, 0.0))
-    assert geom.r_mag == 5000.0
-    assert geom.beta == 0.0 and geom.epsilon == 0.0
-    assert geom.beta_dot == 0.0 and geom.epsilon_dot == 0.0
-    assert pn_command(P, geom, 300.0, 0.0) == (0.0, 0.0)
+    # Missile at (0, 0, 5000) flying +x at 300 m/s, target 5 km ahead at the
+    # same altitude flying -x at 300 m/s: both line-of-sight rates vanish.
+    assert pn_commands(P, 5000.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0) == (0.0, 0.0)
 
 
 def test_horizontal_crossing_command_by_hand():
     # Target abeam-crossing: beta_dot = (300*4000)/4000^2 = 0.075 rad/s,
     # epsilon and epsilon_dot are zero, so only the yaw channel acts:
     # n_mc = K * vm / g * beta_dot.
-    geom = relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 0.0),
-                             (4000.0, 0.0, 5000.0), (0.0, 300.0, 0.0))
-    assert geom.beta_dot == pytest.approx(0.075, rel=1e-12)
-    assert geom.epsilon_dot == 0.0
-    n_mc, n_mh = pn_command(P, geom, 300.0, 0.0)
+    n_mc, n_mh = pn_commands(P, 4000.0, 0.0, 0.0, -300.0, 300.0, 0.0, 300.0, 0.0)
     assert n_mc == pytest.approx(4.0 * 300.0 * 0.075 / 9.8, rel=1e-12)
     assert n_mh == 0.0
 
 
 def test_commands_linear_in_navigation_gain():
-    geom = relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 20.0),
-                             (4000.0, 500.0, 5200.0), (0.0, 300.0, -10.0))
-    full = pn_command(P, geom, 300.0, 0.1)
-    half = pn_command(replace(P, k_pn=2.0), geom, 300.0, 0.1)
+    los = (4000.0, 500.0, 200.0, -300.0, 300.0, -30.0)
+    full = pn_commands(P, *los, 300.0, 0.1)
+    half = pn_commands(replace(P, k_pn=2.0), *los, 300.0, 0.1)
     assert full[0] == pytest.approx(2.0 * half[0], rel=1e-12)
     assert full[1] == pytest.approx(2.0 * half[1], rel=1e-12)
 
 
 def test_commands_clamped_symmetrically():
     # beta_dot = 1000*100/100^2 = 10 rad/s, far beyond the clamp.
-    geom = relative_geometry((0.0, 0.0, 5000.0), (0.0, 0.0, 0.0),
-                             (100.0, 0.0, 5000.0), (0.0, 1000.0, 0.0))
-    n_mc, _ = pn_command(P, geom, 300.0, 0.0)
+    n_mc, _ = pn_commands(P, 100.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 300.0, 0.0)
     assert n_mc == P.max_command
-    geom = relative_geometry((0.0, 0.0, 5000.0), (0.0, 0.0, 0.0),
-                             (100.0, 0.0, 5000.0), (0.0, -1000.0, 0.0))
-    n_mc, _ = pn_command(P, geom, 300.0, 0.0)
+    n_mc, _ = pn_commands(P, 100.0, 0.0, 0.0, 0.0, -1000.0, 0.0, 300.0, 0.0)
     assert n_mc == -P.max_command
 
 
 def test_vertical_line_of_sight_is_singular():
     with pytest.raises(GuidanceSingularityError):
-        relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 0.0),
-                          (0.0, 0.0, 8000.0), (300.0, 0.0, 0.0))
+        pn_commands(P, 0.0, 0.0, 3000.0, 0.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_right_angle_sum_is_singular():
     # Target directly abeam: beta = pi/2, epsilon = 0.
-    geom = relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 0.0),
-                             (0.0, 5000.0, 5000.0), (300.0, 0.0, 0.0))
     with pytest.raises(GuidanceSingularityError):
-        pn_command(P, geom, 300.0, 0.0)
+        pn_commands(P, 0.0, 5000.0, 0.0, 0.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_zero_range_raises():
     with pytest.raises(ZeroRangeError):
-        relative_geometry((1.0, 2.0, 3.0), (300.0, 0.0, 0.0),
-                          (1.0, 2.0, 3.0), (-300.0, 0.0, 0.0))
+        pn_commands(P, 0.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_singular_geometry_holds_previous_command():
-    # Target directly abeam makes pn_command raise; the step must keep
+    # Target directly abeam makes pn_commands raise; the step must keep
     # flying with the stored commands instead.
     m = fresh(n_mc=3.3, n_mh=-1.1)
     out = missile_step(m, P, (0.0, 5000.0, 5000.0), (300.0, 0.0, 0.0))
@@ -209,13 +198,11 @@ def test_head_on_intercept_westward():
 
 
 def test_pn_pitch_sign_is_bearing_independent():
-    # A target drifting upward must pull a nose-up command on any bearing.
-    east = relative_geometry((0.0, 0.0, 5000.0), (300.0, 0.0, 0.0),
-                             (4000.0, 0.0, 5100.0), (250.0, 0.0, 5.0))
-    west = relative_geometry((0.0, 0.0, 5000.0), (-300.0, 0.0, 0.0),
-                             (-4000.0, 0.0, 5100.0), (-250.0, 0.0, 5.0))
-    n_east = pn_command(P, east, 300.0, 0.0)
-    n_west = pn_command(P, west, 300.0, 0.0)
+    # A target drifting upward must pull a nose-up command on any bearing:
+    # east, the missile flies +x at 300 m/s with the target 4 km ahead and
+    # 100 m up flying (250, 0, 5); west is the same engagement mirrored.
+    n_east = pn_commands(P, 4000.0, 0.0, 100.0, -50.0, 0.0, 5.0, 300.0, 0.0)
+    n_west = pn_commands(P, -4000.0, 0.0, 100.0, 50.0, 0.0, 5.0, 300.0, 0.0)
     assert n_east[1] > 0.0
     assert n_west[1] > 0.0
     assert n_west[1] == pytest.approx(n_east[1], rel=1e-12)
@@ -290,10 +277,12 @@ def textbook_missile_step(m, p, tpos, tvel, dt):
     as k1 + 2 (k2 + k3) + k4, the model's rounding.  A hit is a closest
     approach of the linearly moving target under the hit radius.
     """
+    vel = missile_velocity(m)
     try:
-        geom = relative_geometry((m.x, m.y, m.z), missile_velocity(m), tpos, tvel)
-        n_mc, n_mh = pn_command(p, geom, m.vm,
-                                math.atan2(tvel[2], math.hypot(tvel[0], tvel[1])))
+        n_mc, n_mh = pn_commands(p, tpos[0] - m.x, tpos[1] - m.y, tpos[2] - m.z,
+                                 tvel[0] - vel[0], tvel[1] - vel[1],
+                                 tvel[2] - vel[2], m.vm,
+                                 math.atan2(tvel[2], math.hypot(tvel[0], tvel[1])))
     except (GuidanceSingularityError, ZeroRangeError):
         n_mc, n_mh = m.n_mc, m.n_mh
 

@@ -14,7 +14,6 @@ from dogfight.mlp import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     AdamState,
-    Gradients,
     MlpParams,
     NonFiniteError,
     adam_state_for,
@@ -180,7 +179,7 @@ def test_adam_zero_gradient_leaves_params_untouched():
     p = init_params(4, SMALL, with_log_std=True)
     before = [t.copy() for t in p.tensors()]
     state = adam_state_for(p)
-    zero = Gradients([np.zeros_like(w) for w in p.weights],
+    zero = MlpParams([np.zeros_like(w) for w in p.weights],
                      [np.zeros_like(b) for b in p.biases],
                      np.zeros_like(p.log_std))
     adam_step(p, state, zero, lr=0.002)
@@ -192,7 +191,7 @@ def test_adam_zero_gradient_leaves_params_untouched():
 def test_adam_first_step_magnitude():
     p = init_params(4, SMALL)
     state = adam_state_for(p)
-    grads = Gradients([np.full_like(w, 0.5) for w in p.weights],
+    grads = MlpParams([np.full_like(w, 0.5) for w in p.weights],
                       [np.full_like(b, -0.25) for b in p.biases])
     before = [t.copy() for t in p.tensors()]
     adam_step(p, state, grads, lr=0.002)
@@ -221,7 +220,7 @@ def test_adam_quadratic_bowl_converges():
 def test_log_std_clamped_after_updates():
     p = init_params(0, SMALL, with_log_std=True)
     state = adam_state_for(p)
-    push_up = Gradients([np.zeros_like(w) for w in p.weights],
+    push_up = MlpParams([np.zeros_like(w) for w in p.weights],
                         [np.zeros_like(b) for b in p.biases],
                         np.full(4, -1000.0))
     for _ in range(1500):
@@ -229,7 +228,7 @@ def test_log_std_clamped_after_updates():
     assert np.all(p.log_std <= LOG_STD_MAX)
     assert np.all(p.log_std == LOG_STD_MAX)
     state = adam_state_for(p)
-    push_down = Gradients([np.zeros_like(w) for w in p.weights],
+    push_down = MlpParams([np.zeros_like(w) for w in p.weights],
                           [np.zeros_like(b) for b in p.biases],
                           np.full(4, 1000.0))
     for _ in range(4000):
@@ -241,7 +240,7 @@ def test_adam_shape_mismatch_raises():
     p = init_params(0, SMALL)
     other = init_params(0, (13, 4, 4, 4))
     state = adam_state_for(p)
-    grads = Gradients([np.zeros_like(w) for w in other.weights],
+    grads = MlpParams([np.zeros_like(w) for w in other.weights],
                       [np.zeros_like(b) for b in other.biases])
     with pytest.raises(ValueError):
         adam_step(p, state, grads, lr=0.002)
