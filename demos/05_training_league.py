@@ -6,12 +6,15 @@ Run the full training loop at toy scale: collect decisions against the
 newest past self, take clipped-surrogate policy updates with outcome
 value targets, snapshot the agent into the league pool, and score it
 against sampled past selves.  Three iterations with small networks keep
-this around a minute.
+this around a minute.  The master seed is a field of the LeagueConfig, the
+same object `dogfight train` reads from its INI file, so the config alone
+reproduces the run.
 """
 
 from dogfight import LeagueConfig, SearchConfig, TrainConfig, train_loop
 
 config = LeagueConfig(
+    seed=11,
     iterations=3,
     train=TrainConfig(batch_size=256, epochs=2),
     search=SearchConfig(num_actions=9, num_simulations=8, max_depth=3),
@@ -20,7 +23,7 @@ config = LeagueConfig(
     layer_sizes=(13, 64, 64, 4),
 )
 
-pool, metrics = train_loop(config, 11)
+pool, metrics = train_loop(config)
 
 for m in metrics:
     t = m.train

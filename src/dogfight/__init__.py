@@ -23,7 +23,6 @@ from .environment import (
 from .harness import (
     CheckpointError,
     ConfigError,
-    RunConfig,
     load_checkpoint,
     load_config,
     parse_config,
@@ -51,7 +50,7 @@ __all__ = [
     "AircraftState", "ControlInput", "clamp_controls", "rk4_step",
     "BLUE", "RED", "ActionCommand", "EngagementState", "Outcome",
     "ScenarioConfig", "StepResult", "env_step", "observe", "reset",
-    "CheckpointError", "ConfigError", "RunConfig", "load_checkpoint",
+    "CheckpointError", "ConfigError", "load_checkpoint",
     "load_config", "parse_config", "save_checkpoint", "serialize_config",
     "SearchConfig", "SearchResult", "run_search",
     "MissileParams", "MissileState", "MissileStatus", "missile_step",

@@ -1,5 +1,10 @@
 """Command-line front end: train, eval, replay, and selfcheck.
 
+train builds the run's LeagueConfig from the config file (or the defaults),
+then --seed, --out and --no-mcts, then --smoke, and stamps the sha256 of
+its INI text into every checkpoint.  selfcheck runs the invariant suite of
+dogfight.selfcheck.
+
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 runtime errors (unreadable checkpoints, I/O failures, numeric blowups).
 """
@@ -8,19 +13,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PHYSICS_DT, AircraftState, ControlInput, rk4_step
 from .harness import (
     CheckpointError,
     ConfigError,
-    RunConfig,
-    league_config,
+    config_hash,
     load_checkpoint,
     load_config,
     save_checkpoint,
@@ -30,16 +32,12 @@ from .harness import (
     write_metrics,
     write_trajectory,
 )
-from .missile import MissileParams, MissileState, MissileStatus, missile_step
-from .mlp import backprop, forward, init_params, log_density
-# The invariant suite differentiates the production losses themselves, so it
-# reaches into ppo for the closures that backprop consumes.
-from .ppo import TrainConfig, _actor_loss, _critic_loss
-from .selfplay import DRAW, LOSS, WIN, AgentCheckpoint, play_match, train_loop
+from .selfplay import DRAW, LOSS, WIN, AgentCheckpoint, LeagueConfig, \
+    play_match, train_loop
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config) if args.config else LeagueConfig()
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -47,16 +45,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     if args.no_mcts:
         overrides["use_mcts"] = False
-    if overrides:
+    try:
         cfg = replace(cfg, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.smoke:
         cfg = smoke_profile(cfg)
+    cfg = replace(cfg, config_hash=config_hash(cfg))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg), encoding="utf-8")
 
-    league = league_config(cfg)
     # Line buffering keeps both logs valid prefixes if the run dies mid-way.
     with open(out / "metrics.jsonl", "w", encoding="utf-8", buffering=1) as mfp, \
          open(out / "matches.jsonl", "w", encoding="utf-8", buffering=1) as xfp:
@@ -74,8 +74,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         def on_checkpoint(ckpt: AgentCheckpoint) -> None:
             save_checkpoint(out / f"checkpoint_{ckpt.iteration:04d}.ckpt", ckpt)
 
-        train_loop(league, cfg.seed, checkpoint_sink=on_checkpoint,
-                   metrics_sink=on_metrics,
+        train_loop(cfg, checkpoint_sink=on_checkpoint, metrics_sink=on_metrics,
                    match_sink=lambda rec: write_match(xfp, rec))
     print(f"trained {cfg.iterations} iterations into {out}")
     return 0
@@ -116,147 +115,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- selfcheck invariants ---------------------------------------------------
-
-def _check_trim_drift() -> str:
-    s = AircraftState(0.0, 0.0, 1000.0, 300.0, 0.0, 0.0)
-    c = ControlInput(0.0, 1.0, 0.0)
-    for _ in range(5000):
-        s = rk4_step(s, c, PHYSICS_DT)
-    dz, dv = abs(s.z - 1000.0), abs(s.v - 300.0)
-    if dz >= 1e-6 or dv >= 1e-6:
-        raise AssertionError(f"drift after 100 s: dz={dz:.2e} m, dv={dv:.2e} m/s")
-    return f"dz={dz:.1e} m, dv={dv:.1e} m/s over 100 s"
-
-
-def _check_rk4_order() -> str:
-    c = ControlInput(1.0, 3.0, 1.0)
-    s0 = AircraftState(0.0, 0.0, 5000.0, 250.0, 0.05, -0.4)
-
-    def integrate(n: int) -> float:
-        s = s0
-        for _ in range(n):
-            s = rk4_step(s, c, 0.64 / n)
-        return s.phi
-
-    ref = integrate(512)
-    err4, err8, err16 = (abs(integrate(n) - ref) for n in (4, 8, 16))
-    if err4 / err8 < 8.0 or err8 / err16 < 8.0:
-        raise AssertionError(
-            f"step-halving factors {err4 / err8:.2f}, {err8 / err16:.2f}")
-    return f"step-halving factors {err4 / err8:.1f}, {err8 / err16:.1f}"
-
-
-def _fly_linear(tpos, tvel) -> MissileState:
-    m = MissileState(0.0, 0.0, 5000.0, 300.0, 0.0, 0.0, 0.0, "blue", "red")
-    p = MissileParams()
-    while m.status is MissileStatus.IN_FLIGHT:
-        m = missile_step(m, p, tpos, tvel, PHYSICS_DT)
-        tpos = (tpos[0] + tvel[0] * PHYSICS_DT,
-                tpos[1] + tvel[1] * PHYSICS_DT,
-                tpos[2] + tvel[2] * PHYSICS_DT)
-    return m
-
-
-def _check_pn_head_on() -> str:
-    out = _fly_linear((5000.0, 0.0, 5000.0), (-300.0, 0.0, 0.0))
-    if out.status is not MissileStatus.HIT:
-        raise AssertionError(f"ended {out.status.name} at t={out.t:.2f} s")
-    return f"hit at t={out.t:.2f} s"
-
-
-def _check_pn_crossing() -> str:
-    out = _fly_linear((4000.0, 0.0, 5000.0), (0.0, 300.0, 0.0))
-    if out.status is not MissileStatus.HIT:
-        raise AssertionError(f"ended {out.status.name} at t={out.t:.2f} s")
-    return f"hit at t={out.t:.2f} s"
-
-
-def _max_fd_error(params, x, fn) -> float:
-    """Worst central-difference disagreement over every parameter."""
-    _, grads = backprop(params, x, fn)
-    h = 1e-5
-    worst = 0.0
-    for p_arr, g_arr in zip(params.tensors(), grads.tensors()):
-        flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
-        for idx in range(flat_p.size):
-            keep = flat_p[idx]
-            flat_p[idx] = keep + h
-            up, _ = backprop(params, x, fn)
-            flat_p[idx] = keep - h
-            down, _ = backprop(params, x, fn)
-            flat_p[idx] = keep
-            numeric = (up - down) / (2.0 * h)
-            worst = max(worst, abs(flat_g[idx] - numeric) / max(1.0, abs(numeric)))
-    return worst
-
-
-def _check_gradients() -> str:
-    rng = np.random.default_rng(2718)
-    actor = init_params(31, (13, 8, 8, 4), with_log_std=True)
-    critic = init_params(32, (13, 8, 8, 1))
-    obs = rng.uniform(0.0, 1.0, size=(12, 13))
-    actions = rng.normal(size=(12, 4))
-    old_logp = (np.asarray(log_density(forward(actor, obs), actor.log_std,
-                                       actions))
-                + rng.normal(scale=0.1, size=12))
-    adv = rng.normal(size=12)
-    targets = rng.choice(np.array([-1.0, 0.0, 1.0]), size=12)
-
-    cases = (
-        ("surrogate", actor,
-         _actor_loss(actions, old_logp, adv, TrainConfig(entropy_coeff=0.0), {})),
-        ("entropy", actor,
-         _actor_loss(actions, old_logp, np.zeros(12),
-                     TrainConfig(entropy_coeff=1.0), {})),
-        ("value", critic, _critic_loss(targets)),
-    )
-    worst = 0.0
-    for label, params, fn in cases:
-        err = _max_fd_error(params, obs, fn)
-        if err >= 1e-4:
-            raise AssertionError(f"{label} gradient error {err:.2e}")
-        worst = max(worst, err)
-    return f"max relative error {worst:.1e}"
-
-
-def _check_batch_forward() -> str:
-    params = init_params(44, (13, 8, 8, 4), with_log_std=True)
-    x = np.random.default_rng(45).uniform(0.0, 1.0, size=(32, 13))
-    rows = np.stack([forward(params, row) for row in x])
-    if not np.array_equal(forward(params, x), rows):
-        raise AssertionError("batched forward deviates from row-wise forward")
-    return "32 rows bitwise equal"
-
-
-def _check_checkpoint_roundtrip() -> str:
-    actor = init_params(7, (13, 8, 8, 4), with_log_std=True)
-    critic = init_params(8, (13, 8, 8, 1))
-    ckpt = AgentCheckpoint(3, actor, critic, 99, "selfcheck")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "probe.ckpt"
-        save_checkpoint(path, ckpt)
-        back = load_checkpoint(path)
-    pairs = zip(actor.tensors() + critic.tensors(),
-                back.actor.tensors() + back.critic.tensors())
-    if not all(np.array_equal(a, b) for a, b in pairs):
-        raise AssertionError("reloaded parameters differ")
-    return "bit-exact"
-
-
-SELF_CHECKS = (
-    ("trim drift", _check_trim_drift),
-    ("rk4 order", _check_rk4_order),
-    ("pn head-on intercept", _check_pn_head_on),
-    ("pn crossing intercept", _check_pn_crossing),
-    ("loss gradients", _check_gradients),
-    ("batch forward", _check_batch_forward),
-    ("checkpoint round-trip", _check_checkpoint_roundtrip),
-)
-
-
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     del args
+    from .selfcheck import SELF_CHECKS  # only here: keeps `import dogfight.cli` lean
     failures = 0
     for name, check in SELF_CHECKS:
         try:

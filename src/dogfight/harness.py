@@ -1,7 +1,10 @@
-"""Run configuration, checkpoint files, and structured output writers.
+"""Run configuration text, checkpoint files, and structured output writers.
 
-The config is flat `key = value` text with sections; unknown sections or
-keys are rejected so a typo cannot silently break a reproduction.  The
+A run is a `selfplay.LeagueConfig`, written as flat `key = value` text with
+sections.  One table, _SECTIONS, names the fields each section holds; the
+parser and the serializer both walk it, and take each key's type and
+default from the dataclass field.  Unknown sections or keys are rejected so
+a typo cannot silently break a reproduction.  The
 checkpoint format stores every tensor as little-endian float64 with a
 CRC32 trailer, so a round-trip is bit-exact and corruption, truncation,
 bad magic, and version drift are four distinct errors.
@@ -14,14 +17,12 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .environment import ScenarioConfig
-from .mcts import SearchConfig
 from .mlp import MlpParams
-from .ppo import TrainConfig
 from .selfplay import AgentCheckpoint, IterationMetrics, LeagueConfig
 
 MAGIC = b"DGFT"
@@ -55,43 +56,36 @@ class TruncatedFileError(CheckpointError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Everything a training run needs; every field has a default."""
-
-    seed: int = 0
-    iterations: int = 50
-    out_dir: str = "out"
-    use_mcts: bool = True
-    eval_opponents: int = 36
-    eval_games: int = 3
-    train: TrainConfig = TrainConfig()
-    search: SearchConfig = SearchConfig()
-    scenario: ScenarioConfig = ScenarioConfig()
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.eval_opponents < 1 or self.eval_games < 1:
-            raise ConfigError("evaluation needs at least one opponent and one game")
-        if not self.out_dir:
-            raise ConfigError("out_dir must be non-empty")
-
-
-# section -> key -> value type
-_SCHEMA = {
-    "run": {"seed": int, "iterations": int, "out_dir": str, "use_mcts": bool},
-    "evaluate": {"opponents": int, "games": int},
-    "train": {"gamma": float, "gae_lambda": float, "clip_epsilon": float,
-              "epochs": int, "batch_size": int, "actor_lr": float,
-              "critic_lr": float, "entropy_coeff": float},
-    "search": {"num_actions": int, "num_simulations": int, "c_puct": float,
-               "max_depth": int},
-    "scenario": {"speed_min": float, "speed_max": float, "alt_min": float,
-                 "alt_max": float, "sep_min": float, "sep_max": float},
+# Which fields each INI section holds, in file order: top-level LeagueConfig
+# fields by key, or the name of the nested config whose fields are the keys.
+# Each key's type is its field's annotation and its default the field's.
+_SECTIONS = {
+    "run": {name: name for name in ("seed", "iterations", "out_dir", "use_mcts")},
+    "evaluate": {"opponents": "eval_opponents", "games": "eval_games"},
+    "train": "train",
+    "search": "search",
+    "scenario": "scenario",
 }
+
+
+def _layout() -> dict:
+    """section -> (nested field, its config class, {key: (field, type)});
+    the first two are None for a section of top-level fields."""
+    top = get_type_hints(LeagueConfig)
+    layout = {}
+    for section, held in _SECTIONS.items():
+        if isinstance(held, str):
+            cls = top[held]
+            kinds = get_type_hints(cls)
+            layout[section] = (held, cls, {f.name: (f.name, kinds[f.name])
+                                           for f in fields(cls)})
+        else:
+            layout[section] = (None, None, {key: (name, top[name])
+                                            for key, name in held.items()})
+    return layout
+
+
+_LAYOUT = _layout()
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False, "on": True, "off": False}
@@ -110,7 +104,7 @@ def _convert(section: str, key: str, text: str, kind):
             f"[{section}] {key}: cannot parse {text!r} as {kind.__name__}") from None
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> LeagueConfig:
     """Parse config text, rejecting unknown sections and keys."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -118,33 +112,30 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
-    values: dict[str, dict] = {section: {} for section in _SCHEMA}
+    values: dict[str, dict] = {section: {} for section in _LAYOUT}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _LAYOUT:
             raise ConfigError(f"unknown section [{section}]")
+        keys = _LAYOUT[section][2]
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, raw, _SCHEMA[section][key])
+            name, kind = keys[key]
+            values[section][name] = _convert(section, key, raw, kind)
 
-    run, ev = values["run"], values["evaluate"]
     try:
-        return RunConfig(
-            seed=run.get("seed", 0),
-            iterations=run.get("iterations", 50),
-            out_dir=run.get("out_dir", "out"),
-            use_mcts=run.get("use_mcts", True),
-            eval_opponents=ev.get("opponents", 36),
-            eval_games=ev.get("games", 3),
-            train=TrainConfig(**values["train"]),
-            search=SearchConfig(**values["search"]),
-            scenario=ScenarioConfig(**values["scenario"]),
-        )
+        kwargs = {}
+        for section, (nested, cls, _) in _LAYOUT.items():
+            if nested is None:
+                kwargs.update(values[section])
+            else:
+                kwargs[nested] = cls(**values[section])
+        return LeagueConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> LeagueConfig:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return parse_config(fp.read())
@@ -160,46 +151,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def serialize_config(cfg: RunConfig) -> str:
+def serialize_config(cfg: LeagueConfig) -> str:
     """Canonical text form; parse(serialize(x)) == x and re-serializing is stable."""
-    tr, se, sc = cfg.train, cfg.search, cfg.scenario
-    sections = [
-        ("run", [("seed", cfg.seed), ("iterations", cfg.iterations),
-                 ("out_dir", cfg.out_dir), ("use_mcts", cfg.use_mcts)]),
-        ("evaluate", [("opponents", cfg.eval_opponents), ("games", cfg.eval_games)]),
-        ("train", [("gamma", tr.gamma), ("gae_lambda", tr.gae_lambda),
-                   ("clip_epsilon", tr.clip_epsilon), ("epochs", tr.epochs),
-                   ("batch_size", tr.batch_size), ("actor_lr", tr.actor_lr),
-                   ("critic_lr", tr.critic_lr), ("entropy_coeff", tr.entropy_coeff)]),
-        ("search", [("num_actions", se.num_actions),
-                    ("num_simulations", se.num_simulations),
-                    ("c_puct", se.c_puct), ("max_depth", se.max_depth)]),
-        ("scenario", [("speed_min", sc.speed_min), ("speed_max", sc.speed_max),
-                      ("alt_min", sc.alt_min), ("alt_max", sc.alt_max),
-                      ("sep_min", sc.sep_min), ("sep_max", sc.sep_max)]),
-    ]
     lines = []
-    for name, pairs in sections:
-        lines.append(f"[{name}]")
-        lines.extend(f"{key} = {_fmt(value)}" for key, value in pairs)
+    for section, (nested, _, keys) in _LAYOUT.items():
+        holder = cfg if nested is None else getattr(cfg, nested)
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {_fmt(getattr(holder, name))}"
+                     for key, (name, _) in keys.items())
         lines.append("")
     return "\n".join(lines)
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg: LeagueConfig) -> str:
+    """sha256 of the config's INI text: the code-only fields do not count."""
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
 
 
-def league_config(cfg: RunConfig) -> LeagueConfig:
-    return LeagueConfig(iterations=cfg.iterations, train=cfg.train,
-                        search=cfg.search, scenario=cfg.scenario,
-                        use_mcts=cfg.use_mcts,
-                        eval_opponents=cfg.eval_opponents,
-                        eval_games=cfg.eval_games,
-                        config_hash=config_hash(cfg))
-
-
-def smoke_profile(cfg: RunConfig) -> RunConfig:
+def smoke_profile(cfg: LeagueConfig) -> LeagueConfig:
     """The fast pipeline-liveness profile: 10 iterations, batch 256, 4 opponents."""
     return replace(cfg, iterations=10, eval_opponents=4,
                    train=replace(cfg.train, batch_size=256))

@@ -18,11 +18,11 @@ from .mlp import (
     AdamState,
     MlpParams,
     NonFiniteError,
-    _LOG_TAU,
     adam_state_for,
     adam_step,
     backprop,
     entropy,
+    log_density,
 )
 
 
@@ -162,8 +162,7 @@ def _actor_loss(actions, old_logp, advantages, config, stats: dict):
         n = out.shape[0]
         std = np.exp(log_std)
         zscore = (actions - out) / std
-        new_logp = (-0.5 * np.sum(zscore * zscore, axis=1)
-                    - np.sum(log_std) - 0.5 * log_std.shape[0] * _LOG_TAU)
+        new_logp = log_density(out, log_std, actions)
         with np.errstate(over="ignore"):
             ratio = np.exp(new_logp - old_logp)
         if not np.all(np.isfinite(ratio)):
@@ -199,15 +198,6 @@ def _critic_loss(targets):
         return loss, d_out, None
 
     return fn
-
-
-def clipped_loss(actor: MlpParams, minibatch: dict, config: TrainConfig) -> float:
-    """Actor loss on a minibatch dict with keys obs, actions, old_logp, advantages."""
-    stats: dict = {}
-    fn = _actor_loss(minibatch["actions"], minibatch["old_logp"],
-                     minibatch["advantages"], config, stats)
-    loss, _ = backprop(actor, minibatch["obs"], fn)
-    return loss
 
 
 def _stacked(buffer: RolloutBuffer):

@@ -3,7 +3,9 @@
 The loop alternates collection (current agent vs the most recent past
 checkpoint), a PPO update, checkpointing, and evaluation against a random
 sample of earlier checkpoints.  Everything is driven by spawned seed
-sequences so a master seed reproduces the whole run bit-exactly.
+sequences so a master seed reproduces the whole run bit-exactly.  A
+LeagueConfig is the whole run: that seed, the league's settings and the
+output directory; harness reads and writes it as the run's config.ini.
 
 Matches share nothing but read-only agents, so both match loops run on
 forked worker processes, one per usable CPU (the affinity mask, cut to the
@@ -95,24 +97,34 @@ class IterationMetrics:
 
 @dataclass(frozen=True, slots=True)
 class LeagueConfig:
-    """Everything the training loop needs besides the master seed."""
+    """A training run: the master seed, the league, its output directory.
 
+    The fields up to scenario are the run's INI file, in file order (see
+    harness); missile, layer_sizes and config_hash are set in code only.
+    """
+
+    seed: int = 0
     iterations: int = 50
+    out_dir: str = "out"
+    use_mcts: bool = True
+    eval_opponents: int = 36
+    eval_games: int = 3
     train: TrainConfig = TrainConfig()
     search: SearchConfig = SearchConfig()
     scenario: ScenarioConfig = DEFAULT_SCENARIO
     missile: MissileParams = DEFAULT_MISSILE_PARAMS
-    use_mcts: bool = True
-    eval_opponents: int = 36
-    eval_games: int = 3
     layer_sizes: tuple[int, ...] = (13, 256, 256, 4)
     config_hash: str = ""
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.eval_opponents < 1 or self.eval_games < 1:
             raise ValueError("evaluation needs at least one opponent and one game")
+        if not self.out_dir:
+            raise ValueError("out_dir must be non-empty")
         if len(self.layer_sizes) < 2 or self.layer_sizes[0] != OBS_DIM \
                 or self.layer_sizes[-1] != 4:
             raise ValueError(f"layer sizes must map {OBS_DIM} features to 4 "
@@ -409,12 +421,12 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
                             seconds=seconds)
 
 
-def train_loop(config: LeagueConfig, rng: int, *,
+def train_loop(config: LeagueConfig, *,
                checkpoint_sink: Optional[CheckpointSink] = None,
                metrics_sink: Optional[MetricsSink] = None,
                match_sink: Optional[MatchSink] = None
                ) -> tuple[list[AgentCheckpoint], list[IterationMetrics]]:
-    """Iterate collect, train, checkpoint, evaluate; rng is the master seed.
+    """Iterate collect, train, checkpoint, evaluate from config.seed.
 
     Collection plays the live agent (blue, search when configured) against
     the latest pool entry sampling raw actions, until the buffer holds a
@@ -430,7 +442,7 @@ def train_loop(config: LeagueConfig, rng: int, *,
     draws move no byte: every artifact is the same for any CPU count.
     """
     t_start = time.monotonic()
-    master = np.random.SeedSequence(rng)
+    master = np.random.SeedSequence(config.seed)
     ss_actor, ss_critic = master.spawn(2)
     actor = init_params(_seed_int(ss_actor), config.layer_sizes,
                         with_log_std=True)
@@ -438,13 +450,14 @@ def train_loop(config: LeagueConfig, rng: int, *,
     actor_opt = adam_state_for(actor)
     critic_opt = adam_state_for(critic)
 
-    pool = [AgentCheckpoint(0, actor.copy(), critic.copy(), rng,
+    pool = [AgentCheckpoint(0, actor.copy(), critic.copy(), config.seed,
                             config.config_hash)]
     history: list[IterationMetrics] = []
     for iteration in range(1, config.iterations + 1):
         ss_collect, ss_train, ss_eval = master.spawn(3)
         collect_rng = np.random.default_rng(ss_collect)
-        live = AgentCheckpoint(iteration, actor, critic, rng, config.config_hash)
+        live = AgentCheckpoint(iteration, actor, critic, config.seed,
+                               config.config_hash)
 
         def collect(seed):
             own = RolloutBuffer()
@@ -471,7 +484,7 @@ def train_loop(config: LeagueConfig, rng: int, *,
                                         actor_opt, critic_opt)
 
         snapshot = AgentCheckpoint(iteration, actor.copy(), critic.copy(),
-                                   rng, config.config_hash)
+                                   config.seed, config.config_hash)
         if checkpoint_sink is not None:
             checkpoint_sink(snapshot)
         evaluated = evaluate_vs_past(snapshot, pool,

@@ -18,27 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import mlp, selfplay
-from dogfight.cli import _max_fd_error, main
-from dogfight.dynamics import PHYSICS_DT, AircraftState, ControlInput, rk4_step
+from dogfight import mlp, selfcheck, selfplay
+from dogfight.cli import main
 from dogfight.environment import BLUE, env_step, observe, reset
 from dogfight.harness import load_config
 from dogfight.mcts import SearchConfig, run_search
-from dogfight.missile import (
-    MissileParams,
-    MissileState,
-    MissileStatus,
-    drag_of,
-    mass_at,
-    missile_step,
-    thrust_at,
-)
+from dogfight.missile import MissileParams, drag_of, mass_at, thrust_at
 from dogfight.ppo import (
     RolloutBuffer,
     TrainConfig,
     Transition,
-    _actor_loss,
-    _critic_loss,
     compute_advantages,
     train_iteration,
 )
@@ -55,34 +44,25 @@ def _verdict(num, ok, detail):
     assert ok, line
 
 
+def _timed(check):
+    """Run one check of the selfcheck suite: (passed, detail, seconds)."""
+    t0 = time.perf_counter()
+    try:
+        ok, detail = True, check()
+    except AssertionError as exc:
+        ok, detail = False, str(exc)
+    return ok, detail, time.perf_counter() - t0
+
+
 # --- 1: dynamics invariants --------------------------------------------------
 
 def test_criterion_1_dynamics_invariants():
     t0 = time.perf_counter()
-    s = AircraftState(0.0, 0.0, 1000.0, 300.0, 0.0, 0.0)
-    trim = ControlInput(0.0, 1.0, 0.0)
-    for _ in range(5000):
-        s = rk4_step(s, trim, PHYSICS_DT)
-    dz, dv = abs(s.z - 1000.0), abs(s.v - 300.0)
-
-    turn = ControlInput(1.0, 3.0, 1.0)
-    s0 = AircraftState(0.0, 0.0, 5000.0, 250.0, 0.05, -0.4)
-
-    def integrate(n):
-        x = s0
-        for _ in range(n):
-            x = rk4_step(x, turn, 0.64 / n)
-        return x.phi
-
-    ref = integrate(512)
-    err4, err8, err16 = (abs(integrate(n) - ref) for n in (4, 8, 16))
-    factors = (err4 / err8, err8 / err16)
+    trim_ok, trim, _ = _timed(selfcheck.check_trim_drift)
+    order_ok, order, _ = _timed(selfcheck.check_rk4_order)
     elapsed = time.perf_counter() - t0
-
-    ok = dz < 1e-6 and dv < 1e-6 and min(factors) >= 8.0 and elapsed < 1.0
-    _verdict(1, ok, f"trim drift dz={dz:.1e} dv={dv:.1e} over 100 s, "
-                    f"step-halving factors {factors[0]:.1f}/{factors[1]:.1f}, "
-                    f"{elapsed:.2f} s")
+    ok = trim_ok and order_ok and elapsed < 1.0
+    _verdict(1, ok, f"trim drift {trim}, {order}, {elapsed:.2f} s")
 
 
 # --- 2: missile constants ----------------------------------------------------
@@ -102,55 +82,20 @@ def test_criterion_2_missile_constants():
 
 # --- 3: guidance closes ------------------------------------------------------
 
-def _fly(tpos, tvel):
-    m = MissileState(0.0, 0.0, 5000.0, 300.0, 0.0, 0.0, 0.0, "blue", "red")
-    p = MissileParams()
-    t0 = time.perf_counter()
-    while m.status is MissileStatus.IN_FLIGHT:
-        m = missile_step(m, p, tpos, tvel, PHYSICS_DT)
-        tpos = (tpos[0] + tvel[0] * PHYSICS_DT, tpos[1] + tvel[1] * PHYSICS_DT,
-                tpos[2] + tvel[2] * PHYSICS_DT)
-    return m, time.perf_counter() - t0
-
-
 def test_criterion_3_guidance_closes():
-    head_on, t_head = _fly((5000.0, 0.0, 5000.0), (-300.0, 0.0, 0.0))
-    crossing, t_cross = _fly((4000.0, 0.0, 5000.0), (0.0, 300.0, 0.0))
-    ok = (head_on.status is MissileStatus.HIT
-          and crossing.status is MissileStatus.HIT
-          and t_head < 1.0 and t_cross < 1.0)
-    _verdict(3, ok, f"head-on {head_on.status.name} at {head_on.t:.2f} s "
-                    f"inside the 30 m radius ({t_head:.2f} s), "
-                    f"crossing {crossing.status.name} at {crossing.t:.2f} s "
-                    f"({t_cross:.2f} s)")
+    head_ok, head_on, t_head = _timed(selfcheck.check_pn_head_on)
+    cross_ok, crossing, t_cross = _timed(selfcheck.check_pn_crossing)
+    ok = head_ok and cross_ok and t_head < 1.0 and t_cross < 1.0
+    _verdict(3, ok, f"head-on {head_on} ({t_head:.2f} s), "
+                    f"crossing {crossing} ({t_cross:.2f} s)")
 
 
 # --- 4: gradient correctness -------------------------------------------------
 
 def test_criterion_4_gradients_match_finite_differences():
-    rng = np.random.default_rng(2718)
-    actor = mlp.init_params(31, SMALL, with_log_std=True)
-    critic = mlp.init_params(32, SMALL[:-1] + (1,))
-    obs = rng.uniform(0.0, 1.0, size=(12, 13))
-    actions = rng.normal(size=(12, 4))
-    old_logp = (np.asarray(mlp.log_density(mlp.forward(actor, obs),
-                                           actor.log_std, actions))
-                + rng.normal(scale=0.1, size=12))
-    adv = rng.normal(size=12)
-    targets = rng.choice(np.array([-1.0, 0.0, 1.0]), size=12)
-
-    errs = {
-        "surrogate": _max_fd_error(
-            actor, obs, _actor_loss(actions, old_logp, adv,
-                                    TrainConfig(entropy_coeff=0.0), {})),
-        "entropy": _max_fd_error(
-            actor, obs, _actor_loss(actions, old_logp, np.zeros(12),
-                                    TrainConfig(entropy_coeff=1.0), {})),
-        "value": _max_fd_error(critic, obs, _critic_loss(targets)),
-    }
-    ok = all(err < 1e-4 for err in errs.values())
-    detail = ", ".join(f"{name} {err:.1e}" for name, err in errs.items())
-    _verdict(4, ok, f"central differences over every parameter: {detail}")
+    ok, detail, _ = _timed(selfcheck.check_gradients)
+    _verdict(4, ok, "central differences over every parameter of the "
+                    f"surrogate, entropy and value losses: {detail}")
 
 
 # --- 5: optimization sanity --------------------------------------------------

@@ -10,6 +10,7 @@ tree under test.  A second subprocess check runs the installed
 follow the contract: 0 success, 1 config or usage error, 2 runtime error.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import dogfight
+from dogfight import cli
 from dogfight.cli import main
 from dogfight.harness import (
     TRAJECTORY_HEADER,
@@ -75,11 +77,23 @@ def test_selfcheck_passes(capsys):
     assert out.count("ok   ") == out.count("\n") - 1  # every line but the tally
 
 
-def test_train_tiny_run_writes_artifacts(tmp_path, capsys):
+def test_train_tiny_run_writes_artifacts(tmp_path, monkeypatch, capsys):
+    seen, real_loop = [], cli.train_loop
+
+    def spy(config, **sinks):
+        seen.append(config)
+        return real_loop(config, **sinks)
+
+    monkeypatch.setattr(cli, "train_loop", spy)
     cfg_path = _write_tiny_config(tmp_path)
     out_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--seed", "5",
-                 "--out", str(out_dir)]) == 0
+                 "--out", str(out_dir), "--no-mcts"]) == 0
+    # the file's and the flags' settings reach the loop
+    (league,) = seen
+    assert (league.seed, league.iterations, league.use_mcts) == (5, 2, False)
+    assert (league.eval_opponents, league.eval_games) == (2, 1)
+    assert (league.train.batch_size, league.search.num_simulations) == (64, 4)
 
     lines = (out_dir / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 2
@@ -92,11 +106,15 @@ def test_train_tiny_run_writes_artifacts(tmp_path, capsys):
     assert [p.name for p in ckpts] == ["checkpoint_0001.ckpt",
                                        "checkpoint_0002.ckpt"]
     assert load_checkpoint(ckpts[1]).iteration == 2
+    # every checkpoint carries the sha256 of the run's config.ini
+    digest = hashlib.sha256((out_dir / "config.ini").read_bytes()).hexdigest()
+    assert [load_checkpoint(p).config_hash for p in ckpts] == [digest] * 2
 
     written = load_config(out_dir / "config.ini")
     assert written.iterations == 2
     assert written.seed == 5
     assert written.out_dir == str(out_dir)
+    assert written.use_mcts is False
 
     # one eval match record per game played
     match_lines = (out_dir / "matches.jsonl").read_text().splitlines()
@@ -127,9 +145,8 @@ def test_train_rerun_is_byte_identical(tmp_path, monkeypatch):
 def test_train_flag_wiring(tmp_path, monkeypatch):
     seen = {}
 
-    def fake_loop(league, seed, *, checkpoint_sink, metrics_sink, match_sink):
+    def fake_loop(league, *, checkpoint_sink, metrics_sink, match_sink):
         seen["league"] = league
-        seen["seed"] = seed
         return [], []
 
     monkeypatch.setattr("dogfight.cli.train_loop", fake_loop)
@@ -137,7 +154,7 @@ def test_train_flag_wiring(tmp_path, monkeypatch):
     assert main(["train", "--seed", "3", "--out", str(out_dir),
                  "--no-mcts", "--smoke"]) == 0
     league = seen["league"]
-    assert seen["seed"] == 3
+    assert league.seed == 3
     assert league.use_mcts is False
     assert league.iterations == 10
     assert league.train.batch_size == 256
@@ -145,6 +162,18 @@ def test_train_flag_wiring(tmp_path, monkeypatch):
     # the effective profile lands in the run directory
     written = load_config(out_dir / "config.ini")
     assert written.iterations == 10 and written.use_mcts is False
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--out", "")],
+                         ids=["seed", "out"])
+def test_train_bad_override_exits_one(tmp_path, monkeypatch, capsys,
+                                      flag, value):
+    # Flag overrides are checked like config values: exit 1, before any
+    # run directory exists.
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", flag, value]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_prints_game_lines(ckpt_pair, capsys):

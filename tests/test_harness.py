@@ -4,6 +4,7 @@ The binary-layout test re-reads a saved checkpoint with raw struct calls
 so the documented file format, not just the round-trip, is pinned.
 """
 
+import hashlib
 import io
 import json
 import struct
@@ -22,11 +23,9 @@ from dogfight.harness import (
     CheckpointError,
     ChecksumError,
     ConfigError,
-    RunConfig,
     TruncatedFileError,
     VersionMismatchError,
     config_hash,
-    league_config,
     load_checkpoint,
     load_config,
     parse_config,
@@ -39,12 +38,13 @@ from dogfight.harness import (
 )
 from dogfight.mlp import init_params
 from dogfight.ppo import TrainMetrics
-from dogfight.selfplay import AgentCheckpoint, IterationMetrics, MatchRecord
+from dogfight.selfplay import AgentCheckpoint, IterationMetrics, LeagueConfig, \
+    MatchRecord
 
 
 def test_parse_empty_config_gives_defaults():
     cfg = parse_config("")
-    assert cfg == RunConfig()
+    assert cfg == LeagueConfig()
     assert cfg.train.batch_size == 1024
     assert cfg.search.num_simulations == 20
     assert cfg.eval_opponents == 36
@@ -112,28 +112,77 @@ def test_serialize_parse_fixed_point():
 
 
 def test_config_hash_tracks_content():
-    base = RunConfig()
-    assert config_hash(base) == config_hash(RunConfig())
+    base = LeagueConfig()
+    assert config_hash(base) == config_hash(LeagueConfig())
     assert len(config_hash(base)) == 64
     changed = replace(base, seed=1)
     assert config_hash(changed) != config_hash(base)
-
-
-def test_league_config_mapping():
-    cfg = parse_config("[run]\niterations = 4\nuse_mcts = false\n"
-                       "[evaluate]\nopponents = 2\ngames = 1\n")
-    league = league_config(cfg)
-    assert league.iterations == 4 and not league.use_mcts
-    assert league.eval_opponents == 2 and league.eval_games == 1
-    assert league.config_hash == config_hash(cfg)
+    # the code-only fields are not part of the INI text
+    assert config_hash(replace(base, config_hash="x")) == config_hash(base)
 
 
 def test_smoke_profile():
-    cfg = smoke_profile(RunConfig())
+    cfg = smoke_profile(LeagueConfig())
     assert cfg.iterations == 10
     assert cfg.train.batch_size == 256
     assert cfg.eval_opponents == 4
     assert cfg.eval_games == 3  # unchanged by the profile
+
+
+# Every key at a value other than its default: a float that needs 17
+# significant digits, ints given for float keys, a nested out_dir.
+_ALL_KEYS = """\
+[run]
+seed = 12345
+iterations = 7
+out_dir = runs/nested/dir
+use_mcts = {word}
+
+[evaluate]
+opponents = 5
+games = 2
+
+[train]
+gamma = 0.30000000000000004
+gae_lambda = 0.9
+clip_epsilon = 0.25
+epochs = 3
+batch_size = 128
+actor_lr = 0.0005
+critic_lr = 1e-4
+entropy_coeff = 0
+
+[search]
+num_actions = 7
+num_simulations = 12
+c_puct = 2
+max_depth = 4
+
+[scenario]
+speed_min = 260.5
+speed_max = 400.00000000001
+alt_min = 3500
+alt_max = 7999.999999999999
+sep_min = 5500.0
+sep_max = 14000.25
+"""
+
+
+def test_config_text_is_pinned():
+    # The INI bytes go into config.ini and, through config_hash, into every
+    # checkpoint: a new digest here means new bytes in every run directory.
+    defaults = parse_config("")
+    configs = [defaults, smoke_profile(defaults)]
+    for word in ("true", "false", "1", "0", "yes", "no", "on", "off", "TRUE", "Off"):
+        configs.append(parse_config(_ALL_KEYS.format(word=word)))
+    for base in (defaults, configs[-1]):
+        configs += [replace(base, use_mcts=False),
+                    replace(base, out_dir="elsewhere/run"),
+                    replace(base, seed=3, out_dir="run"),
+                    smoke_profile(replace(base, use_mcts=False))]
+    text = "\0".join(serialize_config(cfg) for cfg in configs)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "0103c62986c5a68bbdeddb50e1d5059c96e99e289e9f5b89f7c275c24134d1da"
 
 
 def _checkpoint(seed=0, sizes=(13, 6, 5, 4)):

@@ -14,10 +14,10 @@ from dogfight.ppo import (
     _actor_loss,
     _critic_loss,
     clip_surrogate,
-    clipped_loss,
     compute_advantages,
     train_iteration,
 )
+from dogfight.selfcheck import max_fd_error
 
 SMALL = (13, 8, 8, 4)
 CFG = TrainConfig(batch_size=32)
@@ -147,28 +147,21 @@ def test_clipped_loss_identity_policy_value():
     n = 16
     logp_mean = -2.0 * math.log(2.0 * math.pi)
     adv = np.linspace(-1.0, 1.0, n)
-    batch = {
-        "obs": np.zeros((n, 13)),
-        "actions": np.zeros((n, 4)),
-        "old_logp": np.full(n, logp_mean),
-        "advantages": adv,
-    }
     cfg = TrainConfig(batch_size=n)
+    fn = _actor_loss(np.zeros((n, 4)), np.full(n, logp_mean), adv, cfg, {})
+    loss, _ = backprop(actor, np.zeros((n, 13)), fn)
     expected = -float(np.mean(adv)) - cfg.entropy_coeff * mlp.entropy(actor.log_std)
-    assert clipped_loss(actor, batch, cfg) == pytest.approx(expected, rel=1e-12)
+    assert loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_non_finite_ratio_identifies_sample():
     actor = mlp.init_params(0, SMALL, with_log_std=True)
     n = 4
-    batch = {
-        "obs": np.zeros((n, 13)),
-        "actions": np.zeros((n, 4)),
-        "old_logp": np.array([-3.7, -2000.0, -3.7, -3.7]),  # sample 1 overflows
-        "advantages": np.ones(n),
-    }
+    old_logp = np.array([-3.7, -2000.0, -3.7, -3.7])  # sample 1 overflows
+    fn = _actor_loss(np.zeros((n, 4)), old_logp, np.ones(n),
+                     TrainConfig(batch_size=n), {})
     with pytest.raises(NonFiniteError, match="sample 1"):
-        clipped_loss(actor, batch, TrainConfig(batch_size=n))
+        backprop(actor, np.zeros((n, 13)), fn)
 
 
 def test_train_iteration_requires_full_batch():
@@ -262,7 +255,6 @@ def test_bandit_toy_policy_improvement():
 
 def test_ppo_losses_match_finite_differences():
     # The gradient contract for both production losses on a reduced net.
-    rng = np.random.default_rng(21)
     actor = mlp.init_params(21, SMALL, with_log_std=True)
     critic = mlp.init_params(22, SMALL[:-1] + (1,))
     buf, _ = random_buffer(23, episodes=4, length=4)
@@ -274,22 +266,6 @@ def test_ppo_losses_match_finite_differences():
     adv = np.array([t.advantage for t in trs])
     targets = np.array([t.value_target for t in trs])
 
-    cfg = TrainConfig(batch_size=16)
-    actor_fn = _actor_loss(actions, old_logp, adv, cfg, {})
-    critic_fn = _critic_loss(targets)
-    h = 1e-5
-
-    for params, fn, x in ((actor, actor_fn, obs), (critic, critic_fn, obs)):
-        _, grads = backprop(params, x, fn)
-        for p_arr, g_arr in zip(params.tensors(), grads.tensors()):
-            flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
-            stride = max(1, flat_p.size // 40)  # spot-check a spread of entries
-            for idx in range(0, flat_p.size, stride):
-                keep = flat_p[idx]
-                flat_p[idx] = keep + h
-                up, _ = backprop(params, x, fn)
-                flat_p[idx] = keep - h
-                down, _ = backprop(params, x, fn)
-                flat_p[idx] = keep
-                numeric = (up - down) / (2.0 * h)
-                assert abs(flat_g[idx] - numeric) / max(1.0, abs(numeric)) < 1e-4
+    actor_fn = _actor_loss(actions, old_logp, adv, TrainConfig(batch_size=16), {})
+    assert max_fd_error(actor, obs, actor_fn) < 1e-4
+    assert max_fd_error(critic, obs, _critic_loss(targets)) < 1e-4

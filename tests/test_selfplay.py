@@ -69,6 +69,10 @@ def test_league_config_validation():
     LeagueConfig(layer_sizes=SMALL)
     with pytest.raises(ValueError):
         LeagueConfig(iterations=0)
+    with pytest.raises(ValueError, match="seed"):
+        LeagueConfig(seed=-1)
+    with pytest.raises(ValueError, match="out_dir"):
+        LeagueConfig(out_dir="")
     with pytest.raises(ValueError):
         LeagueConfig(eval_games=0)
     with pytest.raises(ValueError):
@@ -192,8 +196,8 @@ def test_evaluate_vs_past_empty_pool():
         evaluate_vs_past(make_agent(0), [], np.random.default_rng(0))
 
 
-def _tiny_league(iterations=2, use_mcts=True):
-    return LeagueConfig(iterations=iterations,
+def _tiny_league(seed, iterations=2, use_mcts=True):
+    return LeagueConfig(seed=seed, iterations=iterations,
                         train=TrainConfig(batch_size=64, epochs=2),
                         search=FAST_SEARCH,
                         use_mcts=use_mcts,
@@ -205,7 +209,7 @@ def _tiny_league(iterations=2, use_mcts=True):
 
 def test_train_loop_two_iterations():
     saved, rows = [], []
-    pool, history = train_loop(_tiny_league(), 0,
+    pool, history = train_loop(_tiny_league(0),
                                checkpoint_sink=saved.append,
                                metrics_sink=rows.append)
     assert [c.iteration for c in pool] == [0, 1, 2]
@@ -226,7 +230,7 @@ def test_train_loop_two_iterations():
 
 def test_train_loop_deterministic_history():
     def run():
-        _, history = train_loop(_tiny_league(use_mcts=False), 3)
+        _, history = train_loop(_tiny_league(3, use_mcts=False))
         return history
 
     h1, h2 = run(), run()
@@ -382,7 +386,7 @@ def test_train_loop_worker_invariant(monkeypatch, use_mcts):
     def run(workers):
         monkeypatch.setattr(selfplay, "_usable_cpus", lambda: workers)
         saved, matches = [], []
-        pool, history = train_loop(_tiny_league(use_mcts=use_mcts), 4,
+        pool, history = train_loop(_tiny_league(4, use_mcts=use_mcts),
                                    checkpoint_sink=saved.append,
                                    match_sink=matches.append)
         return pool, [replace(row, wall_clock=0.0) for row in history], \
