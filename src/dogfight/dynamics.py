@@ -15,8 +15,11 @@ their result tuples per substep; the derivatives do not depend on position,
 so the stages carry only (v, gamma, phi).  `_derivatives` remains the one
 reference definition, behind `aircraft_derivatives`, and a test holds
 `_substep` bit for bit to a textbook RK4 built from it.  `rk4_step` is the
-one-substep wrapper over the dataclasses, and `environment.env_step` calls
-`_substep` directly for the 25 substeps of a decision.
+one-substep wrapper over the dataclasses, and the Python loop of
+`environment.env_step` calls `_substep` directly for the 25 substeps of a
+decision.  `_kernel.c` holds a compiled copy of `_substep`, written in the
+same operation order, that env_step runs instead where it can; it is tied
+bit for bit to this reference by tests/test_kernel.py.
 
 Every stage keeps both guards of `_derivatives`: a non-positive speed or a
 flight-path angle at the vertical raises DegenerateStateError instead of

@@ -8,12 +8,19 @@ Termination is evaluated every sub-step and the outcome is a sparse
 terminal reward: +1 to the winner, -1 to the loser, 0 each for a draw.
 Only a missile hit produces a winner; ground contact, the 200 s time
 limit, and mutual missile expiry all end the engagement drawn.
+
+env_step's substep loop over plain floats is the reference integration
+path.  A compiled copy of it (`_kernel.c`, built on first import by
+`kernel.load`) runs the same arithmetic in the same order and gives the same
+bytes; env_step uses it unless it is unavailable, a recorder asks for every
+substep, or the reference would raise.  Setting `_kernel` to None selects the
+Python loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,6 +39,7 @@ from .dynamics import (
     rk4_step,  # noqa: F401
     wrap_angle,
 )
+from .kernel import load as _load_kernel
 from .missile import (
     MissileParams,
     MissileState,
@@ -66,6 +74,20 @@ DEFAULT_MISSILE_PARAMS = MissileParams()
 _IN_FLIGHT = MissileStatus.IN_FLIGHT
 _HIT = MissileStatus.HIT
 _EXPIRED = MissileStatus.EXPIRED
+
+# The compiled copy of env_step's substep loop, or None where it could not be
+# built; _KERNEL_DETAIL is its path or the reason.  The kernel speaks of
+# missile statuses by code and takes MissileParams as a tuple of its fields.
+_kernel, _KERNEL_DETAIL = _load_kernel()
+_STATUS_CODES = {None: 0, _IN_FLIGHT: 1, _HIT: 2, _EXPIRED: 3}
+_CODED_STATUSES = (None, _IN_FLIGHT, _HIT, _EXPIRED)
+
+
+def _param_values(p: MissileParams) -> tuple:
+    return tuple(getattr(p, f.name) for f in fields(p))
+
+
+_DEFAULT_PARAM_VALUES = _param_values(DEFAULT_MISSILE_PARAMS)
 
 _PI = math.pi
 _HPI = math.pi / 2
@@ -301,6 +323,37 @@ def trajectory_rows(s: EngagementState) -> list[TrajectoryRow]:
     return rows
 
 
+def _compiled_substeps(b, r, bk, rk, bm_status, rm_status, controls, params,
+                       blue_fired, red_fired, t0, n):
+    """env_step's n substeps through the compiled kernel.
+
+    Returns (b, r, bk, rk, bm_status, rm_status, t, outcome) as the Python
+    loop leaves them, or None where the kernel hands the decision back: where
+    the reference would raise (a guard) or meets a value that is not a
+    finite float, so that the Python loop runs the decision as the
+    reference.  The kernel stops after any substep that can have ended the
+    engagement; _evaluate decides, and where it says ONGOING the kernel
+    resumes at the next substep.
+    """
+    bc, rc = _STATUS_CODES[bm_status], _STATUS_CODES[rm_status]
+    p = None
+    if bc == 1 or rc == 1:
+        p = (_DEFAULT_PARAM_VALUES if params is DEFAULT_MISSILE_PARAMS
+             else _param_values(params))
+    k = 0
+    while True:
+        res = _kernel.run(b, r, bk, rk, bc, rc, controls, p, t0, k, n)
+        if res is None:
+            return None
+        stopped, k, b, r, bk, rk, bc, rc = res
+        t = t0 + k * PHYSICS_DT
+        bm_status, rm_status = _CODED_STATUSES[bc], _CODED_STATUSES[rc]
+        outcome = (_evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                             red_fired, t) if stopped else _ONGOING)
+        if outcome is not _ONGOING or k == n:
+            return b, r, bk, rk, bm_status, rm_status, t, outcome
+
+
 def env_step(s: EngagementState, a_blue: Action, a_red: Action,
              decision_dt: float = DECISION_DT,
              params: MissileParams = DEFAULT_MISSILE_PARAMS,
@@ -357,40 +410,51 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     bk = _kinematics(bm) if bm_live else None
     rk = _kinematics(rm) if rm_live else None
 
+    # The compiled kernel runs the substeps unless a recorder wants every
+    # one; the Python loop below is the reference it is held to bit for bit,
+    # and runs too where the kernel is unavailable or a guard fires.
     t0 = s.t
-    t = t0
-    outcome = Outcome.ONGOING
-    for i in range(n):
-        # Missiles first, against the aircraft at the start of the substep.
-        if bm_status is _IN_FLIGHT:
-            bk, bm_status = _missile_substep(params, bk, r[:3],
-                                             _velocity(r[3], r[4], r[5]),
-                                             PHYSICS_DT)
-        if rm_status is _IN_FLIGHT:
-            rk, rm_status = _missile_substep(params, rk, b[:3],
-                                             _velocity(b[3], b[4], b[5]),
-                                             PHYSICS_DT)
-        b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
-        r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
-        t = t0 + (i + 1) * PHYSICS_DT
-        # Only a hit, two spent missiles, ground contact or the time limit
-        # can end the engagement; _evaluate decides which, if any, did.
-        if bm_status is _HIT or rm_status is _HIT \
-                or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
-                or t >= EPISODE_TIME_LIMIT \
-                or (bm_status is _EXPIRED and rm_status is _EXPIRED):
-            outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
-                                red_fired, t)
-        if recorder is not None:
-            state_i = EngagementState(
-                AircraftState(*b), AircraftState(*r),
-                _advanced(bm, bk, bm_status) if bm_live else bm,
-                _advanced(rm, rk, rm_status) if rm_live else rm,
-                blue_fired, red_fired, t, outcome)
-            for row in trajectory_rows(state_i):
-                recorder(row)
-        if outcome is not _ONGOING:
-            break
+    sub = None
+    if _kernel is not None and recorder is None:
+        controls = (b_nx, b_nz, b_cmu, b_smu, r_nx, r_nz, r_cmu, r_smu)
+        sub = _compiled_substeps(b, r, bk, rk, bm_status, rm_status, controls,
+                                 params, blue_fired, red_fired, t0, n)
+    if sub is not None:
+        b, r, bk, rk, bm_status, rm_status, t, outcome = sub
+    else:
+        t = t0
+        outcome = Outcome.ONGOING
+        for i in range(n):
+            # Missiles first, against the aircraft at the start of the substep.
+            if bm_status is _IN_FLIGHT:
+                bk, bm_status = _missile_substep(params, bk, r[:3],
+                                                 _velocity(r[3], r[4], r[5]),
+                                                 PHYSICS_DT)
+            if rm_status is _IN_FLIGHT:
+                rk, rm_status = _missile_substep(params, rk, b[:3],
+                                                 _velocity(b[3], b[4], b[5]),
+                                                 PHYSICS_DT)
+            b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
+            r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
+            t = t0 + (i + 1) * PHYSICS_DT
+            # Only a hit, two spent missiles, ground contact or the time limit
+            # can end the engagement; _evaluate decides which, if any, did.
+            if bm_status is _HIT or rm_status is _HIT \
+                    or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
+                    or t >= EPISODE_TIME_LIMIT \
+                    or (bm_status is _EXPIRED and rm_status is _EXPIRED):
+                outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                                    red_fired, t)
+            if recorder is not None:
+                state_i = EngagementState(
+                    AircraftState(*b), AircraftState(*r),
+                    _advanced(bm, bk, bm_status) if bm_live else bm,
+                    _advanced(rm, rk, rm_status) if rm_live else rm,
+                    blue_fired, red_fired, t, outcome)
+                for row in trajectory_rows(state_i):
+                    recorder(row)
+            if outcome is not _ONGOING:
+                break
 
     if bm_live:
         bm = _advanced(bm, bk, bm_status)

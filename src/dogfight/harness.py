@@ -106,7 +106,9 @@ def _convert(section: str, key: str, text: str, kind):
 
 def parse_config(text: str) -> LeagueConfig:
     """Parse config text, rejecting unknown sections and keys."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can hold a newline, so no section is the parser's default
+    # section: a [DEFAULT] header is an ordinary, and unknown, section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -8,11 +8,13 @@ the gravitational constant with the aircraft model.
 
 As in the aircraft model there is one integration path: `_substep` advances
 the plain float tuple (x, y, z, vm, gamma, phi, t, n_mc, n_mh) by one
-guided RK4 step, `missile_step` wraps it for a `MissileState`, and
-`environment.env_step` calls it directly for the substeps of a decision.
-Guidance is one float function, `pn_commands`, which takes the line of
-sight and its rate as components and returns the two commands or raises;
-`_substep` holds the previous commands when it raises.
+guided RK4 step, `missile_step` wraps it for a `MissileState`, and the
+Python loop of `environment.env_step` calls it directly for the substeps of
+a decision.  Guidance is one float function, `pn_commands`, which takes the
+line of sight and its rate as components and returns the two commands or
+raises; `_substep` holds the previous commands when it raises.  `_kernel.c`
+holds a compiled copy of `_substep` and `pn_commands`, tied bit for bit to
+this reference by tests/test_kernel.py.
 """
 
 from __future__ import annotations

@@ -6,12 +6,31 @@ naming the broken bound otherwise.  SELF_CHECKS lists them in report order.
 
 from __future__ import annotations
 
+import math
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PHYSICS_DT, AircraftState, ControlInput, rk4_step
+from . import environment
+from .dynamics import (
+    GAMMA_LIMIT,
+    PHYSICS_DT,
+    V_FLOOR,
+    AircraftState,
+    ControlInput,
+    rk4_step,
+)
+from .environment import (
+    BLUE,
+    RED,
+    EngagementState,
+    Outcome,
+    StepResult,
+    env_step,
+    reset,
+)
 from .harness import load_checkpoint, save_checkpoint
 from .missile import MissileParams, MissileState, MissileStatus, missile_step
 from .mlp import backprop, forward, init_params, log_density
@@ -147,6 +166,130 @@ def check_checkpoint_roundtrip() -> str:
     return "bit-exact"
 
 
+_AIRCRAFT = struct.Struct("<6d")
+_MISSILE = struct.Struct("<9d")
+_SCALARS = struct.Struct("<d??dd?")
+
+
+def step_bytes(res: StepResult) -> bytes:
+    """Every field of a step result, floats as their IEEE bytes."""
+    s = res.state
+    parts = [_AIRCRAFT.pack(c.x, c.y, c.z, c.v, c.gamma, c.phi)
+             for c in (s.blue, s.red)]
+    for m in (s.blue_missile, s.red_missile):
+        parts.append(b"-" if m is None else _MISSILE.pack(
+            m.x, m.y, m.z, m.vm, m.gamma, m.phi, m.t, m.n_mc, m.n_mh)
+            + f"{m.shooter}>{m.target}:{m.status.value}".encode())
+    parts.append(_SCALARS.pack(s.t, s.blue_fired, s.red_fired, res.reward_blue,
+                               res.reward_red, res.done))
+    parts += [s.outcome.value.encode(), res.obs_blue.tobytes(),
+              res.obs_red.tobytes()]
+    return b"|".join(parts)
+
+
+def envelope_state(rng: np.random.Generator) -> EngagementState:
+    """A start drawn across the flight envelope: any speed from the floor,
+    flight-path angles up to the clip, low altitudes, missiles in flight near
+    the end of their flight time or speed, and clocks near the time limit."""
+    def craft(x, y):
+        return AircraftState(x, y, float(rng.uniform(50.0, 9000.0)),
+                             float(rng.uniform(V_FLOOR, 450.0)),
+                             float(rng.uniform(-GAMMA_LIMIT, GAMMA_LIMIT)),
+                             float(rng.uniform(-math.pi, math.pi)))
+
+    def missile(shooter, side, target):
+        if rng.random() < 0.4:
+            return None
+        return MissileState(
+            shooter.x + float(rng.uniform(-300.0, 300.0)),
+            shooter.y + float(rng.uniform(-300.0, 300.0)),
+            shooter.z + float(rng.uniform(-300.0, 300.0)),
+            float(rng.uniform(150.0, 900.0)),
+            float(rng.uniform(-GAMMA_LIMIT, GAMMA_LIMIT)),
+            float(rng.uniform(-math.pi, math.pi)),
+            float(rng.choice((rng.uniform(0.0, 14.0), rng.uniform(55.0, 61.0)))),
+            side, target, MissileStatus.IN_FLIGHT,
+            float(rng.uniform(-40.0, 40.0)), float(rng.uniform(-40.0, 40.0)))
+
+    blue = craft(0.0, 0.0)
+    red = craft(float(rng.uniform(-9000.0, 9000.0)),
+                float(rng.uniform(-9000.0, 9000.0)))
+    bm, rm = missile(blue, BLUE, RED), missile(red, RED, BLUE)
+    t = float(rng.choice((0.0, rng.uniform(0.0, 200.0), 199.5)))
+    return EngagementState(blue, red, bm, rm, bm is not None,
+                           rm is not None, t, Outcome.ONGOING)
+
+
+class KernelSpy:
+    """Stands in for the kernel module, counting its calls and the decisions
+    it hands back to the Python loop."""
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        self.calls = self.handed_back = 0
+
+    def run(self, *args):
+        res = self.compiled.run(*args)
+        self.calls += 1
+        self.handed_back += res is None
+        return res
+
+
+def kernel_identity(decisions: int, seed: int) -> dict:
+    """Step seeded random decisions through the compiled kernel and through
+    the Python loop; AssertionError at the first byte that differs.
+
+    Half the engagements start from `reset`, half from `envelope_state`.
+    Raw actions are wider than the control envelope and fire often, and each
+    is held for a few decisions.  None of these decisions meets a guard, so
+    the kernel must finish every one itself.  Returns counts of what the
+    decisions met.
+    """
+    kernel = environment._kernel
+    if kernel is None:
+        raise AssertionError("the compiled kernel is not loaded")
+    spy = KernelSpy(kernel)
+    rng = np.random.default_rng(seed)
+    counts = dict(decisions=0, missile_in_flight=0, ended=0)
+    state = held = None
+    for _ in range(decisions):
+        if state is None:
+            state = (reset(int(rng.integers(2 ** 63))) if rng.random() < 0.5
+                     else envelope_state(rng))
+        if held is None or rng.random() < 0.3:
+            held = rng.uniform((-1.0, -3.0, -4.0, -0.3), (9.0, 3.0, 4.0, 1.0),
+                               size=(2, 4))
+        try:
+            environment._kernel = spy
+            fast = env_step(state, held[0], held[1])
+            environment._kernel = None
+            ref = env_step(state, held[0], held[1])
+        finally:
+            environment._kernel = kernel
+        if step_bytes(fast) != step_bytes(ref):
+            raise AssertionError(f"kernel and Python loop differ from {state!r} "
+                                 f"under {held.tolist()!r}")
+        counts["decisions"] += 1
+        counts["missile_in_flight"] += any(
+            m is not None and m.status is MissileStatus.IN_FLIGHT
+            for m in (state.blue_missile, state.red_missile))
+        counts["ended"] += ref.done
+        state = None if ref.done else ref.state
+    if spy.handed_back:
+        raise AssertionError(f"the kernel handed {spy.handed_back} of "
+                             f"{decisions} decisions back to the Python loop")
+    return counts
+
+
+def check_kernel() -> str:
+    if environment._kernel is None:
+        return f"unavailable ({environment._KERNEL_DETAIL}); the Python loop runs"
+    counts = kernel_identity(2000, 1)
+    return (f"built; {counts['decisions']} decisions "
+            f"({counts['missile_in_flight']} with a missile in flight) "
+            "bit-identical to the Python loop")
+
+
 SELF_CHECKS = (
     ("trim drift", check_trim_drift),
     ("rk4 order", check_rk4_order),
@@ -155,4 +298,5 @@ SELF_CHECKS = (
     ("loss gradients", check_gradients),
     ("batch forward", check_batch_forward),
     ("checkpoint round-trip", check_checkpoint_roundtrip),
+    ("compiled kernel", check_kernel),
 )

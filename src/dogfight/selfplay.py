@@ -117,8 +117,9 @@ class LeagueConfig:
     config_hash: str = ""
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # A checkpoint stores the seed as an unsigned 64-bit integer.
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.eval_opponents < 1 or self.eval_games < 1:

@@ -27,6 +27,7 @@ from dogfight.harness import (
     TRAJECTORY_HEADER,
     load_checkpoint,
     load_config,
+    parse_config,
     save_checkpoint,
 )
 from dogfight.mlp import init_params
@@ -174,6 +175,20 @@ def test_train_bad_override_exits_one(tmp_path, monkeypatch, capsys,
     assert main(["train", flag, value]) == 1
     assert "config error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_seed_beyond_u64_exits_one(tmp_path, monkeypatch, capsys):
+    # A checkpoint stores the seed as u64, so a larger one is a config error
+    # before any work, from the flag and from the INI alike.
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[run]\nseed = {2 ** 64}\n", encoding="utf-8")
+    for argv in (["train", "--seed", str(2 ** 64)],
+                 ["train", "--config", str(ini)]):
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [ini]
+    assert parse_config(f"[run]\nseed = {2 ** 64 - 1}\n").seed == 2 ** 64 - 1
 
 
 def test_eval_prints_game_lines(ckpt_pair, capsys):

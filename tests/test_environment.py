@@ -279,8 +279,11 @@ def test_termination_fast_path_agrees_with_evaluate(monkeypatch):
     # contact or the time limit.  Both models are replaced by stubs that land
     # a one-substep decision on drawn altitudes and missile statuses, so the
     # outcome must equal _evaluate of exactly those, boundaries included.
+    # The stubs live in the Python loop, so the compiled kernel is switched
+    # off; tests/test_kernel.py holds its trigger to this loop on real states.
     from dogfight import environment as env
 
+    monkeypatch.setattr(env, "_kernel", None)
     landing = {}
     monkeypatch.setattr(env, "_aircraft_substep",
                         lambda k, *_: k[:2] + (landing["z"].pop(0),) + k[3:])

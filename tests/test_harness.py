@@ -84,6 +84,11 @@ def test_parse_rejects_unknown_section_and_key():
         parse_config("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[train]\nlearning_rate = 0.1\n")
+    # configparser would otherwise merge [DEFAULT] keys into every section.
+    for text in ("[DEFAULT]\n", "[DEFAULT]\nseed = 3\nfrobnicate = 1\n",
+                 "[DEFAULT]\nseed = 3\n[run]\n"):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config(text)
 
 
 def test_parse_rejects_bad_values():
