@@ -5,7 +5,9 @@ package's `__pycache__`; later imports only hash the source and load the
 cached file.  The file name carries the sha256 of the C source, the compiler
 flags and the interpreter's extension suffix, so an outdated build is never
 loaded.  The compiler writes to a temporary file that is then renamed into
-place, so concurrent first imports cannot see a partial file.
+place, so concurrent first imports cannot see a partial file.  A fresh build
+removes the other `_kernel-*` builds in its directory, best effort, so
+outdated builds do not pile up as the source changes.
 
 The flags keep the arithmetic the interpreter's: no contraction of a
 multiply and an add into a fused multiply-add, and no builtin replacement of
@@ -74,6 +76,22 @@ def _compile(path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_other_builds(path)
+
+
+def _remove_other_builds(path: Path) -> None:
+    """Unlink every other `_kernel-*` build next to path; errors are ignored.
+
+    Temporary files end in `.tmp`, not the extension suffix, so a concurrent
+    build in progress is left alone.
+    """
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    for old in path.parent.glob(f"_kernel-*{suffix}"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:
+                pass
 
 
 def load(cache_dir: Path = CACHE_DIR) -> tuple[Optional[ModuleType], str]:

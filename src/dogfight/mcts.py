@@ -7,6 +7,13 @@ backed-up value.  The opponent is folded into the environment model by
 always playing its policy mean, which keeps the tree single-agent.  The
 action returned is the root child with the most visits.
 
+Expansion takes the node's standard-normal draws from the search rng and
+evaluates the critic, nothing more.  The draws become candidate actions,
+priors and the opponent's reply only when a simulation first descends
+through the node (`build_candidates`), so a leaf costs one forward instead
+of three.  Drawing at expansion keeps the rng consumed in expansion order,
+so building later changes no value.
+
 A node keeps the (own, opponent) observation pair of its state.  A child
 takes it from the StepResult of the env model call that made it, so the env
 model must return obs_blue and obs_red equal to `observe` of its returned
@@ -53,7 +60,7 @@ class SearchNode:
     """One tree node: a state snapshot plus per-child edge statistics."""
 
     __slots__ = ("state", "depth", "obs", "expanded", "terminal",
-                 "terminal_value", "actions", "priors", "visit_counts",
+                 "terminal_value", "draws", "actions", "priors", "visit_counts",
                  "total_values", "children", "mean", "opp_action", "eval_value")
 
     def __init__(self, state: EngagementState, depth: int,
@@ -64,7 +71,8 @@ class SearchNode:
         self.expanded = False
         self.terminal = False
         self.terminal_value = 0.0
-        self.actions: Optional[np.ndarray] = None
+        self.draws: Optional[np.ndarray] = None  # standard normals, set on expansion
+        self.actions: Optional[np.ndarray] = None  # candidates, set on first descent
         self.priors: Optional[list[float]] = None
         self.visit_counts: Optional[list[int]] = None
         self.total_values: Optional[list[float]] = None
@@ -115,31 +123,39 @@ def _evaluate_state(node: SearchNode, side: str, critic: Critic) -> float:
 def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
                 opponent: MlpParams, config: SearchConfig,
                 rng: np.random.Generator) -> float:
-    """Sample child actions, set priors, evaluate the node; returns its value.
+    """Draw the node's candidate noise, evaluate the node; returns its value.
 
-    A terminal node is never expanded; its stored outcome value is returned
-    instead.
+    The draws become actions and priors in `build_candidates`, on the first
+    descent through the node.  A terminal node is never expanded; its stored
+    outcome value is returned instead.
     """
     if node.terminal:
         return node.terminal_value
     if node.expanded:
         raise ValueError("node is already expanded")
     k = config.num_actions
+    node.draws = rng.standard_normal((k, actor.out_dim))
+    node.visit_counts = [0] * k
+    node.total_values = [0.0] * k
+    node.children = [None] * k
+    node.expanded = True
+    return _evaluate_state(node, side, critic)
+
+
+def build_candidates(node: SearchNode, side: str, actor: MlpParams,
+                     opponent: MlpParams) -> None:
+    """Turn an expanded node's draws into actions, priors and the opponent's
+    reply: the policy's samples, their softmaxed log-densities, and the
+    opponent's policy mean."""
     own_obs, opp_obs = _observations(node, side)
     mean = forward(actor, own_obs)
-    draws = rng.standard_normal((k, actor.out_dim))
-    actions = mean + np.exp(actor.log_std) * draws
+    actions = mean + np.exp(actor.log_std) * node.draws
     logps = log_density(mean, actor.log_std, actions)
     stable = np.exp(logps - logps.max())
     node.priors = (stable / stable.sum()).tolist()
     node.actions = actions
-    node.visit_counts = [0] * k
-    node.total_values = [0.0] * k
-    node.children = [None] * k
     node.mean = mean
     node.opp_action = forward(opponent, opp_obs)
-    node.expanded = True
-    return _evaluate_state(node, side, critic)
 
 
 def puct_select(node: SearchNode, c_puct: float) -> int:
@@ -150,6 +166,8 @@ def puct_select(node: SearchNode, c_puct: float) -> int:
     """
     if not node.expanded:
         raise ValueError("cannot select from an unexpanded node")
+    if node.priors is None:
+        raise ValueError("cannot select before the node's candidates are built")
     root_n = math.sqrt(float(sum(node.visit_counts)) + 1.0)
     scores = [q + c_puct * p * root_n / (1.0 + n)
               for q, p, n in zip(node.q_values(), node.priors, node.visit_counts)]
@@ -165,6 +183,8 @@ def backup(path: list[tuple[SearchNode, int]], value: float) -> None:
 
 def _make_child(node: SearchNode, idx: int, side: str,
                 env_model: EnvModel) -> SearchNode:
+    if node.actions is None:
+        raise ValueError("cannot step a child before the node's candidates are built")
     action = node.actions[idx]
     if side == BLUE:
         res = env_model(node.state, action, node.opp_action)
@@ -191,7 +211,9 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
     simulation descends by PUCT, creating child states lazily, until it
     reaches a terminal node, an unexpanded node (expanded and evaluated on
     the spot), or the depth cap (evaluated by the critic); the value is
-    backed up along the path.
+    backed up along the path.  A node's candidates are built on the first
+    descent through it; the root's always are, since every simulation
+    starts there.
     """
     if root_state.outcome is not Outcome.ONGOING:
         raise ValueError("cannot search from a terminal state")
@@ -211,6 +233,8 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
             if not node.expanded:
                 value = expand_node(node, side, actor, critic, opponent, config, rng)
                 break
+            if node.actions is None:
+                build_candidates(node, side, actor, opponent)
             idx = puct_select(node, config.c_puct)
             if node.children[idx] is None:
                 node.children[idx] = _make_child(node, idx, side, env_model)

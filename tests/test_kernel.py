@@ -298,6 +298,33 @@ def test_build_from_a_clean_cache(tmp_path, monkeypatch):
     assert again is not None and where_again == where
 
 
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+def test_a_fresh_build_removes_outdated_builds(tmp_path, monkeypatch):
+    import importlib.machinery
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    outdated = tmp_path / f"_kernel-{'0' * 64}{suffix}"
+    other_python = tmp_path / f"_kernel-{'1' * 64}.cpython-00-other.so"
+    partial = tmp_path / f"_kernel-{'2' * 64}{Path(suffix).stem}-x.tmp"
+    unrelated = tmp_path / "environment.cpython-311.pyc"
+    for p in (outdated, other_python, partial, unrelated):
+        p.write_bytes(b"not a build")
+    module, where = kernel.load(tmp_path)
+    assert module is not None, where
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [Path(where).name, other_python.name, partial.name, unrelated.name])
+
+    # A warm load only hashes and loads: no compile, nothing removed.
+    outdated.write_bytes(b"not a build")
+
+    def no_compile(path):
+        raise AssertionError("a warm load compiled")
+
+    monkeypatch.setattr(kernel, "_compile", no_compile)
+    again, where_again = kernel.load(tmp_path)
+    assert again is not None and where_again == where
+    assert outdated.exists()
+
+
 def _rollout_digest(decisions: int) -> str:
     import numpy as np
     rng = np.random.default_rng(5)

@@ -13,12 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from dogfight import mlp
+from dogfight import mcts, mlp
 from dogfight.environment import BLUE, RED, Outcome, env_step, observe, reset
 from dogfight.mcts import (
     SearchConfig,
     SearchNode,
+    SearchResult,
     backup,
+    build_candidates,
     expand_node,
     puct_select,
     run_search,
@@ -101,6 +103,20 @@ def test_puct_requires_expanded_node():
         puct_select(SearchNode(None, 0), 1.25)
 
 
+def test_half_built_node_never_reaches_selection():
+    # Expanded but not yet descended through: there are no candidates to
+    # select among or to step, and both say so rather than fail on None.
+    node = SearchNode(reset(1), 0)
+    expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+                SearchConfig(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="candidates"):
+        puct_select(node, 1.25)
+    with pytest.raises(ValueError, match="candidates"):
+        mcts._make_child(node, 0, BLUE, env_model)
+    build_candidates(node, BLUE, make_actor(0), make_actor(2))
+    assert puct_select(node, 1.25) in range(9)
+
+
 def test_backup_running_mean():
     node = manual_node(np.full(9, 1.0 / 9.0))
     backup([(node, 1)], 0.5)
@@ -121,6 +137,8 @@ def test_expand_node_populates_children():
     value = expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
                         cfg, np.random.default_rng(0))
     assert node.expanded
+    assert node.draws.shape == (9, 4) and node.actions is None
+    build_candidates(node, BLUE, make_actor(0), make_actor(2))
     assert node.actions.shape == (9, 4)
     assert abs(sum(node.priors) - 1.0) < 1e-9
     assert node.visit_counts == [0] * 9 and node.total_values == [0.0] * 9
@@ -135,6 +153,7 @@ def test_expand_equal_log_densities_uniform_priors():
     node = SearchNode(state, 0)
     expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
                 SearchConfig(), EqualNormRng())
+    build_candidates(node, BLUE, make_actor(0), make_actor(2))
     np.testing.assert_array_equal(node.priors, np.full(9, 1.0 / 9.0))
 
 
@@ -229,6 +248,8 @@ def test_tree_invariants_after_search():
             if not node.expanded:
                 value = expand_node(node, BLUE, actor, critic, opponent, cfg, rng)
                 break
+            if node.actions is None:
+                build_candidates(node, BLUE, actor, opponent)
             idx = puct_select(node, cfg.c_puct)
             if node.children[idx] is None:
                 node.children[idx] = m._make_child(node, idx, BLUE, env_model)
@@ -244,9 +265,13 @@ def test_tree_invariants_after_search():
         np.testing.assert_array_equal(opp, observe(node.state, RED))
         if not node.expanded:
             continue
-        assert abs(sum(node.priors) - 1.0) < 1e-9
         q = np.asarray(node.q_values())
         assert np.all(q >= -1.0 - 1e-12) and np.all(q <= 1.0 + 1e-12)
+        if node.actions is None:
+            # A leaf: expanded, never descended through, so no candidates.
+            assert node.priors is None and sum(node.visit_counts) == 0
+            continue
+        assert abs(sum(node.priors) - 1.0) < 1e-9
         # Visits entering an expanded interior node: one expanded it, the
         # rest descended to its children.
         for i, child in enumerate(node.children):
@@ -361,3 +386,129 @@ def test_seeded_searches_are_pinned():
         state = None if step.done else step.state
     assert seen["missile_roots"] > 50 and seen["terminal_children"] > 100
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+DEFAULT_ACTOR, DEFAULT_CRITIC = (13, 256, 256, 4), (13, 256, 256, 1)
+
+
+def _eager_expand(node, side, actor, critic, opponent, config, rng):
+    """The reference expansion: candidates, priors and the opponent's reply
+    built at once, for every expanded node."""
+    k = config.num_actions
+    own_obs, opp_obs = mcts._observations(node, side)
+    mean = mlp.forward(actor, own_obs)
+    draws = rng.standard_normal((k, actor.out_dim))
+    actions = mean + np.exp(actor.log_std) * draws
+    logps = mlp.log_density(mean, actor.log_std, actions)
+    stable = np.exp(logps - logps.max())
+    node.priors = (stable / stable.sum()).tolist()
+    node.actions = actions
+    node.visit_counts = [0] * k
+    node.total_values = [0.0] * k
+    node.children = [None] * k
+    node.mean = mean
+    node.opp_action = mlp.forward(opponent, opp_obs)
+    node.expanded = True
+    return mcts._evaluate_state(node, side, critic)
+
+
+def _eager_search(root_state, side, actor, critic, opponent, model, config, rng):
+    """run_search's loop driven by the eager expansion."""
+    root = SearchNode(root_state, 0)
+    root_value = _eager_expand(root, side, actor, critic, opponent, config, rng)
+    for _ in range(config.num_simulations):
+        node, path = root, []
+        while True:
+            if node.terminal:
+                value = node.terminal_value
+                break
+            if node.depth >= config.max_depth:
+                value = mcts._evaluate_state(node, side, critic)
+                break
+            if not node.expanded:
+                value = _eager_expand(node, side, actor, critic, opponent, config,
+                                      rng)
+                break
+            idx = puct_select(node, config.c_puct)
+            if node.children[idx] is None:
+                node.children[idx] = mcts._make_child(node, idx, side, model)
+            path.append((node, idx))
+            node = node.children[idx]
+        backup(path, value)
+    visits = root.visit_counts
+    chosen = visits.index(max(visits))
+    return SearchResult(root.actions[chosen].copy(), root_value,
+                        np.array(visits, dtype=np.int64), np.array(root.priors),
+                        chosen, root.mean, root.eval_value)
+
+
+def test_deferred_candidates_match_eager_expansion(monkeypatch):
+    # 50 searches on default-size networks, both sides, each from the end of
+    # a seeded random-action prefix (about half the roots carry a missile).
+    # The deferred build must give every SearchResult field to the bit, consume
+    # the search rng as one (k, 4) draw per expansion, and run the actor and
+    # opponent forwards only at nodes the tree descended through.
+    seed_rng = np.random.default_rng(2104)
+    nets = [(mlp.init_params(3 * i, DEFAULT_ACTOR, with_log_std=True),
+             mlp.init_params(3 * i + 1, DEFAULT_CRITIC),
+             mlp.init_params(3 * i + 2, DEFAULT_ACTOR, with_log_std=True))
+            for i in range(2)]
+    configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
+    expanded, forwards = [], [0]
+    real_expand, real_forward = mcts.expand_node, mcts.forward
+
+    def spy_expand(node, *args):
+        expanded.append(node)
+        return real_expand(node, *args)
+
+    def spy_forward(params, x):
+        forwards[0] += 1
+        return real_forward(params, x)
+
+    monkeypatch.setattr(mcts, "expand_node", spy_expand)
+    monkeypatch.setattr(mcts, "forward", spy_forward)
+    missile_roots = leaves = 0
+    for i in range(50):
+        state = None
+        while state is None or state.outcome is not Outcome.ONGOING:
+            state = reset(int(seed_rng.integers(0, 2 ** 31)))
+            for _ in range(int(seed_rng.integers(0, 60))):
+                acts = seed_rng.uniform((-1.0, -3.0, -4.0, -1.0),
+                                        (9.0, 3.0, 4.0, 1.0), size=(2, 4))
+                res = env_step(state, acts[0], acts[1])
+                if res.done:
+                    break
+                state = res.state
+        missile_roots += (state.blue_missile is not None
+                          or state.red_missile is not None)
+        side = (BLUE, RED)[i % 2]
+        actor, critic, opponent = nets[i % 2]
+        cfg = configs[i // 2 % 2]
+        expanded.clear()
+        forwards[0] = 0
+        rng = np.random.default_rng(i)
+        got = run_search(state, side, actor, critic, opponent, env_model, cfg, rng)
+        n_forwards = forwards[0]
+        want = _eager_search(state, side, actor, critic, opponent, env_model, cfg,
+                             np.random.default_rng(i))
+        for field in ("action", "visit_counts", "priors", "root_mean"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert (got.root_value, got.chosen_index, got.root_critic) == \
+            (want.root_value, want.chosen_index, want.root_critic)
+
+        twin = np.random.default_rng(i)
+        for _ in expanded:
+            twin.standard_normal((cfg.num_actions, 4))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+        descended = [n for n in expanded if n.actions is not None]
+        capped = [n for n in _walk(expanded[0])
+                  if not n.expanded and n.eval_value is not None]
+        assert n_forwards == len(expanded) + len(capped) + 2 * len(descended)
+        for node in expanded:
+            if node.actions is None:
+                leaves += 1
+                assert node.priors is None and node.mean is None
+                assert node.opp_action is None and sum(node.visit_counts) == 0
+    assert missile_roots > 15 and leaves > 200
