@@ -11,7 +11,7 @@ sampling raw actions.
 
 import numpy as np
 
-from dogfight import SearchConfig, env_step, init_params, reset, run_search
+from dogfight import SearchConfig, flat_model, init_params, reset, run_search
 from dogfight.environment import BLUE
 from dogfight.selfplay import AgentCheckpoint, play_match
 
@@ -19,10 +19,12 @@ LAYERS = (13, 256, 256, 4)
 actor = init_params(3, LAYERS, with_log_std=True)
 critic = init_params(4, LAYERS[:-1] + (1,))
 
-# One search call at an engagement's opening state.
+# One search call at an engagement's opening state.  The search's model of
+# the environment steps flat engagement tuples through the compiled kernel.
 state = reset(seed=0)
+model = flat_model()
 cfg = SearchConfig(num_actions=9, num_simulations=20, c_puct=1.25, max_depth=5)
-res = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
+res = run_search(state, BLUE, actor, critic, actor, model, cfg,
                  np.random.default_rng(7))
 print("visit counts:", res.visit_counts.tolist(),
       " sum =", int(res.visit_counts.sum()))
@@ -30,7 +32,7 @@ print("priors sum to", float(res.priors.sum()))
 print(f"root value {res.root_value:+.4f}, chose candidate {res.chosen_index}")
 
 # The same seed gives the same search, visit for visit.
-res2 = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
+res2 = run_search(state, BLUE, actor, critic, actor, model, cfg,
                   np.random.default_rng(7))
 print("deterministic rerun:", np.array_equal(res.visit_counts, res2.visit_counts))
 

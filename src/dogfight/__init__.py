@@ -17,6 +17,7 @@ from .environment import (
     ScenarioConfig,
     StepResult,
     env_step,
+    flat_model,
     observe,
     reset,
 )
@@ -49,7 +50,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AircraftState", "ControlInput", "clamp_controls", "rk4_step",
     "BLUE", "RED", "ActionCommand", "EngagementState", "Outcome",
-    "ScenarioConfig", "StepResult", "env_step", "observe", "reset",
+    "ScenarioConfig", "StepResult", "env_step", "flat_model", "observe",
+    "reset",
     "CheckpointError", "ConfigError", "load_checkpoint",
     "load_config", "parse_config", "save_checkpoint", "serialize_config",
     "SearchConfig", "SearchResult", "run_search",

@@ -1,4 +1,4 @@
-/* The compiled copy of environment.env_step's substep loop.
+/* The compiled copy of environment.env_step.
  *
  * `run` advances both aircraft and any missile in flight over plain doubles,
  * substep by substep, exactly as the Python loop in environment.env_step
@@ -8,17 +8,26 @@
  * substep that can have ended the engagement and leaves the verdict to
  * environment._evaluate, which may resume it at the next substep.
  *
+ * `step` is a whole env_step decision on a flat engagement, the tuple that
+ * the tree search carries (see environment.flatten): the action checks of
+ * _as_raw, dynamics.clamp_controls, the fire gate and missile.launch_missile,
+ * the same substeps as `run`, environment._evaluate and both
+ * environment.observe calls, in the Python code's order.
+ *
  * Every expression keeps the operation order of the Python it copies, and the
  * build turns off floating-point contraction and builtin substitution, so the
  * results are the reference's bit for bit.  sin, cos, tan, atan2 (with
- * CPython's handling of zeros and infinities), sqrt and remainder are the C
- * library's, as they are for CPython's math module; hypot is CPython's own
- * algorithm and is called through math.hypot.
+ * CPython's handling of zeros and infinities), sqrt, pow and remainder are
+ * the C library's, as they are for CPython's math module and float power;
+ * hypot is CPython's own algorithm and is called through math.hypot.
+ * Python's min and max keep their first argument on a tie, which py_min and
+ * py_max copy (C's fmin and fmax need not, on zeros of either sign).
  *
  * Where the reference would raise (a guard of either model, a division by a
- * zero missile mass) or where a value is not finite, `run` returns None
- * instead, and env_step replays the decision through the Python loop, which
- * raises the reference's exception or yields its values.
+ * zero missile mass, a malformed action, an overflowing square) or where a
+ * value is not finite, `run` and `step` return None instead, and the caller
+ * replays the decision through env_step's Python code, which raises the
+ * reference's exception or yields its values.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -27,7 +36,8 @@
 
 /* The constants of dynamics and environment; CONSTANTS exposes them so that
  * a test holds them equal to the Python ones. */
-static const double PI = 3.141592653589793;
+#define PI 3.141592653589793
+#define HALF_PI (PI / 2)
 static const double TAU = 6.283185307179586;
 static const double G = 9.8;
 static const double PHYSICS_DT = 0.02;
@@ -35,9 +45,28 @@ static const double V_FLOOR = 100.0;
 #define GAMMA_LIMIT (3.141592653589793 / 2 - 1e-6)
 static const double GROUND_FLOOR = 100.0;
 static const double EPISODE_TIME_LIMIT = 200.0;
+static const double FIRE_RANGE = 12000.0;
+#define FIRE_BEARING (PI / 3)
+static const double NX_MIN = -2.0, NX_MAX = 2.0, NZ_MIN = 0.0, NZ_MAX = 8.0;
+#define MU_MIN (-PI)
+#define MU_MAX PI
+/* round(DECISION_DT / PHYSICS_DT): the substeps of one decision. */
+#define DECISION_SUBSTEPS 25
 
-/* Missile status codes, as environment passes them. */
+/* environment.OBS_BOUNDS, feature by feature; the spans hi - lo are
+ * computed at import, as the Python module computes them. */
+#define OBS_DIM 13
+static const double OBS_LO[OBS_DIM] = {
+    -PI, -HALF_PI, 250.0, 0.0, 0.0, 0.0, -PI, -HALF_PI, -PI, -HALF_PI, 0.0,
+    -PI, 0.0};
+static const double OBS_HI[OBS_DIM] = {
+    PI, HALF_PI, 400.0, 10000.0, 20000.0, 1.0, PI, HALF_PI, PI, HALF_PI,
+    20000.0, PI, 1.0};
+static double obs_span[OBS_DIM];
+
+/* Missile status and outcome codes, as environment passes them. */
 enum { NO_MISSILE = 0, IN_FLIGHT = 1, HIT = 2, EXPIRED = 3 };
+enum { ONGOING = 0, BLUE_WIN = 1, RED_WIN = 2, DRAW = 3 };
 
 /* The fields of missile.MissileParams, in declaration order. */
 typedef struct {
@@ -365,6 +394,76 @@ tuple_of(const double *a, Py_ssize_t n)
     return t;
 }
 
+/* Advance a live missile one substep; BAIL also when it leaves the finite
+ * range, where the reference may raise. */
+static int
+step_missile(const Params *p, double m[9], const double a[6], long *status)
+{
+    int st, code = missile_substep(p, m, a, PHYSICS_DT, &st);
+
+    if (code != OK)
+        return code;
+    *status = st;
+    return all_finite(m, 9) ? OK : BAIL;
+}
+
+/* Substeps start..n-1 of a decision, in place.  Sets *k to the substeps done
+ * in all and *stopped when the k-th can have ended the engagement; BAIL where
+ * the Python loop must run the decision instead. */
+static int
+substeps(const Params *p, double b[6], double r[6], double bk[9],
+         double rk[9], long *bs, long *rs, const double ctrl[8], double t0,
+         long start, long n, long *k, int *stopped)
+{
+    long i;
+    int code;
+    double t;
+
+    *k = start;
+    *stopped = 0;
+    for (i = start; i < n && !*stopped; i++) {
+        /* Missiles first, against the aircraft at the start of the substep. */
+        if (*bs == IN_FLIGHT && (code = step_missile(p, bk, r, bs)) != OK)
+            return code;
+        if (*rs == IN_FLIGHT && (code = step_missile(p, rk, b, rs)) != OK)
+            return code;
+        if ((code = aircraft_substep(b, ctrl, PHYSICS_DT)) != OK
+            || (code = aircraft_substep(r, ctrl + 4, PHYSICS_DT)) != OK)
+            return code;
+        if (!all_finite(b, 6) || !all_finite(r, 6))
+            return BAIL;
+        *k = i + 1;
+        t = t0 + (double)*k * PHYSICS_DT;
+        /* Only a hit, two spent missiles, ground contact or the time limit
+         * can end the engagement; environment._evaluate decides which. */
+        *stopped = *bs == HIT || *rs == HIT || b[2] < GROUND_FLOOR
+                   || r[2] < GROUND_FLOOR || t >= EPISODE_TIME_LIMIT
+                   || (*bs == EXPIRED && *rs == EXPIRED);
+    }
+    return OK;
+}
+
+/* The MissileParams fields from params; FAIL with TypeError unless it is a
+ * 12-tuple of floats. */
+static int
+params_of(PyObject *params, Params *p)
+{
+    double pv[N_PARAMS];
+    Py_ssize_t i;
+
+    if (!PyTuple_Check(params) || PyTuple_GET_SIZE(params) != N_PARAMS) {
+        PyErr_SetString(PyExc_TypeError, "params must be a 12-tuple");
+        return FAIL;
+    }
+    for (i = 0; i < N_PARAMS; i++) {
+        pv[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(params, i));
+        if (pv[i] == -1.0 && PyErr_Occurred())
+            return FAIL;
+    }
+    memcpy(p, pv, sizeof *p);
+    return OK;
+}
+
 PyDoc_STRVAR(run_doc,
 "run(b, r, bk, rk, bs, rs, controls, params, t0, start, n)\n"
 "\n"
@@ -379,26 +478,13 @@ PyDoc_STRVAR(run_doc,
 "stopped says that the k-th substep can have ended the engagement, or None\n"
 "where the Python loop must run the decision instead.");
 
-/* Advance a live missile one substep; BAIL also when it leaves the finite
- * range, where the reference may raise. */
-static int
-step_missile(const Params *p, double m[9], const double a[6], long *status)
-{
-    int st, code = missile_substep(p, m, a, PHYSICS_DT, &st);
-
-    if (code != OK)
-        return code;
-    *status = st;
-    return all_finite(m, 9) ? OK : BAIL;
-}
-
 static PyObject *
 run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    double b[6], r[6], bk[9], rk[9], ctrl[8], pv[N_PARAMS], t0, t;
+    double b[6], r[6], bk[9], rk[9], ctrl[8], t0;
     Params p;
     long bs, rs, start, n, i, k;
-    int stopped = 0, code = OK, b_live, r_live;
+    int stopped, code, b_live, r_live;
     PyObject *out;
 
     if (nargs != 11) {
@@ -419,41 +505,11 @@ run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     b_live = bs == IN_FLIGHT;
     r_live = rs == IN_FLIGHT;
-    if (b_live || r_live) {
-        if (!PyTuple_Check(args[7]) || PyTuple_GET_SIZE(args[7]) != N_PARAMS) {
-            PyErr_SetString(PyExc_TypeError, "params must be a 12-tuple");
-            return NULL;
-        }
-        for (i = 0; i < N_PARAMS; i++) {
-            pv[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(args[7], i));
-            if (pv[i] == -1.0 && PyErr_Occurred())
-                return NULL;
-        }
-        memcpy(&p, pv, sizeof p);
-    }
+    if ((b_live || r_live) && params_of(args[7], &p) != OK)
+        return NULL;
 
-    k = start;
-    for (i = start; i < n && !stopped; i++) {
-        /* Missiles first, against the aircraft at the start of the substep. */
-        if (bs == IN_FLIGHT && (code = step_missile(&p, bk, r, &bs)) != OK)
-            break;
-        if (rs == IN_FLIGHT && (code = step_missile(&p, rk, b, &rs)) != OK)
-            break;
-        if ((code = aircraft_substep(b, ctrl, PHYSICS_DT)) != OK
-            || (code = aircraft_substep(r, ctrl + 4, PHYSICS_DT)) != OK)
-            break;
-        if (!all_finite(b, 6) || !all_finite(r, 6)) {
-            code = BAIL;
-            break;
-        }
-        k = i + 1;
-        t = t0 + (double)k * PHYSICS_DT;
-        /* Only a hit, two spent missiles, ground contact or the time limit
-         * can end the engagement; environment._evaluate decides which. */
-        stopped = bs == HIT || rs == HIT || b[2] < GROUND_FLOOR
-                  || r[2] < GROUND_FLOOR || t >= EPISODE_TIME_LIMIT
-                  || (bs == EXPIRED && rs == EXPIRED);
-    }
+    code = substeps(&p, b, r, bk, rk, &bs, &rs, ctrl, t0, start, n, &k,
+                    &stopped);
     if (code == FAIL)
         return NULL;
     if (code == BAIL)
@@ -480,24 +536,345 @@ run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* Python's max(a, b) and min(a, b): the first argument unless the second
+ * compares strictly greater (less). */
+static double
+py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+static double
+py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* x ** 2 as CPython's float power computes it, which calls pow; BAIL where
+ * the result is not finite, where a finite x raises OverflowError. */
+static int
+py_square(double x, double *out)
+{
+    *out = pow(x, 2.0);
+    return isfinite(*out) ? OK : BAIL;
+}
+
+/* An exact int code in [0, hi]; 0 when it is anything else. */
+static int
+code_of(PyObject *obj, long hi, long *out)
+{
+    int overflow;
+
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    *out = PyLong_AsLongAndOverflow(obj, &overflow);
+    return !overflow && *out >= 0 && *out <= hi;
+}
+
+/* True or False; 0 when it is anything else. */
+static int
+flag_of(PyObject *obj, int *out)
+{
+    if (obj != Py_True && obj != Py_False)
+        return 0;
+    *out = obj == Py_True;
+    return 1;
+}
+
+/* A side's missile slot: None without a missile, else its kinematics. */
+static int
+missile_of(PyObject *obj, long status, double k[9])
+{
+    return status == NO_MISSILE ? obj == Py_None : floats_of(obj, k, 9);
+}
+
+/* environment._as_raw: a list or tuple of exactly 4 finite exact floats; 0
+ * when it is anything else, where _as_raw converts or raises. */
+static int
+action_of(PyObject *a, double raw[4])
+{
+    PyObject **items;
+    Py_ssize_t i;
+
+    if (!(PyList_CheckExact(a) || PyTuple_CheckExact(a))
+        || PySequence_Fast_GET_SIZE(a) != 4)
+        return 0;
+    items = PySequence_Fast_ITEMS(a);
+    for (i = 0; i < 4; i++) {
+        if (!PyFloat_CheckExact(items[i]))
+            return 0;
+        raw[i] = PyFloat_AS_DOUBLE(items[i]);
+    }
+    return all_finite(raw, 4);
+}
+
+/* dynamics.clamp_controls(nx=raw[1], nz=raw[0], mu=raw[2]) into the held
+ * controls (nx, nz, cos mu, sin mu). */
+static void
+controls_of(const double raw[4], double c[4])
+{
+    double mu = py_min(py_max(raw[2], MU_MIN), MU_MAX);
+
+    c[0] = py_min(py_max(raw[1], NX_MIN), NX_MAX);
+    c[1] = py_min(py_max(raw[0], NZ_MIN), NZ_MAX);
+    c[2] = cos(mu);
+    c[3] = sin(mu);
+}
+
+/* environment.fire_allowed. */
+static int
+fire_allowed(const double own[6], const double tgt[6])
+{
+    double dx = tgt[0] - own[0], dy = tgt[1] - own[1], dz = tgt[2] - own[2];
+
+    if (dx * dx + dy * dy + dz * dz >= FIRE_RANGE * FIRE_RANGE)
+        return 0;
+    return fabs(wrap_angle(py_atan2(dy, dx) - own[5])) < FIRE_BEARING;
+}
+
+/* missile.launch_missile: the shooter's position and velocity, t and both
+ * commands zero. */
+static void
+launch(const double shooter[6], double m[9])
+{
+    memcpy(m, shooter, 6 * sizeof *m);
+    m[6] = m[7] = m[8] = 0.0;
+}
+
+/* environment._evaluate, on status codes. */
+static int
+evaluate(double blue_z, double red_z, long bs, long rs, int blue_fired,
+         int red_fired, double t)
+{
+    int blue_hit = rs == HIT, red_hit = bs == HIT;
+
+    if (blue_hit && red_hit)
+        return DRAW;
+    if (blue_hit)
+        return RED_WIN;
+    if (red_hit)
+        return BLUE_WIN;
+    if (blue_z < GROUND_FLOOR || red_z < GROUND_FLOOR)
+        return DRAW;
+    if (t >= EPISODE_TIME_LIMIT)
+        return DRAW;
+    if (blue_fired && red_fired && bs == EXPIRED && rs == EXPIRED)
+        return DRAW;
+    return ONGOING;
+}
+
+/* environment.observe from own's side: inc is the incoming missile's
+ * kinematics while it is in flight, else NULL. */
+static int
+observe(const double own[6], const double tgt[6], int own_live,
+        const double *inc, double out[OBS_DIM])
+{
+    double dx = tgt[0] - own[0], dy = tgt[1] - own[1], dz = tgt[2] - own[2];
+    double dh, d, beta, sx, sy, sz, d1, u, feats[OBS_DIM];
+    int i;
+
+    if (py_hypot(dx, dy, &dh) || py_hypot(dh, dz, &d))
+        return FAIL;
+    beta = py_atan2(dy, dx);
+    if (inc != NULL) {
+        if (py_square(inc[0] - own[0], &sx) || py_square(inc[1] - own[1], &sy)
+            || py_square(inc[2] - own[2], &sz))
+            return BAIL;
+        d1 = sqrt(sx + sy + sz);
+    }
+    else {
+        d1 = OBS_HI[10];
+    }
+    feats[0] = own[5];
+    feats[1] = own[4];
+    feats[2] = own[3];
+    feats[3] = own[2];
+    feats[4] = d;
+    feats[5] = own_live ? 1.0 : 0.0;
+    feats[6] = wrap_angle(beta - own[5]);
+    feats[7] = py_atan2(dz, dh);
+    feats[8] = tgt[5];
+    feats[9] = tgt[4];
+    feats[10] = d1;
+    feats[11] = beta;
+    feats[12] = inc != NULL ? 1.0 : 0.0;
+    for (i = 0; i < OBS_DIM; i++) {
+        u = (feats[i] - OBS_LO[i]) / obs_span[i];
+        out[i] = u < 0.0 ? 0.0 : (u > 1.0 ? 1.0 : u);
+    }
+    return OK;
+}
+
+PyDoc_STRVAR(step_doc,
+"step(flat, a_blue, a_red, params)\n"
+"\n"
+"One env_step decision of DECISION_DT on a flat engagement (b, r, bk, rk,\n"
+"bs, rs, blue_fired, red_fired, t, outcome): the aircraft tuples, each\n"
+"missile's kinematics tuple or None, the status codes as for run, the fired\n"
+"flags, the time and the outcome code (0 ongoing, 1 blue win, 2 red win,\n"
+"3 draw).  a_blue and a_red are the raw actions as lists or tuples of 4\n"
+"floats; params the MissileParams fields in order.\n"
+"\n"
+"Returns (flat, obs_blue, obs_red, outcome), the observations as tuples of\n"
+"13 floats, or None wherever env_step would raise or run would hand the\n"
+"decision back: then env_step must run the decision instead.");
+
+static PyObject *
+step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    double b[6], r[6], bk[9], rk[9], ab[4], ar[4], ctrl[8], t0, t;
+    double obs_b[OBS_DIM], obs_r[OBS_DIM];
+    Params p;
+    long bs, rs, outcome, k = 0;
+    int bf, rf, b_live, r_live, stopped, code;
+    PyObject *flat, *tobj, *next, *out;
+    Py_ssize_t i;
+
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "step expects 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    flat = args[0];
+    if (!PyTuple_CheckExact(flat) || PyTuple_GET_SIZE(flat) != 10)
+        Py_RETURN_NONE;
+    tobj = PyTuple_GET_ITEM(flat, 8);
+    /* A finished engagement is returned unchanged by env_step. */
+    if (!floats_of(PyTuple_GET_ITEM(flat, 0), b, 6)
+        || !floats_of(PyTuple_GET_ITEM(flat, 1), r, 6)
+        || !code_of(PyTuple_GET_ITEM(flat, 4), EXPIRED, &bs)
+        || !code_of(PyTuple_GET_ITEM(flat, 5), EXPIRED, &rs)
+        || !missile_of(PyTuple_GET_ITEM(flat, 2), bs, bk)
+        || !missile_of(PyTuple_GET_ITEM(flat, 3), rs, rk)
+        || !flag_of(PyTuple_GET_ITEM(flat, 6), &bf)
+        || !flag_of(PyTuple_GET_ITEM(flat, 7), &rf)
+        || !PyFloat_CheckExact(tobj) || !isfinite(t0 = PyFloat_AS_DOUBLE(tobj))
+        || !code_of(PyTuple_GET_ITEM(flat, 9), DRAW, &outcome)
+        || outcome != ONGOING
+        || !action_of(args[1], ab) || !action_of(args[2], ar))
+        Py_RETURN_NONE;
+
+    controls_of(ab, ctrl);
+    controls_of(ar, ctrl + 4);
+    if (ab[3] > 0.0 && !bf && fire_allowed(b, r)) {
+        launch(b, bk);
+        bs = IN_FLIGHT;
+        bf = 1;
+    }
+    if (ar[3] > 0.0 && !rf && fire_allowed(r, b)) {
+        launch(r, rk);
+        rs = IN_FLIGHT;
+        rf = 1;
+    }
+    b_live = bs == IN_FLIGHT;
+    r_live = rs == IN_FLIGHT;
+    if ((b_live || r_live) && params_of(args[3], &p) != OK)
+        return NULL;
+
+    /* As environment._compiled_substeps: where _evaluate says the engagement
+     * goes on, resume at the next substep. */
+    do {
+        code = substeps(&p, b, r, bk, rk, &bs, &rs, ctrl, t0, k,
+                        DECISION_SUBSTEPS, &k, &stopped);
+        if (code == FAIL)
+            return NULL;
+        if (code == BAIL)
+            Py_RETURN_NONE;
+        t = t0 + (double)k * PHYSICS_DT;
+        if (stopped)
+            outcome = evaluate(b[2], r[2], bs, rs, bf, rf, t);
+    } while (outcome == ONGOING && k < DECISION_SUBSTEPS);
+
+    code = observe(b, r, bs == IN_FLIGHT, rs == IN_FLIGHT ? rk : NULL, obs_b);
+    if (code == OK)
+        code = observe(r, b, rs == IN_FLIGHT, bs == IN_FLIGHT ? bk : NULL,
+                       obs_r);
+    if (code == FAIL)
+        return NULL;
+    if (code == BAIL)
+        Py_RETURN_NONE;
+
+    next = PyTuple_New(10);
+    if (next == NULL)
+        return NULL;
+    PyTuple_SET_ITEM(next, 0, tuple_of(b, 6));
+    PyTuple_SET_ITEM(next, 1, tuple_of(r, 6));
+    /* A missile's tuple is new only if it was in flight over the substeps. */
+    PyTuple_SET_ITEM(next, 2, b_live ? tuple_of(bk, 9)
+                                     : Py_NewRef(PyTuple_GET_ITEM(flat, 2)));
+    PyTuple_SET_ITEM(next, 3, r_live ? tuple_of(rk, 9)
+                                     : Py_NewRef(PyTuple_GET_ITEM(flat, 3)));
+    PyTuple_SET_ITEM(next, 4, PyLong_FromLong(bs));
+    PyTuple_SET_ITEM(next, 5, PyLong_FromLong(rs));
+    PyTuple_SET_ITEM(next, 6, PyBool_FromLong(bf));
+    PyTuple_SET_ITEM(next, 7, PyBool_FromLong(rf));
+    PyTuple_SET_ITEM(next, 8, PyFloat_FromDouble(t));
+    PyTuple_SET_ITEM(next, 9, PyLong_FromLong(outcome));
+    for (i = 0; i < 10; i++) {
+        if (PyTuple_GET_ITEM(next, i) == NULL) {
+            Py_DECREF(next);
+            return NULL;
+        }
+    }
+    out = PyTuple_New(4);
+    if (out == NULL) {
+        Py_DECREF(next);
+        return NULL;
+    }
+    PyTuple_SET_ITEM(out, 0, next);
+    PyTuple_SET_ITEM(out, 1, tuple_of(obs_b, OBS_DIM));
+    PyTuple_SET_ITEM(out, 2, tuple_of(obs_r, OBS_DIM));
+    PyTuple_SET_ITEM(out, 3, Py_NewRef(PyTuple_GET_ITEM(next, 9)));
+    if (PyTuple_GET_ITEM(out, 1) == NULL || PyTuple_GET_ITEM(out, 2) == NULL) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL, run_doc},
+    {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "The compiled copy of env_step's substep loop.",
+    .m_doc = "The compiled copy of env_step: its substep loop and a whole "
+             "decision on a flat engagement.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
 
+/* ((lo, hi), ...) of the observation features, or their spans. */
+static PyObject *
+bounds_tuple(int spans)
+{
+    PyObject *t = PyTuple_New(OBS_DIM), *item;
+    int i;
+
+    if (t == NULL)
+        return NULL;
+    for (i = 0; i < OBS_DIM; i++) {
+        item = spans ? PyFloat_FromDouble(obs_span[i])
+                     : Py_BuildValue("(dd)", OBS_LO[i], OBS_HI[i]);
+        if (item == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, item);
+    }
+    return t;
+}
+
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *module, *math, *constants;
+    PyObject *module, *math, *constants, *bounds, *spans;
+    int i;
 
+    for (i = 0; i < OBS_DIM; i++)
+        obs_span[i] = OBS_HI[i] - OBS_LO[i];
     math = PyImport_ImportModule("math");
     if (math == NULL)
         return NULL;
@@ -508,12 +885,21 @@ PyInit__kernel(void)
     module = PyModule_Create(&kernel_module);
     if (module == NULL)
         return NULL;
-    constants = Py_BuildValue("{s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d}",
-                              "pi", PI, "tau", TAU, "G", G,
-                              "PHYSICS_DT", PHYSICS_DT, "V_FLOOR", V_FLOOR,
-                              "GAMMA_LIMIT", GAMMA_LIMIT,
-                              "GROUND_FLOOR", GROUND_FLOOR,
-                              "EPISODE_TIME_LIMIT", EPISODE_TIME_LIMIT);
+    bounds = bounds_tuple(0);
+    spans = bounds_tuple(1);
+    constants = bounds == NULL || spans == NULL ? NULL : Py_BuildValue(
+        "{s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,"
+        "s:i,s:O,s:O}",
+        "pi", PI, "tau", TAU, "G", G, "PHYSICS_DT", PHYSICS_DT,
+        "V_FLOOR", V_FLOOR, "GAMMA_LIMIT", GAMMA_LIMIT,
+        "GROUND_FLOOR", GROUND_FLOOR, "EPISODE_TIME_LIMIT", EPISODE_TIME_LIMIT,
+        "FIRE_RANGE", FIRE_RANGE, "FIRE_BEARING", FIRE_BEARING,
+        "NX_MIN", NX_MIN, "NX_MAX", NX_MAX, "NZ_MIN", NZ_MIN, "NZ_MAX", NZ_MAX,
+        "MU_MIN", MU_MIN, "MU_MAX", MU_MAX,
+        "DECISION_SUBSTEPS", DECISION_SUBSTEPS,
+        "OBS_BOUNDS", bounds, "OBS_SPANS", spans);
+    Py_XDECREF(bounds);
+    Py_XDECREF(spans);
     if (constants == NULL || PyModule_AddObject(module, "CONSTANTS", constants)) {
         Py_XDECREF(constants);
         Py_DECREF(module);

@@ -15,6 +15,12 @@ path.  A compiled copy of it (`_kernel.c`, built on first import by
 bytes; env_step uses it unless it is unavailable, a recorder asks for every
 substep, or the reference would raise.  Setting `_kernel` to None selects the
 Python loop.
+
+Tree search steps its model states as flat tuples (`flatten`, `unflatten`)
+through `flat_model`, whose compiled `step` does a whole decision in one
+call: the action checks, the clamp, the fire gate, the substeps, the outcome
+and both observations.  env_step is its reference, bit for bit, and runs any
+decision the kernel hands back.
 """
 
 from __future__ import annotations
@@ -266,10 +272,16 @@ def observe(s: EngagementState, side: str) -> np.ndarray:
 
 
 def _as_raw(a: Action) -> tuple[float, float, float, float]:
+    """The raw action as 4 floats; ValueError for anything that is not a flat
+    sequence of 4 finite reals."""
     if isinstance(a, ActionCommand):
         return a.raw
-    raw = (float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-    if len(a) != 4 or not all(math.isfinite(v) for v in raw):
+    try:
+        raw = ((float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+               if len(a) == 4 and getattr(a, "ndim", 1) == 1 else None)
+    except (TypeError, ValueError):  # no length, or an element not a real
+        raw = None
+    if raw is None or not all(math.isfinite(v) for v in raw):
         raise ValueError(f"action must be 4 finite reals, got {a!r}")
     return raw
 
@@ -466,3 +478,80 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     done = outcome is not Outcome.ONGOING
     return StepResult(ns, observe(ns, BLUE), observe(ns, RED),
                       reward_blue, reward_red, done, outcome)
+
+
+# A flat engagement is the tuple
+#     (b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome)
+# of the aircraft tuples (x, y, z, v, gamma, phi), each side's missile
+# kinematics (missile._kinematics) or None, the missile status codes of
+# _STATUS_CODES, the fired flags, the time and the outcome code.  A side's
+# missile is always its own launch, so the tuple holds an EngagementState
+# without loss.  Tree search carries its model states this way.
+FlatState = tuple
+# (next flat state, obs_blue, obs_red, outcome code); the observations are
+# tuples of OBS_DIM floats.
+FlatStep = tuple
+FlatModel = Callable[[FlatState, Action, Action], FlatStep]
+
+_CODED_OUTCOMES = (Outcome.ONGOING, Outcome.BLUE_WIN, Outcome.RED_WIN,
+                   Outcome.DRAW)
+_OUTCOME_CODES = {o: code for code, o in enumerate(_CODED_OUTCOMES)}
+REWARDS_BY_CODE = tuple(_REWARDS[o] for o in _CODED_OUTCOMES)
+"""(reward_blue, reward_red) of each outcome code of a flat engagement."""
+
+
+def flatten(s: EngagementState) -> FlatState:
+    """The flat tuple of s; ValueError for a missile that is not its side's."""
+    b, r, bm, rm = s.blue, s.red, s.blue_missile, s.red_missile
+    for m, shooter, target in ((bm, BLUE, RED), (rm, RED, BLUE)):
+        if m is not None and (m.shooter, m.target) != (shooter, target):
+            raise ValueError(f"the {shooter} missile slot holds a missile of "
+                             f"{m.shooter!r} at {m.target!r}")
+    return ((b.x, b.y, b.z, b.v, b.gamma, b.phi),
+            (r.x, r.y, r.z, r.v, r.gamma, r.phi),
+            None if bm is None else _kinematics(bm),
+            None if rm is None else _kinematics(rm),
+            _STATUS_CODES[None if bm is None else bm.status],
+            _STATUS_CODES[None if rm is None else rm.status],
+            s.blue_fired, s.red_fired, s.t, _OUTCOME_CODES[s.outcome])
+
+
+def _missile_of(k, code, shooter, target) -> Optional[MissileState]:
+    if not code:
+        return None
+    x, y, z, v, gamma, phi, t, n_mc, n_mh = k
+    return MissileState(x, y, z, v, gamma, phi, t, shooter, target,
+                        _CODED_STATUSES[code], n_mc, n_mh)
+
+
+def unflatten(flat: FlatState) -> EngagementState:
+    """The EngagementState that a flat tuple holds."""
+    b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome = flat
+    return EngagementState(AircraftState(*b), AircraftState(*r),
+                           _missile_of(bk, bs, BLUE, RED),
+                           _missile_of(rk, rs, RED, BLUE),
+                           blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
+
+
+def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
+    """env_step of DECISION_DT on flat engagements, bound to params.
+
+    The model returns (next flat state, obs_blue, obs_red, outcome code), bit
+    for bit what env_step returns.  The compiled kernel's `step` computes it
+    in one call.  Where the kernel is unavailable or hands the decision back,
+    env_step runs it on the rebuilt state, so its exception, or its result
+    flattened, comes out.
+    """
+    values = (_DEFAULT_PARAM_VALUES if params is DEFAULT_MISSILE_PARAMS
+              else _param_values(params))
+
+    def step(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
+        out = None if _kernel is None else _kernel.step(flat, a_blue, a_red,
+                                                        values)
+        if out is None:
+            res = env_step(unflatten(flat), a_blue, a_red, params=params)
+            out = (flatten(res.state), tuple(res.obs_blue.tolist()),
+                   tuple(res.obs_red.tolist()), _OUTCOME_CODES[res.outcome])
+        return out
+
+    return step

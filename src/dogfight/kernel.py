@@ -1,4 +1,8 @@
-"""Build, cache and load `_kernel.c`, the compiled copy of env_step's substeps.
+"""Build, cache and load `_kernel.c`, the compiled copy of env_step.
+
+The extension has two entry points: `run`, env_step's substep loop, and
+`step`, a whole decision on the flat engagement tuple that tree search
+carries (environment.flat_model).
 
 The first import compiles the extension with the system C compiler into the
 package's `__pycache__`; later imports only hash the source and load the
@@ -13,8 +17,8 @@ The flags keep the arithmetic the interpreter's: no contraction of a
 multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
-load, `load` returns None with the reason, and env_step runs its Python loop,
-which gives the same bytes more slowly.
+load, `load` returns None with the reason, and env_step runs its Python loop
+(search's flat model runs env_step), which gives the same bytes more slowly.
 """
 
 from __future__ import annotations

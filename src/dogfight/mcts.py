@@ -14,32 +14,48 @@ through the node (`build_candidates`), so a leaf costs one forward instead
 of three.  Drawing at expansion keeps the rng consumed in expansion order,
 so building later changes no value.
 
-A node keeps the (own, opponent) observation pair of its state.  A child
-takes it from the StepResult of the env model call that made it, so the env
-model must return obs_blue and obs_red equal to `observe` of its returned
-state, as `environment.env_step` does.  The caller may pass the root's pair
-too; only a root without one is observed here.
+The tree holds flat engagements (`environment.flatten`), not
+EngagementStates.  The env model takes a flat state and both raw actions and
+returns (next flat state, obs_blue, obs_red, outcome code), as
+`environment.flat_model` does, with observations equal to `observe` of the
+returned state; a child keeps that (own, opponent) pair as tuples of floats,
+and a forward turns one into an array when it reads it.  Candidate actions
+and the opponent's reply are lists of floats, so the model reads them
+without numpy.  A callable critic receives the node's flat state.  The
+caller may pass the root's observation pair too; only a root without one is
+observed here.
 
 Priors, visit counts and value sums are Python lists: a node has only
 `num_actions` children, and on a handful of floats a numpy call costs more
 than the arithmetic.  `puct_select` and `backup` compute in the order the
 array expressions did, so a search's result is the same to the bit;
-`SearchResult` hands the root's counts and priors back as arrays.
+`SearchResult` hands the root's counts, priors and action back as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .environment import BLUE, EngagementState, Outcome, StepResult, observe, other_side
+from .environment import (
+    BLUE,
+    REWARDS_BY_CODE,
+    EngagementState,
+    FlatModel,
+    FlatState,
+    Outcome,
+    flatten,
+    observe,
+    other_side,
+    unflatten,
+)
 from .mlp import MlpParams, forward, log_density
 
-EnvModel = Callable[[EngagementState, np.ndarray, np.ndarray], StepResult]
-Critic = Union[MlpParams, Callable[[EngagementState], float]]
+Critic = Union[MlpParams, Callable[[FlatState], float]]
+Observations = tuple[Sequence[float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,8 @@ class SearchNode:
                  "terminal_value", "draws", "actions", "priors", "visit_counts",
                  "total_values", "children", "mean", "opp_action", "eval_value")
 
-    def __init__(self, state: EngagementState, depth: int,
-                 obs: Optional[tuple[np.ndarray, np.ndarray]] = None):
+    def __init__(self, state: FlatState, depth: int,
+                 obs: Optional[Observations] = None):
         self.state = state
         self.depth = depth
         self.obs = obs  # (own, opponent) observations; built on first use if None
@@ -72,13 +88,13 @@ class SearchNode:
         self.terminal = False
         self.terminal_value = 0.0
         self.draws: Optional[np.ndarray] = None  # standard normals, set on expansion
-        self.actions: Optional[np.ndarray] = None  # candidates, set on first descent
+        self.actions: Optional[list[list[float]]] = None  # set on first descent
         self.priors: Optional[list[float]] = None
         self.visit_counts: Optional[list[int]] = None
         self.total_values: Optional[list[float]] = None
         self.children: Optional[list[Optional[SearchNode]]] = None
         self.mean: Optional[np.ndarray] = None  # actor mean at the node
-        self.opp_action: Optional[np.ndarray] = None
+        self.opp_action: Optional[list[float]] = None
         self.eval_value: Optional[float] = None  # critic output, unclamped
 
     def q_values(self) -> list[float]:
@@ -104,9 +120,10 @@ class SearchResult:
     root_critic: float
 
 
-def _observations(node: SearchNode, side: str) -> tuple[np.ndarray, np.ndarray]:
+def _observations(node: SearchNode, side: str) -> Observations:
     if node.obs is None:
-        node.obs = (observe(node.state, side), observe(node.state, other_side(side)))
+        state = unflatten(node.state)
+        node.obs = (observe(state, side), observe(state, other_side(side)))
     return node.obs
 
 
@@ -153,9 +170,9 @@ def build_candidates(node: SearchNode, side: str, actor: MlpParams,
     logps = log_density(mean, actor.log_std, actions)
     stable = np.exp(logps - logps.max())
     node.priors = (stable / stable.sum()).tolist()
-    node.actions = actions
+    node.actions = actions.tolist()
     node.mean = mean
-    node.opp_action = forward(opponent, opp_obs)
+    node.opp_action = forward(opponent, opp_obs).tolist()
 
 
 def puct_select(node: SearchNode, c_puct: float) -> int:
@@ -182,32 +199,33 @@ def backup(path: list[tuple[SearchNode, int]], value: float) -> None:
 
 
 def _make_child(node: SearchNode, idx: int, side: str,
-                env_model: EnvModel) -> SearchNode:
+                env_model: FlatModel) -> SearchNode:
     if node.actions is None:
         raise ValueError("cannot step a child before the node's candidates are built")
     action = node.actions[idx]
     if side == BLUE:
-        res = env_model(node.state, action, node.opp_action)
-        obs = (res.obs_blue, res.obs_red)
+        state, obs_blue, obs_red, code = env_model(node.state, action,
+                                                   node.opp_action)
+        child = SearchNode(state, node.depth + 1, (obs_blue, obs_red))
     else:
-        res = env_model(node.state, node.opp_action, action)
-        obs = (res.obs_red, res.obs_blue)
-    child = SearchNode(res.state, node.depth + 1, obs)
-    if res.done:
+        state, obs_blue, obs_red, code = env_model(node.state, node.opp_action,
+                                                   action)
+        child = SearchNode(state, node.depth + 1, (obs_red, obs_blue))
+    if code:  # the engagement ended
         child.terminal = True
-        child.terminal_value = res.reward_blue if side == BLUE else res.reward_red
+        child.terminal_value = REWARDS_BY_CODE[code][side != BLUE]
     return child
 
 
 def run_search(root_state: EngagementState, side: str, actor: MlpParams,
-               critic: Critic, opponent: MlpParams, env_model: EnvModel,
+               critic: Critic, opponent: MlpParams, env_model: FlatModel,
                config: SearchConfig, rng: np.random.Generator, *,
-               root_obs: Optional[tuple[np.ndarray, np.ndarray]] = None
-               ) -> SearchResult:
+               root_obs: Optional[Observations] = None) -> SearchResult:
     """Search from root_state and return the most-visited root action.
 
-    root_obs, when given, must be the (own, opponent) pair that `observe`
-    returns for root_state.  The root is expanded up front, then each
+    env_model steps flat states, as `environment.flat_model` does.  root_obs,
+    when given, must be the (own, opponent) pair that `observe` returns for
+    root_state.  The root is expanded up front, then each
     simulation descends by PUCT, creating child states lazily, until it
     reaches a terminal node, an unexpanded node (expanded and evaluated on
     the spot), or the depth cap (evaluated by the critic); the value is
@@ -217,7 +235,7 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
     """
     if root_state.outcome is not Outcome.ONGOING:
         raise ValueError("cannot search from a terminal state")
-    root = SearchNode(root_state, 0, root_obs)
+    root = SearchNode(flatten(root_state), 0, root_obs)
     root_value = expand_node(root, side, actor, critic, opponent, config, rng)
 
     for _ in range(config.num_simulations):
@@ -244,6 +262,6 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
 
     visits = root.visit_counts
     chosen = visits.index(max(visits))
-    return SearchResult(root.actions[chosen].copy(), root_value,
+    return SearchResult(np.array(root.actions[chosen]), root_value,
                         np.array(visits, dtype=np.int64), np.array(root.priors),
                         chosen, root.mean, root.eval_value)

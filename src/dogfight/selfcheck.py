@@ -25,11 +25,16 @@ from .dynamics import (
 from .environment import (
     BLUE,
     RED,
+    REWARDS_BY_CODE,
     EngagementState,
+    FlatStep,
     Outcome,
     StepResult,
     env_step,
+    flat_model,
+    flatten,
     reset,
+    unflatten,
 )
 from .harness import load_checkpoint, save_checkpoint
 from .missile import MissileParams, MissileState, MissileStatus, missile_step
@@ -187,6 +192,17 @@ def step_bytes(res: StepResult) -> bytes:
     return b"|".join(parts)
 
 
+def flat_result(out: FlatStep) -> StepResult:
+    """The StepResult that a flat model's output stands for: the rebuilt
+    state, the observations as arrays, and the rewards, done flag and outcome
+    of its outcome code."""
+    flat, obs_blue, obs_red, code = out
+    reward_blue, reward_red = REWARDS_BY_CODE[code]
+    return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
+                      reward_blue, reward_red, code != 0,
+                      environment._CODED_OUTCOMES[code])
+
+
 def envelope_state(rng: np.random.Generator) -> EngagementState:
     """A start drawn across the flight envelope: any speed from the floor,
     flight-path angles up to the clip, low altitudes, missiles in flight near
@@ -222,22 +238,29 @@ def envelope_state(rng: np.random.Generator) -> EngagementState:
 
 class KernelSpy:
     """Stands in for the kernel module, counting its calls and the decisions
-    it hands back to the Python loop."""
+    it hands back to the Python code."""
 
     def __init__(self, compiled):
         self.compiled = compiled
         self.calls = self.handed_back = 0
 
-    def run(self, *args):
-        res = self.compiled.run(*args)
+    def _count(self, res):
         self.calls += 1
         self.handed_back += res is None
         return res
 
+    def run(self, *args):
+        return self._count(self.compiled.run(*args))
+
+    def step(self, *args):
+        return self._count(self.compiled.step(*args))
+
 
 def kernel_identity(decisions: int, seed: int) -> dict:
-    """Step seeded random decisions through the compiled kernel and through
-    the Python loop; AssertionError at the first byte that differs.
+    """Step seeded random decisions three ways: env_step through the compiled
+    kernel's `run`, the flat model through its `step` (rebuilt with
+    `flat_result`), and env_step through the Python loop.  AssertionError at
+    the first byte that differs.
 
     Half the engagements start from `reset`, half from `envelope_state`.
     Raw actions are wider than the control envelope and fire often, and each
@@ -249,6 +272,7 @@ def kernel_identity(decisions: int, seed: int) -> dict:
     if kernel is None:
         raise AssertionError("the compiled kernel is not loaded")
     spy = KernelSpy(kernel)
+    model = flat_model()
     rng = np.random.default_rng(seed)
     counts = dict(decisions=0, missile_in_flight=0, ended=0)
     state = held = None
@@ -262,6 +286,7 @@ def kernel_identity(decisions: int, seed: int) -> dict:
         try:
             environment._kernel = spy
             fast = env_step(state, held[0], held[1])
+            flat = flat_result(model(flatten(state), *held.tolist()))
             environment._kernel = None
             ref = env_step(state, held[0], held[1])
         finally:
@@ -269,6 +294,9 @@ def kernel_identity(decisions: int, seed: int) -> dict:
         if step_bytes(fast) != step_bytes(ref):
             raise AssertionError(f"kernel and Python loop differ from {state!r} "
                                  f"under {held.tolist()!r}")
+        if step_bytes(flat) != step_bytes(ref):
+            raise AssertionError(f"the kernel's step and env_step differ from "
+                                 f"{state!r} under {held.tolist()!r}")
         counts["decisions"] += 1
         counts["missile_in_flight"] += any(
             m is not None and m.status is MissileStatus.IN_FLIGHT
@@ -277,7 +305,7 @@ def kernel_identity(decisions: int, seed: int) -> dict:
         state = None if ref.done else ref.state
     if spy.handed_back:
         raise AssertionError(f"the kernel handed {spy.handed_back} of "
-                             f"{decisions} decisions back to the Python loop")
+                             f"{spy.calls} calls back to the Python code")
     return counts
 
 
@@ -287,7 +315,7 @@ def check_kernel() -> str:
     counts = kernel_identity(2000, 1)
     return (f"built; {counts['decisions']} decisions "
             f"({counts['missile_in_flight']} with a missile in flight) "
-            "bit-identical to the Python loop")
+            "bit-identical to the Python loop through run and through step")
 
 
 SELF_CHECKS = (

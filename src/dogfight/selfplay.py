@@ -36,6 +36,7 @@ from .environment import (
     Outcome,
     ScenarioConfig,
     env_step,
+    flat_model,
     observe,
     reset,
 )
@@ -298,11 +299,9 @@ def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
     action was sampled without search.
     """
     if use_mcts:
-        def model(s, a_blue, a_red):
-            return env_step(s, a_blue, a_red, params=missile_params)
-
         found = run_search(state, side, agent.actor, agent.critic, opponent,
-                           model, search_config, rng, root_obs=obs)
+                           flat_model(missile_params), search_config, rng,
+                           root_obs=obs)
         action = found.action
         logp = log_density(found.root_mean, agent.actor.log_std, action)
         return action, float(logp), found.root_critic

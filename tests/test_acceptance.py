@@ -20,7 +20,7 @@ import pytest
 
 from dogfight import mlp, selfcheck, selfplay
 from dogfight.cli import main
-from dogfight.environment import BLUE, env_step, observe, reset
+from dogfight.environment import BLUE, flat_model, observe, reset
 from dogfight.harness import load_config
 from dogfight.mcts import SearchConfig, run_search
 from dogfight.missile import MissileParams, drag_of, mass_at, thrust_at
@@ -178,8 +178,7 @@ def test_criterion_6_search_properties():
     critic = mlp.init_params(1, SMALL[:-1] + (1,))
     opponent = mlp.init_params(2, SMALL, with_log_std=True)
 
-    def model(s, ab, ar):
-        return env_step(s, ab, ar)
+    model = flat_model()
 
     res = run_search(reset(3), BLUE, actor, critic, opponent, model,
                      SearchConfig(), np.random.default_rng(5))
@@ -199,9 +198,9 @@ def test_criterion_6_search_properties():
         best_ids = set()
 
         def tagging_model(s, ab, ar, _k=k, _e=expected, _ids=best_ids):
-            out = env_step(s, ab, ar)
+            out = model(s, ab, ar)
             if np.array_equal(ab, _e[_k]):
-                _ids.add(id(out.state))
+                _ids.add(id(out[0]))
             return out
 
         got = run_search(state, BLUE, actor,

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dogfight import environment
 from dogfight.dynamics import GAMMA_LIMIT, PHYSICS_DT, V_FLOOR, AircraftState
 from dogfight.missile import MissileState, MissileStatus
 from dogfight.environment import (
@@ -23,6 +24,8 @@ from dogfight.environment import (
     ScenarioConfig,
     env_step,
     fire_allowed,
+    flat_model,
+    flatten,
     observe,
     reset,
     trajectory_rows,
@@ -387,6 +390,37 @@ def test_action_validation():
         env_step(s, (math.nan, 0.0, 0.0, -1.0), TRIM)
     with pytest.raises(ValueError):
         ActionCommand((1.0, 2.0, 3.0))
+
+
+MALFORMED_ACTIONS = {
+    "list of 3": [1.0, 0.0, 0.0],
+    "list of 5": [1.0, 0.0, 0.0, -1.0, 0.0],
+    "2-D list": [[1.0, 0.0, 0.0, -1.0]] * 2,
+    "2-D list of 4 rows": [[1.0, 0.0, 0.0, -1.0]] * 4,
+    "array of 3": np.zeros(3),
+    "array of 5": np.zeros(5),
+    "2-D array": np.zeros((2, 4)),
+    "2-D array of 4 rows": np.zeros((4, 4)),
+    "column of 4": np.zeros((4, 1)),
+    "scalar": 1.0,
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ACTIONS))
+def test_malformed_actions_raise_value_error(name, monkeypatch):
+    # Each side, through env_step and through the flat model with and
+    # without the compiled kernel: the same ValueError every time.
+    bad = MALFORMED_ACTIONS[name]
+    s = reset(0)
+    messages = set()
+    for kernel in (environment._kernel, None):
+        monkeypatch.setattr(environment, "_kernel", kernel)
+        for step in (env_step, lambda st, a, b: flat_model()(flatten(st), a, b)):
+            for pair in ((bad, TRIM), (TRIM, bad)):
+                with pytest.raises(ValueError, match="4 finite reals") as info:
+                    step(s, *pair)
+                messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_recorder_streams_rows():

@@ -1,13 +1,18 @@
-"""The compiled substep kernel against the Python loop it copies.
+"""The compiled kernel against the Python code it copies.
 
 Every test here compares env_step with the kernel (the default) and with
 `environment._kernel` patched to None, which runs the Python loop: the
-reference.  Equality is of the IEEE bytes of every field (selfcheck.step_bytes).
+reference.  Where a case is a decision of DECISION_DT, the flat model, which
+runs the kernel's `step`, is held to the same reference.  Equality is of the
+IEEE bytes of every field (selfcheck.step_bytes, after selfcheck.flat_result
+for the flat model).
 """
 
 import gc
 import hashlib
+import itertools
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -16,26 +21,41 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dogfight import environment, kernel, selfcheck
 from dogfight.dynamics import (
     G,
     GAMMA_LIMIT,
+    MU_MAX,
+    MU_MIN,
+    NX_MAX,
+    NX_MIN,
+    NZ_MAX,
+    NZ_MIN,
     PHYSICS_DT,
     V_FLOOR,
     AircraftState,
     DegenerateStateError,
+    clamp_controls,
 )
 from dogfight.environment import (
     BLUE,
     DECISION_DT,
+    DEFAULT_MISSILE_PARAMS,
     EPISODE_TIME_LIMIT,
+    FIRE_BEARING,
+    FIRE_RANGE,
     GROUND_FLOOR,
+    OBS_BOUNDS,
     RED,
     EngagementState,
     Outcome,
+    _evaluate,
     env_step,
+    flat_model,
+    flatten,
     reset,
 )
 from dogfight.missile import MissileParams, MissileState, MissileStatus
@@ -52,31 +72,59 @@ def step(kernel_module, state, a_blue, a_red, **kwargs):
         environment._kernel = saved
 
 
+def flat_step(kernel_module, state, a_blue, a_red, params=DEFAULT_MISSILE_PARAMS,
+              decision_dt=DECISION_DT):
+    """The flat model's decision from state, rebuilt as a StepResult; None
+    where the case is not a decision of DECISION_DT, which it cannot take."""
+    if decision_dt != DECISION_DT:
+        return None
+    saved, environment._kernel = environment._kernel, kernel_module
+    try:
+        return selfcheck.flat_result(
+            flat_model(params)(flatten(state), a_blue, a_red))
+    finally:
+        environment._kernel = saved
+
+
 def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True, **kwargs):
-    """env_step through the kernel and through the Python loop; the result
-    once both agree byte for byte.  kernel_runs says whether the kernel
-    must finish the decision itself rather than hand it back."""
+    """env_step through the kernel and through the Python loop, and the flat
+    model through the kernel's step; the result once all agree byte for byte.
+    kernel_runs says whether the kernel must finish the decision itself
+    rather than hand it back."""
     spy = selfcheck.KernelSpy(environment._kernel)
     fast = step(spy, state, a_blue, a_red, **kwargs)
     ref = step(None, state, a_blue, a_red, **kwargs)
     assert selfcheck.step_bytes(fast) == selfcheck.step_bytes(ref)
     assert spy.calls > 0 and (spy.handed_back == 0) == kernel_runs
+    flat_spy = selfcheck.KernelSpy(environment._kernel)
+    flat = flat_step(flat_spy, state, a_blue, a_red, **kwargs)
+    if flat is not None:
+        assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
+        assert (flat_spy.handed_back == 0) == kernel_runs
     return ref
 
 
 def both_raise(state, a_blue=TRIM, a_red=TRIM, **kwargs):
-    """The exception both paths raise; they must agree in type and message."""
+    """The exception all paths raise; they must agree in type and message."""
     raised = []
     spy = selfcheck.KernelSpy(environment._kernel)
-    for k in (spy, None):
+    flat_spy = selfcheck.KernelSpy(environment._kernel)
+    calls = [lambda: step(spy, state, a_blue, a_red, **kwargs),
+             lambda: step(None, state, a_blue, a_red, **kwargs)]
+    if "decision_dt" not in kwargs:
+        calls.append(lambda: flat_step(flat_spy, state, a_blue, a_red, **kwargs))
+    for call in calls:
         try:
-            step(k, state, a_blue, a_red, **kwargs)
+            call()
         except Exception as exc:  # the comparison is the test
             raised.append((type(exc), str(exc)))
         else:
             raised.append(None)
-    assert raised[0] is not None and raised[0] == raised[1]
+    assert raised[0] is not None and all(r == raised[0] for r in raised)
     assert spy.handed_back == 1
+    if len(calls) == 3:
+        # step hands the decision back, and so does run inside env_step.
+        assert flat_spy.handed_back == 2
     return raised[0]
 
 
@@ -108,10 +156,19 @@ def test_kernel_is_built_where_a_compiler_exists():
 
 
 def test_kernel_constants_are_the_models(compiled):
-    assert compiled.CONSTANTS == {
+    expected = {
         "pi": math.pi, "tau": math.tau, "G": G, "PHYSICS_DT": PHYSICS_DT,
         "V_FLOOR": V_FLOOR, "GAMMA_LIMIT": GAMMA_LIMIT,
-        "GROUND_FLOOR": GROUND_FLOOR, "EPISODE_TIME_LIMIT": EPISODE_TIME_LIMIT}
+        "GROUND_FLOOR": GROUND_FLOOR, "EPISODE_TIME_LIMIT": EPISODE_TIME_LIMIT,
+        "FIRE_RANGE": FIRE_RANGE, "FIRE_BEARING": FIRE_BEARING,
+        "NX_MIN": NX_MIN, "NX_MAX": NX_MAX, "NZ_MIN": NZ_MIN, "NZ_MAX": NZ_MAX,
+        "MU_MIN": MU_MIN, "MU_MAX": MU_MAX,
+        "DECISION_SUBSTEPS": round(DECISION_DT / PHYSICS_DT),
+        "OBS_BOUNDS": OBS_BOUNDS,
+        "OBS_SPANS": tuple(span for _, span in environment._OBS_SPANS)}
+    # repr tells every float apart, -0.0 from 0.0 too.
+    assert {k: repr(v) for k, v in compiled.CONSTANTS.items()} == \
+        {k: repr(v) for k, v in expected.items()}
 
 
 def test_seeded_decisions_are_bit_identical(compiled):
@@ -200,6 +257,18 @@ def test_integrator_limits_are_bit_identical(compiled):
     assert res.state.blue.phi == math.pi
 
 
+def test_signed_zero_controls_are_bit_identical(compiled):
+    # clamp_controls keeps a raw -0.0 as -0.0, since Python's max keeps its
+    # first argument on a tie.  From a level start heading -0.0, a normal
+    # load or bank of -0.0 leaves the heading at -0.0; +0.0 makes it +0.0.
+    s = duel(blue=AircraftState(0.0, 0.0, 5000.0, 300.0, 0.0, -0.0))
+    for a_blue, sign in (((-0.0, 0.0, 0.0, -1.0), -1.0),
+                         ((1.0, 0.0, -0.0, -1.0), -1.0),
+                         ((0.0, 0.0, 0.0, -1.0), 1.0)):
+        res = both_paths(s, a_blue)
+        assert math.copysign(1.0, res.state.blue.phi) == sign
+
+
 def test_terminations_are_bit_identical(compiled):
     s = duel()
     # Ground contact.
@@ -256,11 +325,14 @@ def test_kernel_decisions_do_not_leak(compiled):
         s, blue_missile=missile(BLUE, RED, 0.0, 0.0, 5000.0),
         red_missile=missile(RED, BLUE, 9000.0, 0.0, 5000.0, phi=math.pi),
         blue_fired=True, red_fired=True))
+    flats = [flatten(state) for state in rng_states]
     fire = (2.0, 0.5, 0.3, 1.0)
+    model = flat_model()
 
     def decide(count):
         for i in range(count):
             env_step(rng_states[i % len(rng_states)], fire, TRIM)
+            model(flats[i % len(flats)], fire, TRIM)
 
     decide(1000)
     gc.collect()
@@ -273,6 +345,176 @@ def test_kernel_decisions_do_not_leak(compiled):
     finally:
         tracemalloc.stop()
     assert grown < 4096
+
+
+def _status(m):
+    return None if m is None else m.status
+
+
+def test_step_on_the_pinned_rollout_inputs(compiled):
+    # The states and held actions of test_environment's pinned rollout: the
+    # flat model, given each row as a list as search gives it, must return
+    # env_step's bytes on all 10,000 decisions without handing one back.
+    rng = np.random.default_rng(2024)
+    spy = selfcheck.KernelSpy(compiled)
+    state = held = None
+    for _ in range(10_000):
+        if state is None:
+            state = reset(int(rng.integers(0, 2 ** 63)))
+        if held is None or rng.random() < 0.2:
+            held = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
+                               size=(2, 4))
+        ref = env_step(state, held[0], held[1])
+        flat = flat_step(spy, state, held[0].tolist(), held[1].tolist())
+        assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
+        state = None if ref.done else ref.state
+    assert spy.calls == 10_000 and spy.handed_back == 0
+
+
+def test_step_ends_decisions_as_evaluate_does(compiled):
+    # Every pair of missile statuses at the decision's start, both fired
+    # flags, either aircraft under the ground floor or neither, and a clock
+    # that reaches the time limit at the last substep or stays short of it:
+    # the kernel's copy of _evaluate must end each decision, or let it go
+    # on, as the Python one does.
+    statuses = (None, MissileStatus.IN_FLIGHT, MissileStatus.HIT,
+                MissileStatus.EXPIRED)
+    s = duel()
+    seen = set()
+    for bst, rst, bf, rf, low, t in itertools.product(
+            statuses, statuses, (False, True), (False, True), (None, BLUE, RED),
+            (0.0, EPISODE_TIME_LIMIT - DECISION_DT)):
+        case = replace(
+            s, blue_fired=bf, red_fired=rf, t=t,
+            blue_missile=None if bst is None else missile(
+                BLUE, RED, 0.0, 0.0, 5000.0, status=bst),
+            red_missile=None if rst is None else missile(
+                RED, BLUE, 20000.0, 0.0, 5000.0, phi=math.pi, status=rst))
+        if low is BLUE:
+            case = replace(case, blue=replace(case.blue, z=GROUND_FLOOR - 1.0))
+        elif low is RED:
+            case = replace(case, red=replace(case.red, z=GROUND_FLOOR - 1.0))
+        res = both_paths(case)
+        st = res.state
+        assert res.outcome is _evaluate(
+            st.blue.z, st.red.z, _status(st.blue_missile),
+            _status(st.red_missile), st.blue_fired, st.red_fired, st.t)
+        seen.add(res.outcome)
+    assert seen == set(Outcome)
+
+
+# One start per branch of the kernel: (state, blue's raw action, what step
+# leaves as (blue status, red status, outcome), or None where it hands the
+# decision back).
+BRANCHES = {
+    "no missile": (duel(), TRIM, (0, 0, 0)),
+    "launch": (duel(separation=9000.0), (1.0, 0.0, 0.0, 1.0), (1, 0, 0)),
+    "in flight": (duel(separation=9000.0,
+                       blue_missile=missile(BLUE, RED, 0.0, 0.0, 5000.0),
+                       red_missile=missile(RED, BLUE, 9000.0, 0.0, 5000.0,
+                                           phi=math.pi,
+                                           status=MissileStatus.EXPIRED),
+                       blue_fired=True, red_fired=True), TRIM, (1, 3, 0)),
+    "hit": (duel(separation=6000.0,
+                 blue_missile=missile(BLUE, RED, 5940.0, 0.0, 5000.0),
+                 blue_fired=True), TRIM, (2, 0, 1)),
+    "expired": (duel(blue_missile=missile(BLUE, RED, 0.0, 0.0, 5000.0,
+                                          vm=700.0, t=59.99),
+                     blue_fired=True), TRIM, (3, 0, 0)),
+    "stopped and resumed": (duel(
+        blue_missile=missile(BLUE, RED, 0.0, 0.0, 5000.0,
+                             status=MissileStatus.EXPIRED),
+        red_missile=missile(RED, BLUE, 0.0, 0.0, 5000.0,
+                            status=MissileStatus.EXPIRED)), TRIM, (3, 3, 0)),
+    "hand-back": (duel(blue=AircraftState(0.0, 0.0, 5000.0, 1e-3, 0.0, 0.0)),
+                  (1.0, -2.0, 0.0, -1.0), None),
+}
+
+
+def _run_args(state, a_blue, a_red):
+    """run's arguments for state's decision, up to start and n, as
+    environment._compiled_substeps builds them."""
+    b, r, bk, rk, bs, rs = flatten(state)[:6]
+    controls = ()
+    for a in (a_blue, a_red):
+        c = clamp_controls(a[1], a[0], a[2])
+        controls += (c.nx, c.nz, math.cos(c.mu), math.sin(c.mu))
+    params = environment._DEFAULT_PARAM_VALUES if 1 in (bs, rs) else None
+    return [b, r, bk, rk, bs, rs, controls, params, state.t]
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_kernel_calls_keep_input_refcounts(compiled, branch):
+    # Every tuple handed to run or step keeps its reference count across the
+    # calls, on each branch; results that pass an input through hold one more
+    # reference only while they live.  A count off by one either way is a
+    # leak, or a free while the caller still holds the object.
+    state, a_blue, expected = BRANCHES[branch]
+    flat, a_blue, a_red = flatten(state), list(a_blue), list(TRIM)
+    params = environment._DEFAULT_PARAM_VALUES
+    run_args = _run_args(state, a_blue, a_red)
+    inputs = [o for o in (flat, *flat[:4], a_blue, a_red, params,
+                          *run_args[:4], *run_args[6:8]) if o is not None]
+    before = [sys.getrefcount(o) for o in inputs]
+    for _ in range(3):
+        out = compiled.step(flat, a_blue, a_red, params)
+        if expected is None:
+            assert out is None
+        else:
+            assert (out[0][4], out[0][5], out[3]) == expected
+            assert out[0][9] is out[3]
+            assert len(out[1]) == len(out[2]) == len(OBS_BOUNDS)
+            # New objects are held by their container alone (the count
+            # includes getrefcount's argument).
+            assert [sys.getrefcount(out[0]), sys.getrefcount(out[1]),
+                    sys.getrefcount(out[2]), sys.getrefcount(out[0][0]),
+                    sys.getrefcount(out[0][1]),
+                    sys.getrefcount(out[0][8])] == [2] * 6
+        del out
+        for start in (0, 1):  # from the decision's start, and resumed
+            out = compiled.run(*run_args, start, round(DECISION_DT / PHYSICS_DT))
+            assert (out is None) == (expected is None)
+            del out
+    assert [sys.getrefcount(o) for o in inputs] == before
+
+
+def test_step_hands_malformed_inputs_back(compiled):
+    flat = flatten(duel())
+    params = environment._DEFAULT_PARAM_VALUES
+    assert compiled.step(flat, TRIM, TRIM, params) is not None
+    malformed_actions = ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0, 0.0],
+                         [1, 0.0, 0.0, -1.0], [math.nan, 0.0, 0.0, -1.0],
+                         np.array(TRIM), [[1.0, 0.0, 0.0, -1.0]] * 4)
+    for a in malformed_actions:
+        assert compiled.step(flat, a, TRIM, params) is None
+        assert compiled.step(flat, TRIM, a, params) is None
+    malformed_flats = (
+        flat[:9], flat + (0,), list(flat),
+        (flat[0][:5],) + flat[1:],              # a short aircraft
+        flat[:4] + (1,) + flat[5:],             # a live missile without kinematics
+        flat[:4] + (4,) + flat[5:],             # no such status
+        flat[:6] + (1,) + flat[7:],             # a fired flag that is not a bool
+        flat[:8] + (0,) + flat[9:],             # an int clock
+        flat[:8] + (math.inf,) + flat[9:],      # a clock that is not finite
+        flat[:9] + (3,),                        # a finished engagement
+    )
+    for bad in malformed_flats:
+        assert compiled.step(bad, TRIM, TRIM, params) is None
+
+
+def test_kernel_identity_under_the_debug_allocator(compiled):
+    # PYTHONMALLOC=debug marks freed and fresh memory and checks guard bytes
+    # around every block, and -X dev adds the runtime's own checks, so a
+    # reference dropped too early or a write past an object crashes or
+    # fails here instead of corrupting a value somewhere later.
+    probe = ("from dogfight import selfcheck\n"
+             "print(selfcheck.kernel_identity(2000, 1)['decisions'])\n")
+    env = dict(os.environ, PYTHONMALLOC="debug",
+               PYTHONPATH=str(Path(kernel.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2000"
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")

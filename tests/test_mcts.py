@@ -13,8 +13,18 @@ import math
 import numpy as np
 import pytest
 
-from dogfight import mcts, mlp
-from dogfight.environment import BLUE, RED, Outcome, env_step, observe, reset
+from dogfight import environment, mcts, mlp, selfcheck
+from dogfight.environment import (
+    BLUE,
+    RED,
+    Outcome,
+    env_step,
+    flat_model,
+    flatten,
+    observe,
+    reset,
+    unflatten,
+)
 from dogfight.mcts import (
     SearchConfig,
     SearchNode,
@@ -37,8 +47,7 @@ def make_critic(seed):
     return mlp.init_params(seed, SMALL[:-1] + (1,))
 
 
-def env_model(s, a_blue, a_red):
-    return env_step(s, a_blue, a_red)
+env_model = flat_model()
 
 
 def manual_node(priors, visits=None, values=None):
@@ -106,7 +115,7 @@ def test_puct_requires_expanded_node():
 def test_half_built_node_never_reaches_selection():
     # Expanded but not yet descended through: there are no candidates to
     # select among or to step, and both say so rather than fail on None.
-    node = SearchNode(reset(1), 0)
+    node = SearchNode(flatten(reset(1)), 0)
     expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
                 SearchConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError, match="candidates"):
@@ -132,14 +141,14 @@ def test_backup_running_mean():
 
 def test_expand_node_populates_children():
     state = reset(1)
-    node = SearchNode(state, 0)
+    node = SearchNode(flatten(state), 0)
     cfg = SearchConfig()
     value = expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
                         cfg, np.random.default_rng(0))
     assert node.expanded
     assert node.draws.shape == (9, 4) and node.actions is None
     build_candidates(node, BLUE, make_actor(0), make_actor(2))
-    assert node.actions.shape == (9, 4)
+    assert np.shape(node.actions) == (9, 4)
     assert abs(sum(node.priors) - 1.0) < 1e-9
     assert node.visit_counts == [0] * 9 and node.total_values == [0.0] * 9
     assert -1.0 <= value <= 1.0
@@ -150,7 +159,7 @@ def test_expand_node_populates_children():
 
 def test_expand_equal_log_densities_uniform_priors():
     state = reset(2)
-    node = SearchNode(state, 0)
+    node = SearchNode(flatten(state), 0)
     expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
                 SearchConfig(), EqualNormRng())
     build_candidates(node, BLUE, make_actor(0), make_actor(2))
@@ -158,7 +167,7 @@ def test_expand_equal_log_densities_uniform_priors():
 
 
 def test_expand_terminal_node_returns_outcome():
-    node = SearchNode(reset(0), 1)
+    node = SearchNode(flatten(reset(0)), 1)
     node.terminal = True
     node.terminal_value = -1.0
     value = expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
@@ -169,7 +178,7 @@ def test_expand_terminal_node_returns_outcome():
 
 def test_critic_value_clamped():
     state = reset(3)
-    node = SearchNode(state, 0)
+    node = SearchNode(flatten(state), 0)
     value = expand_node(node, BLUE, make_actor(0), lambda s: 5.0, make_actor(2),
                         SearchConfig(), np.random.default_rng(0))
     assert value == 1.0
@@ -234,7 +243,7 @@ def test_tree_invariants_after_search():
     cfg = SearchConfig()
     actor, critic, opponent = make_actor(0), make_critic(1), make_actor(2)
     rng = np.random.default_rng(5)
-    root = SearchNode(state, 0)
+    root = SearchNode(flatten(state), 0)
     expand_node(root, BLUE, actor, critic, opponent, cfg, rng)
     for _ in range(cfg.num_simulations):
         node, path = root, []
@@ -261,8 +270,8 @@ def test_tree_invariants_after_search():
     for node in _walk(root):
         # Each node's observations are the env model's, equal to observe's.
         own, opp = node.obs
-        np.testing.assert_array_equal(own, observe(node.state, BLUE))
-        np.testing.assert_array_equal(opp, observe(node.state, RED))
+        np.testing.assert_array_equal(own, observe(unflatten(node.state), BLUE))
+        np.testing.assert_array_equal(opp, observe(unflatten(node.state), RED))
         if not node.expanded:
             continue
         q = np.asarray(node.q_values())
@@ -286,9 +295,9 @@ def test_opponent_plays_policy_mean():
     seen = []
 
     def recording_model(s, ab, ar):
-        if s is state:
+        if s == flatten(state):
             seen.append(ar)
-        return env_step(s, ab, ar)
+        return env_model(s, ab, ar)
 
     run_search(state, BLUE, make_actor(0), make_critic(1), opponent,
                recording_model, SearchConfig(), np.random.default_rng(3))
@@ -312,9 +321,9 @@ def test_rigged_dominance_visit_recurrence():
         best_ids = set()
 
         def model(s, ab, ar, _k=k):
-            res = env_step(s, ab, ar)
+            res = env_model(s, ab, ar)
             if np.array_equal(ab, expected_actions[_k]):
-                best_ids.add(id(res.state))
+                best_ids.add(id(res[0]))
             return res
 
         res = run_search(state, BLUE, actor,
@@ -355,8 +364,8 @@ def test_seeded_searches_are_pinned():
     seen = {"missile_roots": 0, "terminal_children": 0}
 
     def model(s, a_blue, a_red):
-        res = env_step(s, a_blue, a_red)
-        seen["terminal_children"] += res.done
+        res = env_model(s, a_blue, a_red)
+        seen["terminal_children"] += res[3] != 0
         return res
 
     digest = hashlib.sha256()
@@ -391,6 +400,29 @@ def test_seeded_searches_are_pinned():
 DEFAULT_ACTOR, DEFAULT_CRITIC = (13, 256, 256, 4), (13, 256, 256, 1)
 
 
+def _prefix_root(seed_rng):
+    """The end of a seeded random-action engagement prefix that has not
+    ended; about half of these carry a missile."""
+    state = None
+    while state is None or state.outcome is not Outcome.ONGOING:
+        state = reset(int(seed_rng.integers(0, 2 ** 31)))
+        for _ in range(int(seed_rng.integers(0, 60))):
+            acts = seed_rng.uniform((-1.0, -3.0, -4.0, -1.0),
+                                    (9.0, 3.0, 4.0, 1.0), size=(2, 4))
+            res = env_step(state, acts[0], acts[1])
+            if res.done:
+                break
+            state = res.state
+    return state
+
+
+def _default_nets(count):
+    return [(mlp.init_params(3 * i, DEFAULT_ACTOR, with_log_std=True),
+             mlp.init_params(3 * i + 1, DEFAULT_CRITIC),
+             mlp.init_params(3 * i + 2, DEFAULT_ACTOR, with_log_std=True))
+            for i in range(count)]
+
+
 def _eager_expand(node, side, actor, critic, opponent, config, rng):
     """The reference expansion: candidates, priors and the opponent's reply
     built at once, for every expanded node."""
@@ -402,19 +434,19 @@ def _eager_expand(node, side, actor, critic, opponent, config, rng):
     logps = mlp.log_density(mean, actor.log_std, actions)
     stable = np.exp(logps - logps.max())
     node.priors = (stable / stable.sum()).tolist()
-    node.actions = actions
+    node.actions = actions.tolist()
     node.visit_counts = [0] * k
     node.total_values = [0.0] * k
     node.children = [None] * k
     node.mean = mean
-    node.opp_action = mlp.forward(opponent, opp_obs)
+    node.opp_action = mlp.forward(opponent, opp_obs).tolist()
     node.expanded = True
     return mcts._evaluate_state(node, side, critic)
 
 
 def _eager_search(root_state, side, actor, critic, opponent, model, config, rng):
     """run_search's loop driven by the eager expansion."""
-    root = SearchNode(root_state, 0)
+    root = SearchNode(flatten(root_state), 0)
     root_value = _eager_expand(root, side, actor, critic, opponent, config, rng)
     for _ in range(config.num_simulations):
         node, path = root, []
@@ -437,7 +469,7 @@ def _eager_search(root_state, side, actor, critic, opponent, model, config, rng)
         backup(path, value)
     visits = root.visit_counts
     chosen = visits.index(max(visits))
-    return SearchResult(root.actions[chosen].copy(), root_value,
+    return SearchResult(np.array(root.actions[chosen]), root_value,
                         np.array(visits, dtype=np.int64), np.array(root.priors),
                         chosen, root.mean, root.eval_value)
 
@@ -449,10 +481,7 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     # the search rng as one (k, 4) draw per expansion, and run the actor and
     # opponent forwards only at nodes the tree descended through.
     seed_rng = np.random.default_rng(2104)
-    nets = [(mlp.init_params(3 * i, DEFAULT_ACTOR, with_log_std=True),
-             mlp.init_params(3 * i + 1, DEFAULT_CRITIC),
-             mlp.init_params(3 * i + 2, DEFAULT_ACTOR, with_log_std=True))
-            for i in range(2)]
+    nets = _default_nets(2)
     configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
     expanded, forwards = [], [0]
     real_expand, real_forward = mcts.expand_node, mcts.forward
@@ -469,16 +498,7 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     monkeypatch.setattr(mcts, "forward", spy_forward)
     missile_roots = leaves = 0
     for i in range(50):
-        state = None
-        while state is None or state.outcome is not Outcome.ONGOING:
-            state = reset(int(seed_rng.integers(0, 2 ** 31)))
-            for _ in range(int(seed_rng.integers(0, 60))):
-                acts = seed_rng.uniform((-1.0, -3.0, -4.0, -1.0),
-                                        (9.0, 3.0, 4.0, 1.0), size=(2, 4))
-                res = env_step(state, acts[0], acts[1])
-                if res.done:
-                    break
-                state = res.state
+        state = _prefix_root(seed_rng)
         missile_roots += (state.blue_missile is not None
                           or state.red_missile is not None)
         side = (BLUE, RED)[i % 2]
@@ -512,3 +532,45 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
                 assert node.priors is None and node.mean is None
                 assert node.opp_action is None and sum(node.visit_counts) == 0
     assert missile_roots > 15 and leaves > 200
+
+
+def model_call_identity(searches, seed):
+    """Run seeded default-size searches, both sides, from `_prefix_root`
+    roots, with every model call checked against env_step on the rebuilt
+    state, byte for byte (selfcheck.flat_result and step_bytes).  Returns
+    (model calls, calls the kernel handed back, terminal calls, calls with a
+    missile in flight)."""
+    seed_rng = np.random.default_rng(seed)
+    nets = _default_nets(2)
+    configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
+    counts = [0, 0, 0, 0]
+    spy = None if environment._kernel is None \
+        else selfcheck.KernelSpy(environment._kernel)
+
+    def checked(flat, a_blue, a_red):
+        saved, environment._kernel = environment._kernel, spy
+        try:
+            out = env_model(flat, a_blue, a_red)
+        finally:
+            environment._kernel = saved
+        ref = env_step(unflatten(flat), a_blue, a_red)
+        assert selfcheck.step_bytes(selfcheck.flat_result(out)) == \
+            selfcheck.step_bytes(ref), (flat, a_blue, a_red)
+        counts[0] += 1
+        counts[2] += ref.done
+        counts[3] += 1 in (flat[4], flat[5])
+        return out
+
+    for i in range(searches):
+        actor, critic, opponent = nets[i % 2]
+        run_search(_prefix_root(seed_rng), (BLUE, RED)[i % 2], actor, critic,
+                   opponent, checked, configs[i // 2 % 2],
+                   np.random.default_rng(i))
+    counts[1] = -1 if spy is None else spy.handed_back
+    return tuple(counts)
+
+
+def test_search_model_calls_match_env_step():
+    calls, handed_back, ended, in_flight = model_call_identity(50, 1896)
+    assert calls > 800 and ended > 50 and in_flight > 200
+    assert handed_back == (-1 if environment._kernel is None else 0)

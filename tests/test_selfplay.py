@@ -54,6 +54,25 @@ def make_agent(seed, iteration=0):
                            seed, "")
 
 
+def test_tracer_bindings_resolve(monkeypatch):
+    # The benchmark's tracer (bench/tracing.py) rebinds these module-level
+    # names; one that no longer exists makes a traced run fail.  The file is
+    # only imported here, writing no bytecode next to it, and no tracer is
+    # installed.
+    import importlib
+    import importlib.util
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing.SPANS + tracing.HOT
+    assert len(bindings) > 20
+    missing = [(module, attr) for module, attr, _ in bindings
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
 def test_match_record_outcome_validation():
     with pytest.raises(ValueError):
         MatchRecord(0, 0, 0, "Victory", 10, 5.0, 0)
