@@ -18,10 +18,10 @@ The tree holds flat engagements (`environment.flatten`), not
 EngagementStates.  The env model takes a flat state and both raw actions and
 returns (next flat state, obs_blue, obs_red, outcome code), as
 `environment.flat_model` does, with observations equal to `observe` of the
-returned state; a child keeps that (own, opponent) pair as tuples of floats,
-and a forward turns one into an array when it reads it.  Candidate actions
-and the opponent's reply are lists of floats, so the model reads them
-without numpy.  A callable critic receives the node's flat state.  The
+returned state; a child keeps that (own, opponent) pair as tuples of floats
+and turns its own observation into an array once, at first use.  Candidate
+actions and the opponent's reply are lists of floats, so the model reads
+them without numpy.  A callable critic receives the node's flat state.  The
 caller may pass the root's observation pair too; only a root without one is
 observed here.
 
@@ -121,10 +121,19 @@ class SearchResult:
 
 
 def _observations(node: SearchNode, side: str) -> Observations:
-    if node.obs is None:
+    """The node's (own, opponent) pair, its own observation an array.
+
+    The own observation feeds the critic at expansion and the actor at the
+    first descent, so it is converted once, here; the opponent's feeds one
+    forward, which converts it.
+    """
+    obs = node.obs
+    if obs is None:
         state = unflatten(node.state)
-        node.obs = (observe(state, side), observe(state, other_side(side)))
-    return node.obs
+        obs = node.obs = (observe(state, side), observe(state, other_side(side)))
+    elif type(obs[0]) is not np.ndarray:
+        obs = node.obs = (np.asarray(obs[0], dtype=np.float64), obs[1])
+    return obs
 
 
 def _evaluate_state(node: SearchNode, side: str, critic: Critic) -> float:

@@ -179,8 +179,12 @@ def adam_step(params: MlpParams, state: AdamState, grads: MlpParams,
               lr: float) -> None:
     """One in-place Adam update with bias correction.
 
-    The actor's log-std is clamped to [-5, 2] after the update, and any
-    non-finite parameter aborts with NonFiniteError before being stored.
+    The actor's log-std is clamped to [-5, 2] after the update.  A
+    non-finite update raises NonFiniteError before that tensor is stepped,
+    but the failed step is half-applied: state.step has advanced, the
+    moments up to and including that tensor have moved, and the tensors
+    before it have been updated.  `ppo.train_iteration` steps copies, so a
+    failure there leaves the caller's arrays unchanged.
     """
     p_ts = params.tensors()
     g_ts = grads.tensors()

@@ -4,6 +4,13 @@ Value targets are the discounted terminal engagement outcome, gamma^(T-t) * z,
 rather than bootstrapped returns: the match result is the only reward, and
 the critic learns to predict it directly.  Advantages use GAE over the stored
 value estimates and are normalized across the buffer before training.
+
+The actor and the critic share only the buffer and the minibatch order, so
+`train_iteration` trains them as two independent tasks on the ordered
+worker pool (`workers._in_order`): on two forked processes where two CPUs
+are usable, one after the other in-process where one is.  Each network
+sees the same numpy calls in the same order either way, so the update is
+the same to the bit for any CPU count.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import workers
 from .mlp import (
     AdamState,
     MlpParams,
@@ -212,6 +220,20 @@ def _stacked(buffer: RolloutBuffer):
     return obs, actions, old_logp, advantages, targets
 
 
+def _copy_state(state: AdamState) -> AdamState:
+    return AdamState([m.copy() for m in state.m], [v.copy() for v in state.v],
+                     state.step)
+
+
+def _write_back(params: MlpParams, state: AdamState, new_params: MlpParams,
+                new_state: AdamState) -> None:
+    """Copy a task's results into the caller's arrays, in place."""
+    for dst, src in zip(params.tensors() + state.m + state.v,
+                        new_params.tensors() + new_state.m + new_state.v):
+        dst[...] = src
+    state.step = new_state.step
+
+
 def train_iteration(actor: MlpParams, critic: MlpParams, buffer: RolloutBuffer,
                     config: TrainConfig, rng: np.random.Generator,
                     actor_opt: Optional[AdamState] = None,
@@ -220,6 +242,16 @@ def train_iteration(actor: MlpParams, critic: MlpParams, buffer: RolloutBuffer,
 
     Fresh Adam states are created unless persistent ones are passed in.
     Returns means of the per-minibatch diagnostics.
+
+    Every epoch's permutation is drawn from rng up front, in epoch order.
+    The actor's epochs and the critic's epochs then run as two tasks of the
+    ordered worker pool, on min(2, usable CPUs) workers (in-process, one
+    after the other, on one).  Each task trains copies of its network and
+    Adam state and sums its own diagnostics in minibatch order; the loss
+    arithmetic is that of one process, so the result is the same to the
+    bit for any worker count.  Only when both tasks have finished are the
+    caller's parameters and Adam states overwritten, so an update that
+    raises (NonFiniteError, say) leaves them as they were.
     """
     n = len(buffer)
     if n < config.batch_size:
@@ -229,30 +261,40 @@ def train_iteration(actor: MlpParams, critic: MlpParams, buffer: RolloutBuffer,
         actor_opt = adam_state_for(actor)
     if critic_opt is None:
         critic_opt = adam_state_for(critic)
+    batches = [perm[start:start + config.batch_size]
+               for perm in [rng.permutation(n) for _ in range(config.epochs)]
+               for start in range(0, n, config.batch_size)]
 
-    sums = {"surrogate": 0.0, "value_loss": 0.0, "entropy": 0.0,
-            "clip_fraction": 0.0, "kl": 0.0}
-    updates = 0
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            stats: dict = {}
-            fn = _actor_loss(actions[idx], old_logp[idx], advantages[idx],
-                             config, stats)
-            _, grads = backprop(actor, obs[idx], fn)
-            adam_step(actor, actor_opt, grads, config.actor_lr)
+    def train(task: str) -> tuple[MlpParams, AdamState, dict]:
+        if task == "actor":
+            params, state = actor.copy(), _copy_state(actor_opt)
+            sums = dict.fromkeys(("surrogate", "entropy", "clip_fraction", "kl"), 0.0)
+            for idx in batches:
+                stats: dict = {}
+                fn = _actor_loss(actions[idx], old_logp[idx], advantages[idx],
+                                 config, stats)
+                _, grads = backprop(params, obs[idx], fn)
+                adam_step(params, state, grads, config.actor_lr)
+                for key in sums:
+                    sums[key] += stats[key]
+        else:
+            params, state = critic.copy(), _copy_state(critic_opt)
+            sums = {"value_loss": 0.0}
+            for idx in batches:
+                value_loss, grads = backprop(params, obs[idx],
+                                             _critic_loss(targets[idx]))
+                adam_step(params, state, grads, config.critic_lr)
+                sums["value_loss"] += value_loss
+        return params, state, sums
 
-            value_loss, vgrads = backprop(critic, obs[idx], _critic_loss(targets[idx]))
-            adam_step(critic, critic_opt, vgrads, config.critic_lr)
+    (new_actor, new_actor_opt, sums), (new_critic, new_critic_opt, critic_sums) = \
+        workers._in_order(train, ("actor", "critic"), min(2, workers._usable_cpus()))
+    _write_back(actor, actor_opt, new_actor, new_actor_opt)
+    _write_back(critic, critic_opt, new_critic, new_critic_opt)
 
-            for key in ("surrogate", "entropy", "clip_fraction", "kl"):
-                sums[key] += stats[key]
-            sums["value_loss"] += value_loss
-            updates += 1
-
+    updates = len(batches)
     return TrainMetrics(surrogate=sums["surrogate"] / updates,
-                        value_loss=sums["value_loss"] / updates,
+                        value_loss=critic_sums["value_loss"] / updates,
                         entropy=sums["entropy"] / updates,
                         clip_fraction=sums["clip_fraction"] / updates,
                         kl=sums["kl"] / updates)

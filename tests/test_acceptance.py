@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import mlp, selfcheck, selfplay
+from dogfight import mlp, selfcheck, workers
 from dogfight.cli import main
 from dogfight.environment import BLUE, flat_model, observe, reset
 from dogfight.harness import load_config
@@ -228,9 +228,10 @@ def test_criterion_6_search_properties():
 def smoke_runs(tmp_path_factory):
     """Two smoke trainings with the same seed; returns (dir_a, dir_b, wall_a).
 
-    The first runs matches on every usable CPU, the second on one.  Each
-    writes to the same relative --out from its own directory, because
-    out_dir goes into config.ini and from there into every checkpoint.
+    The first runs matches and the PPO update on every usable CPU, the
+    second on one.  Each writes to the same relative --out from its own
+    directory, because out_dir goes into config.ini and from there into
+    every checkpoint.
     """
     root = tmp_path_factory.mktemp("smoke")
     argv = ["train", "--seed", "7", "--smoke", "--out", "run"]
@@ -242,7 +243,7 @@ def smoke_runs(tmp_path_factory):
         wall_a = time.perf_counter() - t0
         (root / "b").mkdir()
         mp.chdir(root / "b")
-        mp.setattr(selfplay, "_usable_cpus", lambda: 1)
+        mp.setattr(workers, "_usable_cpus", lambda: 1)
         assert main(argv) == 0
     return root / "a" / "run", root / "b" / "run", wall_a
 

@@ -6,8 +6,10 @@ pyproject.toml's [project.scripts] the way an installer's generated
 wrapper calls it, plus both module entry points, ``python -m dogfight``
 and ``python -m dogfight.cli``; the child interpreters import the source
 tree under test.  A second subprocess check runs the installed
-``dogfight`` script itself, and only where it is on PATH.  Exit codes
-follow the contract: 0 success, 1 config or usage error, 2 runtime error.
+``dogfight`` script itself, and only where it is on PATH.  A third checks
+that importing ``dogfight.cli`` leaves ``multiprocessing`` unloaded.  Exit
+codes follow the contract: 0 success, 1 config or usage error, 2 runtime
+error.
 """
 
 import hashlib
@@ -269,6 +271,15 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SOURCE_ROOT = Path(dogfight.__file__).resolve().parents[1]
 
 
+def _child_env():
+    """The environment for a child interpreter that imports the source tree
+    under test, not an installed copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _assert_usage(result, what):
     assert result.returncode == 0, \
         f"{what} exited {result.returncode}; stderr:\n{result.stderr}"
@@ -288,14 +299,23 @@ def test_console_script_and_module_answer():
         "python -m dogfight": [sys.executable, "-m", "dogfight", "--help"],
         "python -m dogfight.cli": [sys.executable, "-m", "dogfight.cli", "--help"],
     }
-    # the children import the source tree under test, not an installed copy
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
+    env = _child_env()
     for what, cmd in commands.items():
         result = subprocess.run(cmd, capture_output=True, text=True,
                                 check=False, env=env)
         _assert_usage(result, what)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # The worker pool imports multiprocessing only when it forks, so the
+    # fresh-interpreter import that bench/run.py's setup_s times stays lean.
+    code = ("import sys, dogfight.cli; "
+            "print('dogfight.workers' in sys.modules, "
+            "'multiprocessing' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=False, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.skipif(shutil.which("dogfight") is None,

@@ -1,12 +1,14 @@
 """Training-loop tests: buffers, advantages, the clipped loss and updates."""
 
 import math
+import multiprocessing
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from dogfight import mlp
-from dogfight.mlp import NonFiniteError, adam_state_for, backprop
+from dogfight import mlp, workers
+from dogfight.mlp import NonFiniteError, adam_state_for, adam_step, backprop
 from dogfight.ppo import (
     RolloutBuffer,
     TrainConfig,
@@ -230,6 +232,91 @@ def test_positive_advantages_increase_action_logprob():
     train_iteration(actor, critic, buf, TrainConfig(batch_size=64),
                     np.random.default_rng(0))
     assert mean_logp() > before
+
+
+def _update_state(actor, critic, actor_opt, critic_opt):
+    """Every byte an update may change: tensors, Adam moments and steps."""
+    arrays = (actor.tensors() + critic.tensors() + actor_opt.m + actor_opt.v
+              + critic_opt.m + critic_opt.v)
+    return [a.tobytes() for a in arrays], actor_opt.step, critic_opt.step
+
+
+def _interleaved_update(actor, critic, buf, cfg, rng, actor_opt, critic_opt):
+    """The update as one loop: per minibatch, the actor's step, then the
+    critic's.  train_iteration splits the two; the bytes must not move."""
+    trs = buf.transitions()
+    obs = np.stack([t.obs for t in trs])
+    actions = np.stack([t.action for t in trs])
+    old_logp = np.array([t.logp for t in trs])
+    adv = np.array([t.advantage for t in trs])
+    targets = np.array([t.value_target for t in trs])
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(trs))
+        for start in range(0, len(trs), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            fn = _actor_loss(actions[idx], old_logp[idx], adv[idx], cfg, {})
+            adam_step(actor, actor_opt, backprop(actor, obs[idx], fn)[1],
+                      cfg.actor_lr)
+            _, grads = backprop(critic, obs[idx], _critic_loss(targets[idx]))
+            adam_step(critic, critic_opt, grads, cfg.critic_lr)
+
+
+def test_train_iteration_worker_invariant(monkeypatch):
+    # 72 transitions: three minibatches of at most 32 per epoch.
+    def run(update):
+        buf, actor = random_buffer(9, episodes=12, length=6)
+        critic = mlp.init_params(54, SMALL[:-1] + (1,))
+        actor_opt, critic_opt = adam_state_for(actor), adam_state_for(critic)
+        compute_advantages(buf, CFG)
+        rng = np.random.default_rng(3)
+        calls = []
+        for _ in range(2):  # the Adam states carry over, as in a league
+            metrics = update(actor, critic, buf, CFG, rng, actor_opt, critic_opt)
+            calls.append((_update_state(actor, critic, actor_opt, critic_opt),
+                          metrics, rng.bit_generator.state))
+        return calls
+
+    def on(count):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: count)
+        calls = run(train_iteration)
+        return [(state, [x.hex() for x in astuple(metrics)], rng_state)
+                for state, metrics, rng_state in calls]
+
+    one, two = on(1), on(2)
+    assert multiprocessing.active_children() == []
+    assert one == two
+    reference = run(_interleaved_update)
+    assert [call[0] for call in one] == [call[0] for call in reference]
+    assert [call[2] for call in one] == [call[2] for call in reference]
+    assert one[1][0][1:] == (2 * 6 * 3, 2 * 6 * 3)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("fault, message", [
+    ("ratio", "non-finite policy ratio at sample"),
+    ("target", "non-finite loss inf"),
+])
+def test_failed_update_changes_nothing(monkeypatch, count, fault, message):
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: count)
+    buf, actor = random_buffer(10, episodes=12, length=6)
+    critic = mlp.init_params(55, SMALL[:-1] + (1,))
+    actor_opt, critic_opt = adam_state_for(actor), adam_state_for(critic)
+    compute_advantages(buf, CFG)
+    train_iteration(actor, critic, buf, CFG, np.random.default_rng(4),
+                    actor_opt, critic_opt)  # nonzero moments to keep
+    # The bad sample sits in the last minibatch of the first epoch, so two
+    # minibatches have been stepped when it is reached.
+    bad = buf.transitions()[int(np.random.default_rng(5).permutation(72)[-1])]
+    if fault == "ratio":
+        bad.logp = -2000.0  # exp(new - old) overflows
+    else:
+        bad.value_target = math.inf
+    before = _update_state(actor, critic, actor_opt, critic_opt)
+    with pytest.raises(NonFiniteError, match=message):
+        train_iteration(actor, critic, buf, CFG, np.random.default_rng(5),
+                        actor_opt, critic_opt)
+    assert _update_state(actor, critic, actor_opt, critic_opt) == before
+    assert multiprocessing.active_children() == []
 
 
 def test_bandit_toy_policy_improvement():

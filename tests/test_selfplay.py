@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import selfplay
+from dogfight import selfplay, workers
 from dogfight.dynamics import AircraftState, DegenerateStateError
 from dogfight.environment import BLUE, RED, EngagementState, Outcome, reset
 from dogfight.mcts import SearchConfig
@@ -37,11 +37,11 @@ from dogfight.selfplay import (
     IterationMetrics,
     LeagueConfig,
     MatchRecord,
-    _in_order,
     evaluate_vs_past,
     play_match,
     train_loop,
 )
+from dogfight.workers import _in_order
 
 SMALL = (13, 8, 8, 4)
 FAST_SEARCH = SearchConfig(num_simulations=4, max_depth=2)
@@ -306,7 +306,7 @@ def test_dead_worker_fails_the_caller(monkeypatch):
         raise AssertionError("a dead worker left the caller waiting")
 
     monkeypatch.setattr(selfplay, "play_match", killed_in_second_game)
-    monkeypatch.setattr(selfplay, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
@@ -321,7 +321,7 @@ def test_dead_worker_fails_the_caller(monkeypatch):
 
 _ORPHANING_PARENT = """
 import multiprocessing, time
-from dogfight.selfplay import _in_order
+from dogfight.workers import _in_order
 
 def slow(task):
     time.sleep(0.2)
@@ -373,18 +373,18 @@ def test_usable_cpus_honours_the_cgroup_quota(tmp_path, monkeypatch, quota, cpus
     for name, text in quota.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
-    monkeypatch.setattr(selfplay, "_CGROUP", tmp_path)
+    monkeypatch.setattr(workers, "_CGROUP", tmp_path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
-    assert selfplay._usable_cpus() == cpus
+    assert workers._usable_cpus() == cpus
 
 
 def test_evaluate_vs_past_worker_invariant(monkeypatch):
     current = make_agent(30, iteration=3)
     pool = [make_agent(31 + i, iteration=i) for i in range(3)]
 
-    def run(workers):
-        monkeypatch.setattr(selfplay, "_usable_cpus", lambda: workers)
+    def run(count):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: count)
         records = []
         metrics = evaluate_vs_past(current, pool, np.random.default_rng(5),
                                    opponents=2, games=2,
@@ -402,8 +402,8 @@ def test_evaluate_vs_past_worker_invariant(monkeypatch):
 
 @pytest.mark.parametrize("use_mcts", [True, False])
 def test_train_loop_worker_invariant(monkeypatch, use_mcts):
-    def run(workers):
-        monkeypatch.setattr(selfplay, "_usable_cpus", lambda: workers)
+    def run(count):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: count)
         saved, matches = [], []
         pool, history = train_loop(_tiny_league(4, use_mcts=use_mcts),
                                    checkpoint_sink=saved.append,
@@ -433,7 +433,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
         return real(*args, game_index=game_index, **kwargs)
 
     monkeypatch.setattr(selfplay, "play_match", fails_second_game)
-    monkeypatch.setattr(selfplay, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     records = []
     with pytest.raises(DegenerateStateError, match="airspeed"):
         evaluate_vs_past(make_agent(40, iteration=1), [make_agent(41)],
