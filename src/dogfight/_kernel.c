@@ -1,18 +1,13 @@
 /* The compiled copy of environment.env_step.
  *
- * `run` advances both aircraft and any missile in flight over plain doubles,
- * substep by substep, exactly as the Python loop in environment.env_step
- * does: each missile first (dynamics of missile._substep, guidance of
- * missile.pn_commands), against the aircraft as it was at the start of the
- * substep, then each aircraft (dynamics._substep).  It stops after the first
- * substep that can have ended the engagement and leaves the verdict to
- * environment._evaluate, which may resume it at the next substep.
- *
  * `step` is a whole env_step decision on a flat engagement, the tuple that
- * the tree search carries (see environment.flatten): the action checks of
- * _as_raw, dynamics.clamp_controls, the fire gate and missile.launch_missile,
- * the same substeps as `run`, environment._evaluate and both
- * environment.observe calls, in the Python code's order.
+ * env_step and the tree search pass (see environment.flatten): the action
+ * checks of _as_raw, dynamics.clamp_controls, the fire gate and
+ * missile.launch_missile, the substeps, environment._evaluate and both
+ * environment.observe calls, in the Python code's order.  Each substep
+ * advances any missile in flight first (dynamics of missile._substep,
+ * guidance of missile.pn_commands), against the aircraft as it was at the
+ * start of the substep, then each aircraft (dynamics._substep).
  *
  * Every expression keeps the operation order of the Python it copies, and the
  * build turns off floating-point contraction and builtin substitution, so the
@@ -25,9 +20,9 @@
  *
  * Where the reference would raise (a guard of either model, a division by a
  * zero missile mass, a malformed action, an overflowing square) or where a
- * value is not finite, `run` and `step` return None instead, and the caller
- * replays the decision through env_step's Python code, which raises the
- * reference's exception or yields its values.
+ * value is not finite, `step` returns None instead, and the caller runs the
+ * decision through env_step's Python loop, which raises the reference's
+ * exception or yields its values.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -407,21 +402,43 @@ step_missile(const Params *p, double m[9], const double a[6], long *status)
     return all_finite(m, 9) ? OK : BAIL;
 }
 
-/* Substeps start..n-1 of a decision, in place.  Sets *k to the substeps done
- * in all and *stopped when the k-th can have ended the engagement; BAIL where
+/* environment._evaluate, on status codes. */
+static int
+evaluate(double blue_z, double red_z, long bs, long rs, int blue_fired,
+         int red_fired, double t)
+{
+    int blue_hit = rs == HIT, red_hit = bs == HIT;
+
+    if (blue_hit && red_hit)
+        return DRAW;
+    if (blue_hit)
+        return RED_WIN;
+    if (red_hit)
+        return BLUE_WIN;
+    if (blue_z < GROUND_FLOOR || red_z < GROUND_FLOOR)
+        return DRAW;
+    if (t >= EPISODE_TIME_LIMIT)
+        return DRAW;
+    if (blue_fired && red_fired && bs == EXPIRED && rs == EXPIRED)
+        return DRAW;
+    return ONGOING;
+}
+
+/* The substeps of a decision, in place, as env_step's Python loop runs
+ * them: each substep that can have ended the engagement asks evaluate, and
+ * the first verdict other than ONGOING ends the decision.  *outcome enters
+ * as ONGOING; *t leaves as the time after the last substep run.  BAIL where
  * the Python loop must run the decision instead. */
 static int
 substeps(const Params *p, double b[6], double r[6], double bk[9],
-         double rk[9], long *bs, long *rs, const double ctrl[8], double t0,
-         long start, long n, long *k, int *stopped)
+         double rk[9], long *bs, long *rs, int bf, int rf,
+         const double ctrl[8], double t0, double *t, long *outcome)
 {
     long i;
     int code;
-    double t;
 
-    *k = start;
-    *stopped = 0;
-    for (i = start; i < n && !*stopped; i++) {
+    *t = t0;
+    for (i = 0; i < DECISION_SUBSTEPS && *outcome == ONGOING; i++) {
         /* Missiles first, against the aircraft at the start of the substep. */
         if (*bs == IN_FLIGHT && (code = step_missile(p, bk, r, bs)) != OK)
             return code;
@@ -432,13 +449,13 @@ substeps(const Params *p, double b[6], double r[6], double bk[9],
             return code;
         if (!all_finite(b, 6) || !all_finite(r, 6))
             return BAIL;
-        *k = i + 1;
-        t = t0 + (double)*k * PHYSICS_DT;
+        *t = t0 + (double)(i + 1) * PHYSICS_DT;
         /* Only a hit, two spent missiles, ground contact or the time limit
-         * can end the engagement; environment._evaluate decides which. */
-        *stopped = *bs == HIT || *rs == HIT || b[2] < GROUND_FLOOR
-                   || r[2] < GROUND_FLOOR || t >= EPISODE_TIME_LIMIT
-                   || (*bs == EXPIRED && *rs == EXPIRED);
+         * can end the engagement; evaluate decides which, if any, did. */
+        if (*bs == HIT || *rs == HIT || b[2] < GROUND_FLOOR
+            || r[2] < GROUND_FLOOR || *t >= EPISODE_TIME_LIMIT
+            || (*bs == EXPIRED && *rs == EXPIRED))
+            *outcome = evaluate(b[2], r[2], *bs, *rs, bf, rf, *t);
     }
     return OK;
 }
@@ -462,78 +479,6 @@ params_of(PyObject *params, Params *p)
     }
     memcpy(p, pv, sizeof *p);
     return OK;
-}
-
-PyDoc_STRVAR(run_doc,
-"run(b, r, bk, rk, bs, rs, controls, params, t0, start, n)\n"
-"\n"
-"Substeps start..n-1 of env_step's loop.  b and r are the aircraft tuples\n"
-"(x, y, z, v, gamma, phi); bk and rk the missiles' kinematics tuples, read\n"
-"only while in flight; bs and rs the missile status codes (0 none,\n"
-"1 in flight, 2 hit, 3 expired); controls (nx, nz, cos mu, sin mu) for blue\n"
-"then red; params the MissileParams fields in order, or None when no\n"
-"missile is in flight; t0 the decision's start time.\n"
-"\n"
-"Returns (stopped, k, b, r, bk, rk, bs, rs) after k substeps in all, where\n"
-"stopped says that the k-th substep can have ended the engagement, or None\n"
-"where the Python loop must run the decision instead.");
-
-static PyObject *
-run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double b[6], r[6], bk[9], rk[9], ctrl[8], t0;
-    Params p;
-    long bs, rs, start, n, i, k;
-    int stopped, code, b_live, r_live;
-    PyObject *out;
-
-    if (nargs != 11) {
-        PyErr_Format(PyExc_TypeError, "run expects 11 arguments, got %zd", nargs);
-        return NULL;
-    }
-    bs = PyLong_AsLong(args[4]);
-    rs = PyLong_AsLong(args[5]);
-    t0 = PyFloat_AsDouble(args[8]);
-    start = PyLong_AsLong(args[9]);
-    n = PyLong_AsLong(args[10]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (!floats_of(args[0], b, 6) || !floats_of(args[1], r, 6)
-        || (bs == IN_FLIGHT && !floats_of(args[2], bk, 9))
-        || (rs == IN_FLIGHT && !floats_of(args[3], rk, 9))
-        || !floats_of(args[6], ctrl, 8))
-        Py_RETURN_NONE;
-    b_live = bs == IN_FLIGHT;
-    r_live = rs == IN_FLIGHT;
-    if ((b_live || r_live) && params_of(args[7], &p) != OK)
-        return NULL;
-
-    code = substeps(&p, b, r, bk, rk, &bs, &rs, ctrl, t0, start, n, &k,
-                    &stopped);
-    if (code == FAIL)
-        return NULL;
-    if (code == BAIL)
-        Py_RETURN_NONE;
-
-    out = PyTuple_New(8);
-    if (out == NULL)
-        return NULL;
-    PyTuple_SET_ITEM(out, 0, PyBool_FromLong(stopped));
-    PyTuple_SET_ITEM(out, 1, PyLong_FromLong(k));
-    PyTuple_SET_ITEM(out, 2, tuple_of(b, 6));
-    PyTuple_SET_ITEM(out, 3, tuple_of(r, 6));
-    /* A missile's tuple is new only if it was in flight on entry. */
-    PyTuple_SET_ITEM(out, 4, b_live ? tuple_of(bk, 9) : Py_NewRef(args[2]));
-    PyTuple_SET_ITEM(out, 5, r_live ? tuple_of(rk, 9) : Py_NewRef(args[3]));
-    PyTuple_SET_ITEM(out, 6, PyLong_FromLong(bs));
-    PyTuple_SET_ITEM(out, 7, PyLong_FromLong(rs));
-    for (i = 0; i < 8; i++) {
-        if (PyTuple_GET_ITEM(out, i) == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-    }
-    return out;
 }
 
 /* Python's max(a, b) and min(a, b): the first argument unless the second
@@ -641,28 +586,6 @@ launch(const double shooter[6], double m[9])
     m[6] = m[7] = m[8] = 0.0;
 }
 
-/* environment._evaluate, on status codes. */
-static int
-evaluate(double blue_z, double red_z, long bs, long rs, int blue_fired,
-         int red_fired, double t)
-{
-    int blue_hit = rs == HIT, red_hit = bs == HIT;
-
-    if (blue_hit && red_hit)
-        return DRAW;
-    if (blue_hit)
-        return RED_WIN;
-    if (red_hit)
-        return BLUE_WIN;
-    if (blue_z < GROUND_FLOOR || red_z < GROUND_FLOOR)
-        return DRAW;
-    if (t >= EPISODE_TIME_LIMIT)
-        return DRAW;
-    if (blue_fired && red_fired && bs == EXPIRED && rs == EXPIRED)
-        return DRAW;
-    return ONGOING;
-}
-
 /* environment.observe from own's side: inc is the incoming missile's
  * kinematics while it is in flight, else NULL. */
 static int
@@ -710,14 +633,15 @@ PyDoc_STRVAR(step_doc,
 "\n"
 "One env_step decision of DECISION_DT on a flat engagement (b, r, bk, rk,\n"
 "bs, rs, blue_fired, red_fired, t, outcome): the aircraft tuples, each\n"
-"missile's kinematics tuple or None, the status codes as for run, the fired\n"
-"flags, the time and the outcome code (0 ongoing, 1 blue win, 2 red win,\n"
-"3 draw).  a_blue and a_red are the raw actions as lists or tuples of 4\n"
-"floats; params the MissileParams fields in order.\n"
+"missile's kinematics tuple or None, the missile status codes (0 none,\n"
+"1 in flight, 2 hit, 3 expired), the fired flags, the time and the outcome\n"
+"code (0 ongoing, 1 blue win, 2 red win, 3 draw).  a_blue and a_red are the\n"
+"raw actions as lists or tuples of 4 floats; params the MissileParams\n"
+"fields in order.\n"
 "\n"
 "Returns (flat, obs_blue, obs_red, outcome), the observations as tuples of\n"
-"13 floats, or None wherever env_step would raise or run would hand the\n"
-"decision back: then env_step must run the decision instead.");
+"13 floats, or None wherever env_step's Python loop would raise or meets a\n"
+"value that is not a finite float: then that loop must run the decision.");
 
 static PyObject *
 step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -725,8 +649,8 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     double b[6], r[6], bk[9], rk[9], ab[4], ar[4], ctrl[8], t0, t;
     double obs_b[OBS_DIM], obs_r[OBS_DIM];
     Params p;
-    long bs, rs, outcome, k = 0;
-    int bf, rf, b_live, r_live, stopped, code;
+    long bs, rs, outcome;
+    int bf, rf, b_live, r_live, code;
     PyObject *flat, *tobj, *next, *out;
     Py_ssize_t i;
 
@@ -770,19 +694,12 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     if ((b_live || r_live) && params_of(args[3], &p) != OK)
         return NULL;
 
-    /* As environment._compiled_substeps: where _evaluate says the engagement
-     * goes on, resume at the next substep. */
-    do {
-        code = substeps(&p, b, r, bk, rk, &bs, &rs, ctrl, t0, k,
-                        DECISION_SUBSTEPS, &k, &stopped);
-        if (code == FAIL)
-            return NULL;
-        if (code == BAIL)
-            Py_RETURN_NONE;
-        t = t0 + (double)k * PHYSICS_DT;
-        if (stopped)
-            outcome = evaluate(b[2], r[2], bs, rs, bf, rf, t);
-    } while (outcome == ONGOING && k < DECISION_SUBSTEPS);
+    code = substeps(&p, b, r, bk, rk, &bs, &rs, bf, rf, ctrl, t0, &t,
+                    &outcome);
+    if (code == FAIL)
+        return NULL;
+    if (code == BAIL)
+        Py_RETURN_NONE;
 
     code = observe(b, r, bs == IN_FLIGHT, rs == IN_FLIGHT ? rk : NULL, obs_b);
     if (code == OK)
@@ -832,7 +749,6 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"run", (PyCFunction)(void (*)(void))run, METH_FASTCALL, run_doc},
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -840,8 +756,8 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "The compiled copy of env_step: its substep loop and a whole "
-             "decision on a flat engagement.",
+    .m_doc = "The compiled copy of env_step: a whole decision on a flat "
+             "engagement.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -2,8 +2,9 @@
 
 train builds the run's LeagueConfig from the config file (or the defaults),
 then --seed, --out and --no-mcts, then --smoke, and stamps the sha256 of
-its INI text into every checkpoint.  selfcheck runs the invariant suite of
-dogfight.selfcheck.
+its INI text into every checkpoint; where the compiled kernel is
+unavailable it says so on stderr, since the run is then several times
+slower.  selfcheck runs the invariant suite of dogfight.selfcheck.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 runtime errors (unreadable checkpoints, I/O failures, numeric blowups).
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import environment
 from .harness import (
     CheckpointError,
     ConfigError,
@@ -52,6 +54,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.smoke:
         cfg = smoke_profile(cfg)
     cfg = replace(cfg, config_hash=config_hash(cfg))
+    if environment._kernel is None:
+        print(f"dogfight: compiled kernel unavailable "
+              f"({environment._KERNEL_DETAIL}); the Python loop runs every "
+              f"decision, with the same bytes, more slowly", file=sys.stderr)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

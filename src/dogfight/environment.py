@@ -9,32 +9,32 @@ terminal reward: +1 to the winner, -1 to the loser, 0 each for a draw.
 Only a missile hit produces a winner; ground contact, the 200 s time
 limit, and mutual missile expiry all end the engagement drawn.
 
-env_step's substep loop over plain floats is the reference integration
-path.  A compiled copy of it (`_kernel.c`, built on first import by
-`kernel.load`) runs the same arithmetic in the same order and gives the same
-bytes; env_step uses it unless it is unavailable, a recorder asks for every
-substep, or the reference would raise.  Setting `_kernel` to None selects the
-Python loop.
+env_step makes one call to the compiled kernel (`_kernel.c`, built on first
+import by `kernel.load`): its `step` does the whole decision on the flat
+engagement tuple (`flatten`, `unflatten`), namely the action checks, the
+clamp, the fire gate, the substeps, the outcome and both observations.  The
+Python loop in env_step is the reference, which the kernel copies in the
+same arithmetic and order, so both give the same bytes.  The loop runs where
+the kernel is unavailable, where a recorder asks for every substep, and
+where the kernel hands a decision back because the reference would raise.
+Setting `_kernel` to None selects the Python loop.
 
-Tree search steps its model states as flat tuples (`flatten`, `unflatten`)
-through `flat_model`, whose compiled `step` does a whole decision in one
-call: the action checks, the clamp, the fire gate, the substeps, the outcome
-and both observations.  env_step is its reference, bit for bit, and runs any
-decision the kernel hands back.
+Tree search steps its model states as flat tuples through `flat_model`,
+one kernel call per model step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-# rk4_step and missile_step are not called here: env_step integrates through
-# the models' float substeps.  The names stay bound in this module because
-# the benchmark's tracer (bench/tracing.py) rebinds them here.
+# rk4_step and missile_step are not called here: env_step's Python loop
+# integrates through the models' float substeps.  The names stay bound in this
+# module because the benchmark's tracer (bench/tracing.py) rebinds them here.
 from .dynamics import (
     PHYSICS_DT,
     V_FLOOR,
@@ -50,7 +50,6 @@ from .missile import (
     MissileParams,
     MissileState,
     MissileStatus,
-    _advanced,
     _kinematics,
     _substep as _missile_substep,
     launch_missile,
@@ -81,19 +80,21 @@ _IN_FLIGHT = MissileStatus.IN_FLIGHT
 _HIT = MissileStatus.HIT
 _EXPIRED = MissileStatus.EXPIRED
 
-# The compiled copy of env_step's substep loop, or None where it could not be
-# built; _KERNEL_DETAIL is its path or the reason.  The kernel speaks of
+# The compiled copy of env_step, or None where it could not be built;
+# _KERNEL_DETAIL is its path or the reason.  The kernel speaks of
 # missile statuses by code and takes MissileParams as a tuple of its fields.
 _kernel, _KERNEL_DETAIL = _load_kernel()
 _STATUS_CODES = {None: 0, _IN_FLIGHT: 1, _HIT: 2, _EXPIRED: 3}
 _CODED_STATUSES = (None, _IN_FLIGHT, _HIT, _EXPIRED)
+_DEFAULT_PARAM_VALUES = astuple(DEFAULT_MISSILE_PARAMS)
 
 
 def _param_values(p: MissileParams) -> tuple:
-    return tuple(getattr(p, f.name) for f in fields(p))
+    return _DEFAULT_PARAM_VALUES if p is DEFAULT_MISSILE_PARAMS else astuple(p)
 
 
-_DEFAULT_PARAM_VALUES = _param_values(DEFAULT_MISSILE_PARAMS)
+# The substeps of one decision; the kernel's DECISION_SUBSTEPS.
+_DECISION_SUBSTEPS = round(DECISION_DT / PHYSICS_DT)
 
 _PI = math.pi
 _HPI = math.pi / 2
@@ -335,158 +336,14 @@ def trajectory_rows(s: EngagementState) -> list[TrajectoryRow]:
     return rows
 
 
-def _compiled_substeps(b, r, bk, rk, bm_status, rm_status, controls, params,
-                       blue_fired, red_fired, t0, n):
-    """env_step's n substeps through the compiled kernel.
-
-    Returns (b, r, bk, rk, bm_status, rm_status, t, outcome) as the Python
-    loop leaves them, or None where the kernel hands the decision back: where
-    the reference would raise (a guard) or meets a value that is not a
-    finite float, so that the Python loop runs the decision as the
-    reference.  The kernel stops after any substep that can have ended the
-    engagement; _evaluate decides, and where it says ONGOING the kernel
-    resumes at the next substep.
-    """
-    bc, rc = _STATUS_CODES[bm_status], _STATUS_CODES[rm_status]
-    p = None
-    if bc == 1 or rc == 1:
-        p = (_DEFAULT_PARAM_VALUES if params is DEFAULT_MISSILE_PARAMS
-             else _param_values(params))
-    k = 0
-    while True:
-        res = _kernel.run(b, r, bk, rk, bc, rc, controls, p, t0, k, n)
-        if res is None:
-            return None
-        stopped, k, b, r, bk, rk, bc, rc = res
-        t = t0 + k * PHYSICS_DT
-        bm_status, rm_status = _CODED_STATUSES[bc], _CODED_STATUSES[rc]
-        outcome = (_evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
-                             red_fired, t) if stopped else _ONGOING)
-        if outcome is not _ONGOING or k == n:
-            return b, r, bk, rk, bm_status, rm_status, t, outcome
-
-
-def env_step(s: EngagementState, a_blue: Action, a_red: Action,
-             decision_dt: float = DECISION_DT,
-             params: MissileParams = DEFAULT_MISSILE_PARAMS,
-             recorder: Optional[Recorder] = None) -> StepResult:
-    """Advance the engagement by one decision step.
-
-    Fire decisions are taken once at the decision boundary, then the inner
-    sub-steps integrate missiles first (against the aircraft as they were
-    at the start of the sub-step, matching the linear-target hit model) and
-    the aircraft second.  Termination is checked after every sub-step and
-    freezes the state mid-decision.  Stepping a finished engagement returns
-    it unchanged with done set.
-    """
-    if s.outcome is not Outcome.ONGOING:
-        return StepResult(s, observe(s, BLUE), observe(s, RED),
-                          0.0, 0.0, True, s.outcome)
-
-    n_sub = decision_dt / PHYSICS_DT
-    n = round(n_sub)
-    if n < 1 or abs(n_sub - n) > 1e-9:
-        raise ValueError(
-            f"decision_dt {decision_dt} is not a positive multiple of {PHYSICS_DT}")
-
-    raw_b = _as_raw(a_blue)
-    raw_r = _as_raw(a_red)
-    ctrl_b = clamp_controls(raw_b[1], raw_b[0], raw_b[2])
-    ctrl_r = clamp_controls(raw_r[1], raw_r[0], raw_r[2])
-
-    blue, red = s.blue, s.red
-    bm, rm = s.blue_missile, s.red_missile
-    blue_fired, red_fired = s.blue_fired, s.red_fired
-
-    if raw_b[3] > 0.0 and not blue_fired and fire_allowed(blue, red):
-        bm = launch_missile(blue, BLUE, RED)
-        blue_fired = True
-    if raw_r[3] > 0.0 and not red_fired and fire_allowed(red, blue):
-        rm = launch_missile(red, RED, BLUE)
-        red_fired = True
-
-    # The substeps run over plain floats: each aircraft is the tuple
-    # (x, y, z, v, gamma, phi) and each missile in flight the kinematics tuple
-    # of missile._substep.  State objects are built once at the end, or at
-    # every substep only for a recorder.
-    b = (blue.x, blue.y, blue.z, blue.v, blue.gamma, blue.phi)
-    r = (red.x, red.y, red.z, red.v, red.gamma, red.phi)
-    b_nx, b_nz = ctrl_b.nx, ctrl_b.nz
-    b_cmu, b_smu = math.cos(ctrl_b.mu), math.sin(ctrl_b.mu)
-    r_nx, r_nz = ctrl_r.nx, ctrl_r.nz
-    r_cmu, r_smu = math.cos(ctrl_r.mu), math.sin(ctrl_r.mu)
-    bm_status = None if bm is None else bm.status
-    rm_status = None if rm is None else rm.status
-    bm_live = bm_status is MissileStatus.IN_FLIGHT
-    rm_live = rm_status is MissileStatus.IN_FLIGHT
-    bk = _kinematics(bm) if bm_live else None
-    rk = _kinematics(rm) if rm_live else None
-
-    # The compiled kernel runs the substeps unless a recorder wants every
-    # one; the Python loop below is the reference it is held to bit for bit,
-    # and runs too where the kernel is unavailable or a guard fires.
-    t0 = s.t
-    sub = None
-    if _kernel is not None and recorder is None:
-        controls = (b_nx, b_nz, b_cmu, b_smu, r_nx, r_nz, r_cmu, r_smu)
-        sub = _compiled_substeps(b, r, bk, rk, bm_status, rm_status, controls,
-                                 params, blue_fired, red_fired, t0, n)
-    if sub is not None:
-        b, r, bk, rk, bm_status, rm_status, t, outcome = sub
-    else:
-        t = t0
-        outcome = Outcome.ONGOING
-        for i in range(n):
-            # Missiles first, against the aircraft at the start of the substep.
-            if bm_status is _IN_FLIGHT:
-                bk, bm_status = _missile_substep(params, bk, r[:3],
-                                                 _velocity(r[3], r[4], r[5]),
-                                                 PHYSICS_DT)
-            if rm_status is _IN_FLIGHT:
-                rk, rm_status = _missile_substep(params, rk, b[:3],
-                                                 _velocity(b[3], b[4], b[5]),
-                                                 PHYSICS_DT)
-            b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
-            r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
-            t = t0 + (i + 1) * PHYSICS_DT
-            # Only a hit, two spent missiles, ground contact or the time limit
-            # can end the engagement; _evaluate decides which, if any, did.
-            if bm_status is _HIT or rm_status is _HIT \
-                    or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
-                    or t >= EPISODE_TIME_LIMIT \
-                    or (bm_status is _EXPIRED and rm_status is _EXPIRED):
-                outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
-                                    red_fired, t)
-            if recorder is not None:
-                state_i = EngagementState(
-                    AircraftState(*b), AircraftState(*r),
-                    _advanced(bm, bk, bm_status) if bm_live else bm,
-                    _advanced(rm, rk, rm_status) if rm_live else rm,
-                    blue_fired, red_fired, t, outcome)
-                for row in trajectory_rows(state_i):
-                    recorder(row)
-            if outcome is not _ONGOING:
-                break
-
-    if bm_live:
-        bm = _advanced(bm, bk, bm_status)
-    if rm_live:
-        rm = _advanced(rm, rk, rm_status)
-    ns = EngagementState(AircraftState(*b), AircraftState(*r), bm, rm,
-                         blue_fired, red_fired, t, outcome)
-    reward_blue, reward_red = _REWARDS[outcome]
-    done = outcome is not Outcome.ONGOING
-    return StepResult(ns, observe(ns, BLUE), observe(ns, RED),
-                      reward_blue, reward_red, done, outcome)
-
-
 # A flat engagement is the tuple
 #     (b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome)
 # of the aircraft tuples (x, y, z, v, gamma, phi), each side's missile
 # kinematics (missile._kinematics) or None, the missile status codes of
 # _STATUS_CODES, the fired flags, the time and the outcome code.  A side's
 # missile is always its own launch, so the tuple holds an EngagementState
-# without loss.  Tree search carries its model states this way.
+# without loss.  The kernel's `step` takes and returns it, and tree search
+# carries its model states this way.
 FlatState = tuple
 # (next flat state, obs_blue, obs_red, outcome code); the observations are
 # tuples of OBS_DIM floats.
@@ -516,25 +373,122 @@ def flatten(s: EngagementState) -> FlatState:
             s.blue_fired, s.red_fired, s.t, _OUTCOME_CODES[s.outcome])
 
 
-def _missile_of(k, code, shooter, target) -> Optional[MissileState]:
-    if not code:
+def _missile_of(k, status, shooter, target) -> Optional[MissileState]:
+    if status is None:
         return None
     x, y, z, v, gamma, phi, t, n_mc, n_mh = k
-    return MissileState(x, y, z, v, gamma, phi, t, shooter, target,
-                        _CODED_STATUSES[code], n_mc, n_mh)
+    return MissileState(x, y, z, v, gamma, phi, t, shooter, target, status,
+                        n_mc, n_mh)
+
+
+def _state_of(b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired, t,
+              outcome) -> EngagementState:
+    return EngagementState(AircraftState(*b), AircraftState(*r),
+                           _missile_of(bk, bm_status, BLUE, RED),
+                           _missile_of(rk, rm_status, RED, BLUE),
+                           blue_fired, red_fired, t, outcome)
 
 
 def unflatten(flat: FlatState) -> EngagementState:
     """The EngagementState that a flat tuple holds."""
     b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome = flat
-    return EngagementState(AircraftState(*b), AircraftState(*r),
-                           _missile_of(bk, bs, BLUE, RED),
-                           _missile_of(rk, rs, RED, BLUE),
-                           blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
+    return _state_of(b, r, bk, rk, _CODED_STATUSES[bs], _CODED_STATUSES[rs],
+                     blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
+
+
+def flat_result(out: FlatStep) -> StepResult:
+    """The StepResult that a flat step stands for: the rebuilt state, the
+    observations as arrays, and the rewards, done flag and outcome of its
+    outcome code."""
+    flat, obs_blue, obs_red, code = out
+    reward_blue, reward_red = REWARDS_BY_CODE[code]
+    return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
+                      reward_blue, reward_red, code != 0, _CODED_OUTCOMES[code])
+
+
+def env_step(s: EngagementState, a_blue: Action, a_red: Action,
+             params: MissileParams = DEFAULT_MISSILE_PARAMS,
+             recorder: Optional[Recorder] = None) -> StepResult:
+    """Advance the engagement by one decision step of DECISION_DT.
+
+    Fire decisions are taken once at the decision boundary, then the inner
+    sub-steps integrate missiles first (against the aircraft as they were
+    at the start of the sub-step, matching the linear-target hit model) and
+    the aircraft second.  Termination is checked after every sub-step and
+    freezes the state mid-decision.  Stepping a finished engagement returns
+    it unchanged with done set.  ValueError for a malformed action, or for a
+    missile in the other side's slot.
+    """
+    if s.outcome is not Outcome.ONGOING:
+        return StepResult(s, observe(s, BLUE), observe(s, RED),
+                          0.0, 0.0, True, s.outcome)
+
+    flat = flatten(s)
+    raw_b = _as_raw(a_blue)
+    raw_r = _as_raw(a_red)
+    if _kernel is not None and recorder is None:
+        out = _kernel.step(flat, raw_b, raw_r, _param_values(params))
+        if out is not None:
+            return flat_result(out)
+
+    # The Python loop: the reference the kernel is held to bit for bit.  It
+    # runs the substeps over the plain floats of the flat tuple and builds
+    # state objects once at the end, or at every substep only for a recorder.
+    b, r, bk, rk, bs, rs, blue_fired, red_fired, t0, _ = flat
+    bm_status, rm_status = _CODED_STATUSES[bs], _CODED_STATUSES[rs]
+    ctrl_b = clamp_controls(raw_b[1], raw_b[0], raw_b[2])
+    ctrl_r = clamp_controls(raw_r[1], raw_r[0], raw_r[2])
+    if raw_b[3] > 0.0 and not blue_fired and fire_allowed(s.blue, s.red):
+        bk = _kinematics(launch_missile(s.blue, BLUE, RED))
+        bm_status, blue_fired = _IN_FLIGHT, True
+    if raw_r[3] > 0.0 and not red_fired and fire_allowed(s.red, s.blue):
+        rk = _kinematics(launch_missile(s.red, RED, BLUE))
+        rm_status, red_fired = _IN_FLIGHT, True
+
+    b_nx, b_nz = ctrl_b.nx, ctrl_b.nz
+    b_cmu, b_smu = math.cos(ctrl_b.mu), math.sin(ctrl_b.mu)
+    r_nx, r_nz = ctrl_r.nx, ctrl_r.nz
+    r_cmu, r_smu = math.cos(ctrl_r.mu), math.sin(ctrl_r.mu)
+    t = t0
+    outcome = _ONGOING
+    for i in range(_DECISION_SUBSTEPS):
+        # Missiles first, against the aircraft at the start of the substep.
+        if bm_status is _IN_FLIGHT:
+            bk, bm_status = _missile_substep(params, bk, r[:3],
+                                             _velocity(r[3], r[4], r[5]),
+                                             PHYSICS_DT)
+        if rm_status is _IN_FLIGHT:
+            rk, rm_status = _missile_substep(params, rk, b[:3],
+                                             _velocity(b[3], b[4], b[5]),
+                                             PHYSICS_DT)
+        b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
+        r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
+        t = t0 + (i + 1) * PHYSICS_DT
+        # Only a hit, two spent missiles, ground contact or the time limit
+        # can end the engagement; _evaluate decides which, if any, did.
+        if bm_status is _HIT or rm_status is _HIT \
+                or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
+                or t >= EPISODE_TIME_LIMIT \
+                or (bm_status is _EXPIRED and rm_status is _EXPIRED):
+            outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                                red_fired, t)
+        if recorder is not None:
+            for row in trajectory_rows(_state_of(
+                    b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired,
+                    t, outcome)):
+                recorder(row)
+        if outcome is not _ONGOING:
+            break
+
+    ns = _state_of(b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired,
+                   t, outcome)
+    reward_blue, reward_red = _REWARDS[outcome]
+    return StepResult(ns, observe(ns, BLUE), observe(ns, RED),
+                      reward_blue, reward_red, outcome is not _ONGOING, outcome)
 
 
 def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
-    """env_step of DECISION_DT on flat engagements, bound to params.
+    """env_step on flat engagements, bound to params.
 
     The model returns (next flat state, obs_blue, obs_red, outcome code), bit
     for bit what env_step returns.  The compiled kernel's `step` computes it
@@ -542,8 +496,7 @@ def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
     env_step runs it on the rebuilt state, so its exception, or its result
     flattened, comes out.
     """
-    values = (_DEFAULT_PARAM_VALUES if params is DEFAULT_MISSILE_PARAMS
-              else _param_values(params))
+    values = _param_values(params)
 
     def step(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
         out = None if _kernel is None else _kernel.step(flat, a_blue, a_red,

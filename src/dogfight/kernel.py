@@ -1,8 +1,8 @@
 """Build, cache and load `_kernel.c`, the compiled copy of env_step.
 
-The extension has two entry points: `run`, env_step's substep loop, and
-`step`, a whole decision on the flat engagement tuple that tree search
-carries (environment.flat_model).
+The extension has one entry point, `step`: a whole env_step decision on the
+flat engagement tuple (environment.flatten), which env_step and tree
+search's flat model (environment.flat_model) call.
 
 The first import compiles the extension with the system C compiler into the
 package's `__pycache__`; later imports only hash the source and load the
@@ -18,7 +18,8 @@ multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
 load, `load` returns None with the reason, and env_step runs its Python loop
-(search's flat model runs env_step), which gives the same bytes more slowly.
+(search's flat model runs env_step), which gives the same bytes more slowly;
+`dogfight train` then says so on stderr.
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ the gravitational constant with the aircraft model.
 
 As in the aircraft model there is one integration path: `_substep` advances
 the plain float tuple (x, y, z, vm, gamma, phi, t, n_mc, n_mh) by one
-guided RK4 step, `missile_step` wraps it for a `MissileState`, and the
-Python loop of `environment.env_step` calls it directly for the substeps of
-a decision.  Guidance is one float function, `pn_commands`, which takes the
-line of sight and its rate as components and returns the two commands or
-raises; `_substep` holds the previous commands when it raises.  `_kernel.c`
-holds a compiled copy of `_substep` and `pn_commands`, tied bit for bit to
-this reference by tests/test_kernel.py.
+guided RK4 step of four `_derivatives` calls, `missile_step` wraps it for a
+`MissileState`, and the Python loop of `environment.env_step` calls it
+directly for the substeps of a decision.  The mass, thrust and drag are
+defined once, in `mass_at`, `thrust_at` and `drag_of`, which `_derivatives`
+calls.  Guidance is one float function, `pn_commands`, which takes the line
+of sight and its rate as components and returns the two commands or raises;
+`_substep` holds the previous commands when it raises.  `_kernel.c` holds a
+compiled copy of `_substep` and `pn_commands`, tied bit for bit to this
+reference by tests/test_kernel.py.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import G, GAMMA_LIMIT, PHYSICS_DT, AircraftState, _velocity, wrap_angle
+from .dynamics import (
+    G,
+    PHYSICS_DT,
+    AircraftState,
+    _clip_gamma,
+    _velocity,
+    wrap_angle,
+)
 
 Vec3 = tuple[float, float, float]
 
@@ -150,9 +159,9 @@ def _derivatives(p, v, gamma, phi, t, n_mc, n_mh):
     cg = math.cos(gamma)
     if abs(cg) < 1e-9:
         raise ValueError(f"missile flight-path angle {gamma} too close to vertical")
-    gm = p.g0 - p.gt * min(t, p.tw)
-    pm = p.p0 if t <= p.tw else 0.0
-    qm = 0.5 * p.rho * v * v * p.sm * p.cdm
+    gm = mass_at(p, t)
+    pm = thrust_at(p, t)
+    qm = drag_of(p, v)
     sg = math.sin(gamma)
     vcg = v * cg
     return (vcg * math.cos(phi), vcg * math.sin(phi), v * sg,
@@ -198,27 +207,20 @@ def _substep(p, k, target_pos, target_vel, dt):
     # Stages are evaluated at the flight-path angle clipped like the output,
     # as in the aircraft model, so the heading equation stays defined.
     h = dt / 2.0
-    g = gamma + h * k1[4]
-    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k2 = _derivatives(p, v + h * k1[3], g, phi + h * k1[5], t + h, n_mc, n_mh)
-    g = gamma + h * k2[4]
-    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k3 = _derivatives(p, v + h * k2[3], g, phi + h * k2[5], t + h, n_mc, n_mh)
-    g = gamma + dt * k3[4]
-    g = GAMMA_LIMIT if g > GAMMA_LIMIT else -GAMMA_LIMIT if g < -GAMMA_LIMIT else g
-    k4 = _derivatives(p, v + dt * k3[3], g, phi + dt * k3[5], t + dt, n_mc, n_mh)
+    k2 = _derivatives(p, v + h * k1[3], _clip_gamma(gamma + h * k1[4]),
+                      phi + h * k1[5], t + h, n_mc, n_mh)
+    k3 = _derivatives(p, v + h * k2[3], _clip_gamma(gamma + h * k2[4]),
+                      phi + h * k2[5], t + h, n_mc, n_mh)
+    k4 = _derivatives(p, v + dt * k3[3], _clip_gamma(gamma + dt * k3[4]),
+                      phi + dt * k3[5], t + dt, n_mc, n_mh)
 
     sixth = dt / 6.0
     nx = x + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
     ny = y + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
     nz = z + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
     nv = v + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-    ngamma = gamma + sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4])
+    ngamma = _clip_gamma(gamma + sixth * (k1[4] + 2.0 * (k2[4] + k3[4]) + k4[4]))
     nphi = phi + sixth * (k1[5] + 2.0 * (k2[5] + k3[5]) + k4[5])
-    if ngamma > GAMMA_LIMIT:
-        ngamma = GAMMA_LIMIT
-    elif ngamma < -GAMMA_LIMIT:
-        ngamma = -GAMMA_LIMIT
     nt = t + dt
 
     # Closest approach of the target relative to the missile over the step.

@@ -25,16 +25,14 @@ from .dynamics import (
 from .environment import (
     BLUE,
     RED,
-    REWARDS_BY_CODE,
     EngagementState,
-    FlatStep,
     Outcome,
     StepResult,
     env_step,
     flat_model,
+    flat_result,
     flatten,
     reset,
-    unflatten,
 )
 from .harness import load_checkpoint, save_checkpoint
 from .missile import MissileParams, MissileState, MissileStatus, missile_step
@@ -192,17 +190,6 @@ def step_bytes(res: StepResult) -> bytes:
     return b"|".join(parts)
 
 
-def flat_result(out: FlatStep) -> StepResult:
-    """The StepResult that a flat model's output stands for: the rebuilt
-    state, the observations as arrays, and the rewards, done flag and outcome
-    of its outcome code."""
-    flat, obs_blue, obs_red, code = out
-    reward_blue, reward_red = REWARDS_BY_CODE[code]
-    return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
-                      reward_blue, reward_red, code != 0,
-                      environment._CODED_OUTCOMES[code])
-
-
 def envelope_state(rng: np.random.Generator) -> EngagementState:
     """A start drawn across the flight envelope: any speed from the floor,
     flight-path angles up to the clip, low altitudes, missiles in flight near
@@ -244,23 +231,17 @@ class KernelSpy:
         self.compiled = compiled
         self.calls = self.handed_back = 0
 
-    def _count(self, res):
+    def step(self, *args):
+        res = self.compiled.step(*args)
         self.calls += 1
         self.handed_back += res is None
         return res
 
-    def run(self, *args):
-        return self._count(self.compiled.run(*args))
-
-    def step(self, *args):
-        return self._count(self.compiled.step(*args))
-
 
 def kernel_identity(decisions: int, seed: int) -> dict:
-    """Step seeded random decisions three ways: env_step through the compiled
-    kernel's `run`, the flat model through its `step` (rebuilt with
-    `flat_result`), and env_step through the Python loop.  AssertionError at
-    the first byte that differs.
+    """Step seeded random decisions through env_step with the compiled kernel,
+    and through the flat model (rebuilt with `flat_result`), against env_step
+    through the Python loop.  AssertionError at the first byte that differs.
 
     Half the engagements start from `reset`, half from `envelope_state`.
     Raw actions are wider than the control envelope and fire often, and each
@@ -295,8 +276,8 @@ def kernel_identity(decisions: int, seed: int) -> dict:
             raise AssertionError(f"kernel and Python loop differ from {state!r} "
                                  f"under {held.tolist()!r}")
         if step_bytes(flat) != step_bytes(ref):
-            raise AssertionError(f"the kernel's step and env_step differ from "
-                                 f"{state!r} under {held.tolist()!r}")
+            raise AssertionError(f"the flat model and the Python loop differ "
+                                 f"from {state!r} under {held.tolist()!r}")
         counts["decisions"] += 1
         counts["missile_in_flight"] += any(
             m is not None and m.status is MissileStatus.IN_FLIGHT
@@ -315,7 +296,8 @@ def check_kernel() -> str:
     counts = kernel_identity(2000, 1)
     return (f"built; {counts['decisions']} decisions "
             f"({counts['missile_in_flight']} with a missile in flight) "
-            "bit-identical to the Python loop through run and through step")
+            "bit-identical to the Python loop through env_step and the flat "
+            "model")
 
 
 SELF_CHECKS = (

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import dogfight
-from dogfight import cli
+from dogfight import cli, environment
 from dogfight.cli import main
 from dogfight.harness import (
     TRAJECTORY_HEADER,
@@ -125,6 +125,29 @@ def test_train_tiny_run_writes_artifacts(tmp_path, monkeypatch, capsys):
     assert {json.loads(line)["outcome"] for line in match_lines} \
         <= {"Win", "Loss", "Draw"}
     assert "iter   2/2" in capsys.readouterr().out
+
+
+def test_train_says_on_stderr_when_the_kernel_is_unavailable(
+        tmp_path, monkeypatch, capsys):
+    # One stderr line where the Python loop runs every decision, none where
+    # a kernel is loaded (a stand-in here, as the loop is stubbed out);
+    # stdout is the same either way.
+    monkeypatch.setattr(cli, "train_loop", lambda config, **sinks: None)
+    args = ["train", "--config", str(_write_tiny_config(tmp_path)),
+            "--out", str(tmp_path / "run")]
+    outs = []
+    for kernel, detail in ((object(), "_kernel-0.so"),
+                           (None, "OSError: no C compiler 'cc' on PATH")):
+        monkeypatch.setattr(environment, "_kernel", kernel)
+        monkeypatch.setattr(environment, "_KERNEL_DETAIL", detail)
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        expected = [] if kernel is not None else [
+            f"dogfight: compiled kernel unavailable ({detail}); the Python "
+            "loop runs every decision, with the same bytes, more slowly"]
+        assert captured.err.splitlines() == expected
+    assert outs[0] == outs[1]
 
 
 def test_train_rerun_is_byte_identical(tmp_path, monkeypatch):

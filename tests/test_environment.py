@@ -277,27 +277,39 @@ def test_both_missiles_expired_is_draw():
     assert res.state.t == pytest.approx(0.02)  # ends on the first sub-step
 
 
+def last_substep_start():
+    """The start time from which one substep ends exactly on the time limit."""
+    t = EPISODE_TIME_LIMIT - PHYSICS_DT
+    while t + PHYSICS_DT < EPISODE_TIME_LIMIT:
+        t = math.nextafter(t, math.inf)
+    while t + PHYSICS_DT > EPISODE_TIME_LIMIT:
+        t = math.nextafter(t, -math.inf)
+    assert t + PHYSICS_DT == EPISODE_TIME_LIMIT
+    return t
+
+
 def test_termination_fast_path_agrees_with_evaluate(monkeypatch):
     # env_step calls _evaluate only after a hit, two spent missiles, ground
     # contact or the time limit.  Both models are replaced by stubs that land
-    # a one-substep decision on drawn altitudes and missile statuses, so the
-    # outcome must equal _evaluate of exactly those, boundaries included.
-    # The stubs live in the Python loop, so the compiled kernel is switched
-    # off; tests/test_kernel.py holds its trigger to this loop on real states.
+    # drawn altitudes and missile statuses at the decision's first substep
+    # and hold them after that, so the outcome must equal _evaluate of
+    # exactly those at the first substep where it is not ONGOING, boundaries
+    # included.  The stubs live in the Python loop, so the compiled kernel is
+    # switched off; tests/test_kernel.py holds its trigger to this loop on
+    # real states.
     from dogfight import environment as env
 
     monkeypatch.setattr(env, "_kernel", None)
     landing = {}
-    monkeypatch.setattr(env, "_aircraft_substep",
-                        lambda k, *_: k[:2] + (landing["z"].pop(0),) + k[3:])
-    monkeypatch.setattr(env, "_missile_substep",
-                        lambda p, k, *_: (k, landing["status"].pop(0)))
-    t_limit = EPISODE_TIME_LIMIT - PHYSICS_DT
-    while t_limit + PHYSICS_DT < EPISODE_TIME_LIMIT:
-        t_limit = math.nextafter(t_limit, math.inf)
-    while t_limit + PHYSICS_DT > EPISODE_TIME_LIMIT:
-        t_limit = math.nextafter(t_limit, -math.inf)
-    assert t_limit + PHYSICS_DT == EPISODE_TIME_LIMIT
+    monkeypatch.setattr(
+        env, "_aircraft_substep",
+        lambda k, *_: k[:2] + (landing["z"].pop(0) if landing["z"] else k[2],)
+        + k[3:])
+    monkeypatch.setattr(
+        env, "_missile_substep",
+        lambda p, k, *_: (k, landing["status"].pop(0) if landing["status"]
+                          else MissileStatus.IN_FLIGHT))
+    t_limit = last_substep_start()
 
     flying, hit, spent = (MissileStatus.IN_FLIGHT, MissileStatus.HIT,
                           MissileStatus.EXPIRED)
@@ -344,10 +356,15 @@ def test_termination_fast_path_agrees_with_evaluate(monkeypatch):
         landing["z"] = [z_b, z_r]
         landing["status"] = [m[1] for m in (m_b, m_r)
                              if m is not None and m[0] is flying]
-        res = env_step(s, TRIM, TRIM, decision_dt=PHYSICS_DT)
+        res = env_step(s, TRIM, TRIM)
         assert not landing["z"] and not landing["status"]
         after = [None if m is None else m[1] for m in (m_b, m_r)]
-        assert res.outcome is env._evaluate(z_b, z_r, *after, *fired, t0 + PHYSICS_DT)
+        for k in range(1, round(DECISION_DT / PHYSICS_DT) + 1):
+            t = t0 + k * PHYSICS_DT
+            expected = env._evaluate(z_b, z_r, *after, *fired, t)
+            if expected is not Outcome.ONGOING:
+                break
+        assert (res.outcome, res.state.t) == (expected, t)
         seen.add(res.outcome)
     assert seen == set(Outcome)
 
@@ -372,16 +389,6 @@ def test_env_step_deterministic():
     r2 = env_step(s, a, b)
     assert r1.state == r2.state
     np.testing.assert_array_equal(r1.obs_blue, r2.obs_blue)
-
-
-def test_decision_dt_validation():
-    s = reset(0)
-    with pytest.raises(ValueError):
-        env_step(s, TRIM, TRIM, decision_dt=0.03)
-    with pytest.raises(ValueError):
-        env_step(s, TRIM, TRIM, decision_dt=-0.5)
-    res = env_step(s, TRIM, TRIM, decision_dt=0.02)  # single sub-step is fine
-    assert res.state.t == pytest.approx(0.02)
 
 
 def test_action_validation():
@@ -421,6 +428,25 @@ def test_malformed_actions_raise_value_error(name, monkeypatch):
                     step(s, *pair)
                 messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_a_missile_in_the_wrong_slot_raises_on_every_path(monkeypatch):
+    # env_step flattens the state before it picks a path, so the kernel, the
+    # Python loop and the recorder's loop all refuse a missile that is not
+    # its slot's side's own, with the same ValueError.
+    s = head_on_state()
+    blue_shot = MissileState(0.0, 0.0, 5000.0, 600.0, 0.0, 0.0, 1.0, BLUE, RED)
+    red_shot = replace(blue_shot, shooter=RED, target=BLUE)
+    for wrong in (replace(s, blue_missile=red_shot, blue_fired=True),
+                  replace(s, red_missile=blue_shot, red_fired=True)):
+        messages = set()
+        for kernel in (environment._kernel, None):
+            monkeypatch.setattr(environment, "_kernel", kernel)
+            for recorder in (None, [].append):
+                with pytest.raises(ValueError, match="missile slot holds") as info:
+                    env_step(wrong, TRIM, TRIM, recorder=recorder)
+                messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 def test_recorder_streams_rows():

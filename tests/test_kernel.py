@@ -2,10 +2,9 @@
 
 Every test here compares env_step with the kernel (the default) and with
 `environment._kernel` patched to None, which runs the Python loop: the
-reference.  Where a case is a decision of DECISION_DT, the flat model, which
-runs the kernel's `step`, is held to the same reference.  Equality is of the
-IEEE bytes of every field (selfcheck.step_bytes, after selfcheck.flat_result
-for the flat model).
+reference.  The flat model, which calls the kernel's `step` directly, is
+held to the same reference.  Equality is of the IEEE bytes of every field
+(selfcheck.step_bytes, after environment.flat_result for the flat model).
 """
 
 import gc
@@ -38,7 +37,6 @@ from dogfight.dynamics import (
     V_FLOOR,
     AircraftState,
     DegenerateStateError,
-    clamp_controls,
 )
 from dogfight.environment import (
     BLUE,
@@ -55,10 +53,13 @@ from dogfight.environment import (
     _evaluate,
     env_step,
     flat_model,
+    flat_result,
     flatten,
     reset,
 )
 from dogfight.missile import MissileParams, MissileState, MissileStatus
+
+from test_environment import last_substep_start
 
 TRIM = (1.0, 0.0, 0.0, -1.0)
 HAVE_CC = shutil.which(kernel.COMPILER) is not None
@@ -72,16 +73,11 @@ def step(kernel_module, state, a_blue, a_red, **kwargs):
         environment._kernel = saved
 
 
-def flat_step(kernel_module, state, a_blue, a_red, params=DEFAULT_MISSILE_PARAMS,
-              decision_dt=DECISION_DT):
-    """The flat model's decision from state, rebuilt as a StepResult; None
-    where the case is not a decision of DECISION_DT, which it cannot take."""
-    if decision_dt != DECISION_DT:
-        return None
+def flat_step(kernel_module, state, a_blue, a_red, params=DEFAULT_MISSILE_PARAMS):
+    """The flat model's decision from state, rebuilt as a StepResult."""
     saved, environment._kernel = environment._kernel, kernel_module
     try:
-        return selfcheck.flat_result(
-            flat_model(params)(flatten(state), a_blue, a_red))
+        return flat_result(flat_model(params)(flatten(state), a_blue, a_red))
     finally:
         environment._kernel = saved
 
@@ -98,9 +94,8 @@ def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True, **kwargs):
     assert spy.calls > 0 and (spy.handed_back == 0) == kernel_runs
     flat_spy = selfcheck.KernelSpy(environment._kernel)
     flat = flat_step(flat_spy, state, a_blue, a_red, **kwargs)
-    if flat is not None:
-        assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
-        assert (flat_spy.handed_back == 0) == kernel_runs
+    assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
+    assert (flat_spy.handed_back == 0) == kernel_runs
     return ref
 
 
@@ -109,10 +104,9 @@ def both_raise(state, a_blue=TRIM, a_red=TRIM, **kwargs):
     raised = []
     spy = selfcheck.KernelSpy(environment._kernel)
     flat_spy = selfcheck.KernelSpy(environment._kernel)
-    calls = [lambda: step(spy, state, a_blue, a_red, **kwargs),
-             lambda: step(None, state, a_blue, a_red, **kwargs)]
-    if "decision_dt" not in kwargs:
-        calls.append(lambda: flat_step(flat_spy, state, a_blue, a_red, **kwargs))
+    calls = (lambda: step(spy, state, a_blue, a_red, **kwargs),
+             lambda: step(None, state, a_blue, a_red, **kwargs),
+             lambda: flat_step(flat_spy, state, a_blue, a_red, **kwargs))
     for call in calls:
         try:
             call()
@@ -122,9 +116,9 @@ def both_raise(state, a_blue=TRIM, a_red=TRIM, **kwargs):
             raised.append(None)
     assert raised[0] is not None and all(r == raised[0] for r in raised)
     assert spy.handed_back == 1
-    if len(calls) == 3:
-        # step hands the decision back, and so does run inside env_step.
-        assert flat_spy.handed_back == 2
+    # The flat model's step hands the decision back, and so does the step
+    # inside the env_step that replays it.
+    assert flat_spy.handed_back == 2
     return raised[0]
 
 
@@ -213,8 +207,9 @@ def test_expiries_are_bit_identical(compiled):
 
 
 def test_spent_missiles_without_fired_flags_resume(compiled):
-    # The kernel stops on two spent missiles; _evaluate says the engagement
-    # goes on (neither fired flag is set), so it resumes every substep.
+    # Two spent missiles make the kernel ask evaluate at every substep; it
+    # says the engagement goes on (neither fired flag is set), so the
+    # decision runs all its substeps.
     spent = missile(BLUE, RED, 0.0, 0.0, 5000.0, status=MissileStatus.EXPIRED)
     s = duel(blue_missile=spent,
              red_missile=replace(spent, shooter=RED, target=BLUE))
@@ -223,7 +218,9 @@ def test_spent_missiles_without_fired_flags_resume(compiled):
 
 
 def test_guidance_holds_are_bit_identical(compiled):
-    s = duel(separation=8000.0)
+    # Each case starts one substep before the time limit, so the decision
+    # ends after exactly that substep, the one that met the singular geometry.
+    s = duel(separation=8000.0, t=last_substep_start())
     held = dict(n_mc=1.5, n_mh=-2.5)
     target = s.red
     cases = (
@@ -235,8 +232,8 @@ def test_guidance_holds_are_bit_identical(compiled):
         missile(BLUE, RED, target.x - 1e-7, target.y, target.z - 1000.0, **held),
     )
     for m in cases:
-        res = both_paths(replace(s, blue_missile=m, blue_fired=True),
-                         decision_dt=PHYSICS_DT)
+        res = both_paths(replace(s, blue_missile=m, blue_fired=True))
+        assert res.state.t == EPISODE_TIME_LIMIT
         after = res.state.blue_missile
         assert (after.n_mc, after.n_mh) == (1.5, -2.5)
 
@@ -251,9 +248,9 @@ def test_integrator_limits_are_bit_identical(compiled):
     res = both_paths(replace(s, blue=replace(s.blue, gamma=GAMMA_LIMIT - 1e-4)),
                      a_blue=(8.0, 0.0, 0.0, -1.0))
     assert res.state.blue.gamma == GAMMA_LIMIT
-    # A heading wrap that lands on -pi reports +pi.
-    res = both_paths(replace(s, blue=replace(s.blue, phi=-math.pi)),
-                     decision_dt=PHYSICS_DT)
+    # A heading wrap that lands on -pi reports +pi; under TRIM the heading
+    # stays at -pi, so it does at every substep.
+    res = both_paths(replace(s, blue=replace(s.blue, phi=-math.pi)))
     assert res.state.blue.phi == math.pi
 
 
@@ -354,7 +351,8 @@ def _status(m):
 def test_step_on_the_pinned_rollout_inputs(compiled):
     # The states and held actions of test_environment's pinned rollout: the
     # flat model, given each row as a list as search gives it, must return
-    # env_step's bytes on all 10,000 decisions without handing one back.
+    # the Python loop's bytes on all 10,000 decisions without handing one
+    # back.
     rng = np.random.default_rng(2024)
     spy = selfcheck.KernelSpy(compiled)
     state = held = None
@@ -364,7 +362,7 @@ def test_step_on_the_pinned_rollout_inputs(compiled):
         if held is None or rng.random() < 0.2:
             held = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
                                size=(2, 4))
-        ref = env_step(state, held[0], held[1])
+        ref = step(None, state, held[0], held[1])
         flat = flat_step(spy, state, held[0].tolist(), held[1].tolist())
         assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
         state = None if ref.done else ref.state
@@ -431,30 +429,17 @@ BRANCHES = {
 }
 
 
-def _run_args(state, a_blue, a_red):
-    """run's arguments for state's decision, up to start and n, as
-    environment._compiled_substeps builds them."""
-    b, r, bk, rk, bs, rs = flatten(state)[:6]
-    controls = ()
-    for a in (a_blue, a_red):
-        c = clamp_controls(a[1], a[0], a[2])
-        controls += (c.nx, c.nz, math.cos(c.mu), math.sin(c.mu))
-    params = environment._DEFAULT_PARAM_VALUES if 1 in (bs, rs) else None
-    return [b, r, bk, rk, bs, rs, controls, params, state.t]
-
-
 @pytest.mark.parametrize("branch", list(BRANCHES))
 def test_kernel_calls_keep_input_refcounts(compiled, branch):
-    # Every tuple handed to run or step keeps its reference count across the
-    # calls, on each branch; results that pass an input through hold one more
+    # Every tuple handed to step keeps its reference count across the calls,
+    # on each branch; results that pass an input through hold one more
     # reference only while they live.  A count off by one either way is a
     # leak, or a free while the caller still holds the object.
     state, a_blue, expected = BRANCHES[branch]
     flat, a_blue, a_red = flatten(state), list(a_blue), list(TRIM)
     params = environment._DEFAULT_PARAM_VALUES
-    run_args = _run_args(state, a_blue, a_red)
-    inputs = [o for o in (flat, *flat[:4], a_blue, a_red, params,
-                          *run_args[:4], *run_args[6:8]) if o is not None]
+    inputs = [o for o in (flat, *flat[:4], a_blue, a_red, params)
+              if o is not None]
     before = [sys.getrefcount(o) for o in inputs]
     for _ in range(3):
         out = compiled.step(flat, a_blue, a_red, params)
@@ -471,10 +456,6 @@ def test_kernel_calls_keep_input_refcounts(compiled, branch):
                     sys.getrefcount(out[0][1]),
                     sys.getrefcount(out[0][8])] == [2] * 6
         del out
-        for start in (0, 1):  # from the decision's start, and resumed
-            out = compiled.run(*run_args, start, round(DECISION_DT / PHYSICS_DT))
-            assert (out is None) == (expected is None)
-            del out
     assert [sys.getrefcount(o) for o in inputs] == before
 
 

@@ -536,10 +536,10 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
 
 def model_call_identity(searches, seed):
     """Run seeded default-size searches, both sides, from `_prefix_root`
-    roots, with every model call checked against env_step on the rebuilt
-    state, byte for byte (selfcheck.flat_result and step_bytes).  Returns
-    (model calls, calls the kernel handed back, terminal calls, calls with a
-    missile in flight)."""
+    roots, with every model call checked against env_step's Python loop on
+    the rebuilt state, byte for byte (environment.flat_result and
+    selfcheck.step_bytes).  Returns (model calls, calls the kernel handed
+    back, terminal calls, calls with a missile in flight)."""
     seed_rng = np.random.default_rng(seed)
     nets = _default_nets(2)
     configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
@@ -551,10 +551,11 @@ def model_call_identity(searches, seed):
         saved, environment._kernel = environment._kernel, spy
         try:
             out = env_model(flat, a_blue, a_red)
+            environment._kernel = None
+            ref = env_step(unflatten(flat), a_blue, a_red)
         finally:
             environment._kernel = saved
-        ref = env_step(unflatten(flat), a_blue, a_red)
-        assert selfcheck.step_bytes(selfcheck.flat_result(out)) == \
+        assert selfcheck.step_bytes(environment.flat_result(out)) == \
             selfcheck.step_bytes(ref), (flat, a_blue, a_red)
         counts[0] += 1
         counts[2] += ref.done
