@@ -11,7 +11,6 @@ from .dynamics import AircraftState, ControlInput, clamp_controls, rk4_step
 from .environment import (
     BLUE,
     RED,
-    ActionCommand,
     EngagementState,
     Outcome,
     ScenarioConfig,
@@ -49,9 +48,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AircraftState", "ControlInput", "clamp_controls", "rk4_step",
-    "BLUE", "RED", "ActionCommand", "EngagementState", "Outcome",
-    "ScenarioConfig", "StepResult", "env_step", "flat_model", "observe",
-    "reset",
+    "BLUE", "RED", "EngagementState", "Outcome", "ScenarioConfig",
+    "StepResult", "env_step", "flat_model", "observe", "reset",
     "CheckpointError", "ConfigError", "load_checkpoint",
     "load_config", "parse_config", "save_checkpoint", "serialize_config",
     "SearchConfig", "SearchResult", "run_search",

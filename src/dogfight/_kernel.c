@@ -1,10 +1,10 @@
-/* The compiled copy of environment.env_step.
+/* The compiled copy of environment._reference.
  *
- * `step` is a whole env_step decision on a flat engagement, the tuple that
- * env_step and the tree search pass (see environment.flatten): the action
- * checks of _as_raw, dynamics.clamp_controls, the fire gate and
+ * `step` is a whole decision on a flat engagement, the tuple that env_step
+ * and the tree search pass (see environment.flatten): the action checks of
+ * _as_raw, dynamics.clamp_controls, the fire gate and
  * missile.launch_missile, the substeps, environment._evaluate and both
- * environment.observe calls, in the Python code's order.  Each substep
+ * environment._features calls, in the Python code's order.  Each substep
  * advances any missile in flight first (dynamics of missile._substep,
  * guidance of missile.pn_commands), against the aircraft as it was at the
  * start of the substep, then each aircraft (dynamics._substep).
@@ -21,7 +21,7 @@
  * Where the reference would raise (a guard of either model, a division by a
  * zero missile mass, a malformed action, an overflowing square) or where a
  * value is not finite, `step` returns None instead, and the caller runs the
- * decision through env_step's Python loop, which raises the reference's
+ * decision through environment._reference, which raises the reference's
  * exception or yields its values.
  */
 
@@ -424,11 +424,11 @@ evaluate(double blue_z, double red_z, long bs, long rs, int blue_fired,
     return ONGOING;
 }
 
-/* The substeps of a decision, in place, as env_step's Python loop runs
- * them: each substep that can have ended the engagement asks evaluate, and
- * the first verdict other than ONGOING ends the decision.  *outcome enters
- * as ONGOING; *t leaves as the time after the last substep run.  BAIL where
- * the Python loop must run the decision instead. */
+/* The substeps of a decision, in place, as environment._reference runs
+ * them: every substep asks evaluate, and the first verdict other than
+ * ONGOING ends the decision.  *outcome enters as ONGOING; *t leaves as the
+ * time after the last substep run.  BAIL where the reference must run the
+ * decision instead. */
 static int
 substeps(const Params *p, double b[6], double r[6], double bk[9],
          double rk[9], long *bs, long *rs, int bf, int rf,
@@ -450,12 +450,7 @@ substeps(const Params *p, double b[6], double r[6], double bk[9],
         if (!all_finite(b, 6) || !all_finite(r, 6))
             return BAIL;
         *t = t0 + (double)(i + 1) * PHYSICS_DT;
-        /* Only a hit, two spent missiles, ground contact or the time limit
-         * can end the engagement; evaluate decides which, if any, did. */
-        if (*bs == HIT || *rs == HIT || b[2] < GROUND_FLOOR
-            || r[2] < GROUND_FLOOR || *t >= EPISODE_TIME_LIMIT
-            || (*bs == EXPIRED && *rs == EXPIRED))
-            *outcome = evaluate(b[2], r[2], *bs, *rs, bf, rf, *t);
+        *outcome = evaluate(b[2], r[2], *bs, *rs, bf, rf, *t);
     }
     return OK;
 }
@@ -586,7 +581,7 @@ launch(const double shooter[6], double m[9])
     m[6] = m[7] = m[8] = 0.0;
 }
 
-/* environment.observe from own's side: inc is the incoming missile's
+/* environment._features from own's side: inc is the incoming missile's
  * kinematics while it is in flight, else NULL. */
 static int
 observe(const double own[6], const double tgt[6], int own_live,
@@ -640,8 +635,9 @@ PyDoc_STRVAR(step_doc,
 "fields in order.\n"
 "\n"
 "Returns (flat, obs_blue, obs_red, outcome), the observations as tuples of\n"
-"13 floats, or None wherever env_step's Python loop would raise or meets a\n"
-"value that is not a finite float: then that loop must run the decision.");
+"13 floats, or None wherever environment._reference would raise or meets\n"
+"a value that is not a finite float: then the reference must run the\n"
+"decision.");
 
 static PyObject *
 step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -662,7 +658,7 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     if (!PyTuple_CheckExact(flat) || PyTuple_GET_SIZE(flat) != 10)
         Py_RETURN_NONE;
     tobj = PyTuple_GET_ITEM(flat, 8);
-    /* A finished engagement is returned unchanged by env_step. */
+    /* A finished engagement is returned unchanged by the reference. */
     if (!floats_of(PyTuple_GET_ITEM(flat, 0), b, 6)
         || !floats_of(PyTuple_GET_ITEM(flat, 1), r, 6)
         || !code_of(PyTuple_GET_ITEM(flat, 4), EXPIRED, &bs)
@@ -756,8 +752,8 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "The compiled copy of env_step: a whole decision on a flat "
-             "engagement.",
+    .m_doc = "The compiled copy of environment._reference: a whole decision "
+             "on a flat engagement.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -12,11 +12,11 @@ calls, under controls given as nx, nz, cos(mu) and sin(mu), so a caller that
 holds the controls over many substeps computes the bank-angle trigonometry
 once.  `_derivatives` is the one Python definition of the equations of
 motion, behind `aircraft_derivatives` too.  `rk4_step` is the one-substep
-wrapper over the dataclasses, and the Python loop of `environment.env_step`
-calls `_substep` directly for the 25 substeps of a decision.  `_kernel.c`
-holds a compiled copy of `_substep`, written in the same operation order,
-that env_step runs instead where it can; tests/test_kernel.py ties it bit
-for bit to this reference.
+wrapper over the dataclasses, and `environment._reference`, the Python
+decision, calls `_substep` directly for the 25 substeps of a decision.
+`_kernel.c` holds a compiled copy of `_substep`, written in the same
+operation order, that env_step and search run instead where they can;
+tests/test_kernel.py ties it bit for bit to this reference.
 
 Every stage keeps both guards of `_derivatives`: a non-positive speed or a
 flight-path angle at the vertical raises DegenerateStateError instead of

@@ -9,18 +9,20 @@ terminal reward: +1 to the winner, -1 to the loser, 0 each for a draw.
 Only a missile hit produces a winner; ground contact, the 200 s time
 limit, and mutual missile expiry all end the engagement drawn.
 
-env_step makes one call to the compiled kernel (`_kernel.c`, built on first
-import by `kernel.load`): its `step` does the whole decision on the flat
-engagement tuple (`flatten`, `unflatten`), namely the action checks, the
-clamp, the fire gate, the substeps, the outcome and both observations.  The
-Python loop in env_step is the reference, which the kernel copies in the
-same arithmetic and order, so both give the same bytes.  The loop runs where
-the kernel is unavailable, where a recorder asks for every substep, and
-where the kernel hands a decision back because the reference would raise.
-Setting `_kernel` to None selects the Python loop.
+A decision is computed on the flat engagement tuple (`flatten`,
+`unflatten`) by one of two equal routes.  The compiled kernel (`_kernel.c`,
+built on first import by `kernel.load`) does it in one `step` call: the
+action checks, the clamp, the fire gate, the substeps, the outcome and both
+observations.  `_reference` is the same decision in Python, the reference
+the kernel copies in the same arithmetic and order, so both give the same
+bytes; `_features` is its observation, and `observe` wraps it.
 
-Tree search steps its model states as flat tuples through `flat_model`,
-one kernel call per model step.
+Two entry points make that call: `env_step` on EngagementStates, and
+`flat_model`, with which tree search steps its model states as flat tuples.
+Each falls back to `_reference` directly where the kernel is unavailable,
+where a recorder asks for every substep (env_step only), and where the
+kernel hands a decision back because the reference would raise.  Setting
+`_kernel` to None selects the reference.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-# rk4_step and missile_step are not called here: env_step's Python loop
-# integrates through the models' float substeps.  The names stay bound in this
-# module because the benchmark's tracer (bench/tracing.py) rebinds them here.
+# rk4_step and missile_step are not called here: the reference integrates
+# through the models' float substeps.  The names stay bound in this module
+# because the benchmark's tracer (bench/tracing.py) rebinds them here.
 from .dynamics import (
     PHYSICS_DT,
     V_FLOOR,
@@ -77,15 +79,14 @@ FIRE_BEARING = math.pi / 3
 DEFAULT_MISSILE_PARAMS = MissileParams()
 
 _IN_FLIGHT = MissileStatus.IN_FLIGHT
-_HIT = MissileStatus.HIT
-_EXPIRED = MissileStatus.EXPIRED
 
-# The compiled copy of env_step, or None where it could not be built;
+# The compiled copy of _reference, or None where it could not be built;
 # _KERNEL_DETAIL is its path or the reason.  The kernel speaks of
 # missile statuses by code and takes MissileParams as a tuple of its fields.
 _kernel, _KERNEL_DETAIL = _load_kernel()
-_STATUS_CODES = {None: 0, _IN_FLIGHT: 1, _HIT: 2, _EXPIRED: 3}
-_CODED_STATUSES = (None, _IN_FLIGHT, _HIT, _EXPIRED)
+_CODED_STATUSES = (None, _IN_FLIGHT, MissileStatus.HIT, MissileStatus.EXPIRED)
+_STATUS_CODES = {status: code for code, status in enumerate(_CODED_STATUSES)}
+_FLYING = _STATUS_CODES[_IN_FLIGHT]
 _DEFAULT_PARAM_VALUES = astuple(DEFAULT_MISSILE_PARAMS)
 
 
@@ -100,7 +101,7 @@ _PI = math.pi
 _HPI = math.pi / 2
 
 # Normalization bounds, one (lo, hi) pair per observation feature, in the
-# feature order produced by observe().
+# feature order produced by _features().
 OBS_BOUNDS = (
     (-_PI, _PI),        # own heading
     (-_HPI, _HPI),      # own flight-path angle
@@ -130,13 +131,6 @@ class Outcome(Enum):
 
 
 _ONGOING = Outcome.ONGOING
-
-_REWARDS = {
-    Outcome.ONGOING: (0.0, 0.0),
-    Outcome.BLUE_WIN: (1.0, -1.0),
-    Outcome.RED_WIN: (-1.0, 1.0),
-    Outcome.DRAW: (0.0, 0.0),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,18 +165,8 @@ class ScenarioConfig:
 DEFAULT_SCENARIO = ScenarioConfig()
 
 
-@dataclass(frozen=True, slots=True)
-class ActionCommand:
-    """Raw pre-clamp action: (nz, nx, roll, fire logit)."""
-
-    raw: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if len(self.raw) != 4 or not all(math.isfinite(v) for v in self.raw):
-            raise ValueError(f"action must be 4 finite reals, got {self.raw}")
-
-
-Action = Union[ActionCommand, Sequence[float], np.ndarray]
+# A raw pre-clamp action: (nz, nx, roll, fire logit).
+Action = Union[Sequence[float], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,51 +216,58 @@ def reset(seed: int, scenario: ScenarioConfig = DEFAULT_SCENARIO) -> EngagementS
     return EngagementState(blue, red, None, None, False, False, 0.0, Outcome.ONGOING)
 
 
-def observe(s: EngagementState, side: str) -> np.ndarray:
-    """13 features describing the engagement from one side, normalized to [0, 1].
-
-    The construction only uses own/target/own-missile/incoming-missile
-    roles, so it is symmetric under swapping sides.
-    """
+def _features(flat: FlatState, side: str) -> tuple:
+    """observe's 13 features of a flat engagement, as a tuple of floats; the
+    kernel's `observe` copies it."""
+    b, r, bk, rk, bs, rs = flat[:6]
     if side == BLUE:
-        own, tgt, own_m, inc_m = s.blue, s.red, s.blue_missile, s.red_missile
+        own, tgt, own_status, inc, inc_status = b, r, bs, rk, rs
     elif side == RED:
-        own, tgt, own_m, inc_m = s.red, s.blue, s.red_missile, s.blue_missile
+        own, tgt, own_status, inc, inc_status = r, b, rs, bk, bs
     else:
         raise ValueError(f"unknown side {side!r}")
 
-    dx = tgt.x - own.x
-    dy = tgt.y - own.y
-    dz = tgt.z - own.z
+    x, y, z, v, gamma, phi = own
+    dx = tgt[0] - x
+    dy = tgt[1] - y
+    dz = tgt[2] - z
     dh = math.hypot(dx, dy)
     d = math.hypot(dh, dz)
     beta = math.atan2(dy, dx)
-    aspect_az = wrap_angle(beta - own.phi)
+    aspect_az = wrap_angle(beta - phi)
     aspect_el = math.atan2(dz, dh)
 
-    f1 = 1.0 if own_m is not None and own_m.status is MissileStatus.IN_FLIGHT else 0.0
-    if inc_m is not None and inc_m.status is MissileStatus.IN_FLIGHT:
-        d1 = math.sqrt((inc_m.x - own.x) ** 2 + (inc_m.y - own.y) ** 2
-                       + (inc_m.z - own.z) ** 2)
+    f1 = 1.0 if own_status == _FLYING else 0.0
+    if inc_status == _FLYING:
+        d1 = math.sqrt((inc[0] - x) ** 2 + (inc[1] - y) ** 2
+                       + (inc[2] - z) ** 2)
         f2 = 1.0
     else:
         d1 = OBS_BOUNDS[10][1]
         f2 = 0.0
 
-    feats = (own.phi, own.gamma, own.v, own.z, d, f1, aspect_az, aspect_el,
-             tgt.phi, tgt.gamma, d1, beta, f2)
+    feats = (phi, gamma, v, z, d, f1, aspect_az, aspect_el, tgt[5], tgt[4],
+             d1, beta, f2)
     out = []
-    for x, (lo, span) in zip(feats, _OBS_SPANS):
-        u = (x - lo) / span
+    for f, (lo, span) in zip(feats, _OBS_SPANS):
+        u = (f - lo) / span
         out.append(0.0 if u < 0.0 else (1.0 if u > 1.0 else u))
-    return np.array(out)
+    return tuple(out)
+
+
+def observe(s: EngagementState, side: str) -> np.ndarray:
+    """13 features describing the engagement from one side, normalized to [0, 1].
+
+    The construction only uses own/target/own-missile/incoming-missile
+    roles, so it is symmetric under swapping sides.  ValueError for a
+    missile in the other side's slot, as `flatten` raises.
+    """
+    return np.array(_features(flatten(s), side))
 
 
 def _as_raw(a: Action) -> tuple[float, float, float, float]:
     """The raw action as 4 floats; ValueError for anything that is not a flat
     sequence of 4 finite reals."""
-    if isinstance(a, ActionCommand):
-        return a.raw
     try:
         raw = ((float(a[0]), float(a[1]), float(a[2]), float(a[3]))
                if len(a) == 4 and getattr(a, "ndim", 1) == 1 else None)
@@ -353,7 +344,7 @@ FlatModel = Callable[[FlatState, Action, Action], FlatStep]
 _CODED_OUTCOMES = (Outcome.ONGOING, Outcome.BLUE_WIN, Outcome.RED_WIN,
                    Outcome.DRAW)
 _OUTCOME_CODES = {o: code for code, o in enumerate(_CODED_OUTCOMES)}
-REWARDS_BY_CODE = tuple(_REWARDS[o] for o in _CODED_OUTCOMES)
+REWARDS_BY_CODE = ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0), (0.0, 0.0))
 """(reward_blue, reward_red) of each outcome code of a flat engagement."""
 
 
@@ -373,27 +364,21 @@ def flatten(s: EngagementState) -> FlatState:
             s.blue_fired, s.red_fired, s.t, _OUTCOME_CODES[s.outcome])
 
 
-def _missile_of(k, status, shooter, target) -> Optional[MissileState]:
-    if status is None:
+def _missile_of(k, code, shooter, target) -> Optional[MissileState]:
+    if not code:
         return None
     x, y, z, v, gamma, phi, t, n_mc, n_mh = k
-    return MissileState(x, y, z, v, gamma, phi, t, shooter, target, status,
-                        n_mc, n_mh)
-
-
-def _state_of(b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired, t,
-              outcome) -> EngagementState:
-    return EngagementState(AircraftState(*b), AircraftState(*r),
-                           _missile_of(bk, bm_status, BLUE, RED),
-                           _missile_of(rk, rm_status, RED, BLUE),
-                           blue_fired, red_fired, t, outcome)
+    return MissileState(x, y, z, v, gamma, phi, t, shooter, target,
+                        _CODED_STATUSES[code], n_mc, n_mh)
 
 
 def unflatten(flat: FlatState) -> EngagementState:
     """The EngagementState that a flat tuple holds."""
     b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome = flat
-    return _state_of(b, r, bk, rk, _CODED_STATUSES[bs], _CODED_STATUSES[rs],
-                     blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
+    return EngagementState(AircraftState(*b), AircraftState(*r),
+                           _missile_of(bk, bs, BLUE, RED),
+                           _missile_of(rk, rs, RED, BLUE),
+                           blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
 
 
 def flat_result(out: FlatStep) -> StepResult:
@@ -404,6 +389,65 @@ def flat_result(out: FlatStep) -> StepResult:
     reward_blue, reward_red = REWARDS_BY_CODE[code]
     return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
                       reward_blue, reward_red, code != 0, _CODED_OUTCOMES[code])
+
+
+def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
+               params: MissileParams,
+               recorder: Optional[Recorder] = None) -> FlatStep:
+    """One decision on a flat engagement in Python: the reference the kernel's
+    `step` is held to bit for bit, with the same (next flat state, obs_blue,
+    obs_red, outcome code) result.  A finished engagement comes back
+    unchanged, before its actions are read.  The substeps run on the plain
+    floats of the flat tuple; a recorder gets every substep's rows.
+    """
+    b, r, bk, rk, bs, rs, blue_fired, red_fired, t0, code = flat
+    if code:
+        return flat, _features(flat, BLUE), _features(flat, RED), code
+
+    raw_b = _as_raw(raw_b)
+    raw_r = _as_raw(raw_r)
+    bm_status, rm_status = _CODED_STATUSES[bs], _CODED_STATUSES[rs]
+    ctrl_b = clamp_controls(raw_b[1], raw_b[0], raw_b[2])
+    ctrl_r = clamp_controls(raw_r[1], raw_r[0], raw_r[2])
+    blue, red = AircraftState(*b), AircraftState(*r)
+    if raw_b[3] > 0.0 and not blue_fired and fire_allowed(blue, red):
+        bk = _kinematics(launch_missile(blue, BLUE, RED))
+        bm_status, blue_fired = _IN_FLIGHT, True
+    if raw_r[3] > 0.0 and not red_fired and fire_allowed(red, blue):
+        rk = _kinematics(launch_missile(red, RED, BLUE))
+        rm_status, red_fired = _IN_FLIGHT, True
+
+    b_nx, b_nz = ctrl_b.nx, ctrl_b.nz
+    b_cmu, b_smu = math.cos(ctrl_b.mu), math.sin(ctrl_b.mu)
+    r_nx, r_nz = ctrl_r.nx, ctrl_r.nz
+    r_cmu, r_smu = math.cos(ctrl_r.mu), math.sin(ctrl_r.mu)
+    for i in range(_DECISION_SUBSTEPS):
+        # Missiles first, against the aircraft at the start of the substep.
+        if bm_status is _IN_FLIGHT:
+            bk, bm_status = _missile_substep(params, bk, r[:3],
+                                             _velocity(r[3], r[4], r[5]),
+                                             PHYSICS_DT)
+        if rm_status is _IN_FLIGHT:
+            rk, rm_status = _missile_substep(params, rk, b[:3],
+                                             _velocity(b[3], b[4], b[5]),
+                                             PHYSICS_DT)
+        b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
+        r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
+        t = t0 + (i + 1) * PHYSICS_DT
+        outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
+                            red_fired, t)
+        if recorder is not None:
+            for row in trajectory_rows(unflatten((
+                    b, r, bk, rk, _STATUS_CODES[bm_status],
+                    _STATUS_CODES[rm_status], blue_fired, red_fired, t,
+                    _OUTCOME_CODES[outcome]))):
+                recorder(row)
+        if outcome is not _ONGOING:
+            break
+
+    nxt = (b, r, bk, rk, _STATUS_CODES[bm_status], _STATUS_CODES[rm_status],
+           blue_fired, red_fired, t, _OUTCOME_CODES[outcome])
+    return nxt, _features(nxt, BLUE), _features(nxt, RED), nxt[9]
 
 
 def env_step(s: EngagementState, a_blue: Action, a_red: Action,
@@ -426,65 +470,12 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     flat = flatten(s)
     raw_b = _as_raw(a_blue)
     raw_r = _as_raw(a_red)
+    out = None
     if _kernel is not None and recorder is None:
         out = _kernel.step(flat, raw_b, raw_r, _param_values(params))
-        if out is not None:
-            return flat_result(out)
-
-    # The Python loop: the reference the kernel is held to bit for bit.  It
-    # runs the substeps over the plain floats of the flat tuple and builds
-    # state objects once at the end, or at every substep only for a recorder.
-    b, r, bk, rk, bs, rs, blue_fired, red_fired, t0, _ = flat
-    bm_status, rm_status = _CODED_STATUSES[bs], _CODED_STATUSES[rs]
-    ctrl_b = clamp_controls(raw_b[1], raw_b[0], raw_b[2])
-    ctrl_r = clamp_controls(raw_r[1], raw_r[0], raw_r[2])
-    if raw_b[3] > 0.0 and not blue_fired and fire_allowed(s.blue, s.red):
-        bk = _kinematics(launch_missile(s.blue, BLUE, RED))
-        bm_status, blue_fired = _IN_FLIGHT, True
-    if raw_r[3] > 0.0 and not red_fired and fire_allowed(s.red, s.blue):
-        rk = _kinematics(launch_missile(s.red, RED, BLUE))
-        rm_status, red_fired = _IN_FLIGHT, True
-
-    b_nx, b_nz = ctrl_b.nx, ctrl_b.nz
-    b_cmu, b_smu = math.cos(ctrl_b.mu), math.sin(ctrl_b.mu)
-    r_nx, r_nz = ctrl_r.nx, ctrl_r.nz
-    r_cmu, r_smu = math.cos(ctrl_r.mu), math.sin(ctrl_r.mu)
-    t = t0
-    outcome = _ONGOING
-    for i in range(_DECISION_SUBSTEPS):
-        # Missiles first, against the aircraft at the start of the substep.
-        if bm_status is _IN_FLIGHT:
-            bk, bm_status = _missile_substep(params, bk, r[:3],
-                                             _velocity(r[3], r[4], r[5]),
-                                             PHYSICS_DT)
-        if rm_status is _IN_FLIGHT:
-            rk, rm_status = _missile_substep(params, rk, b[:3],
-                                             _velocity(b[3], b[4], b[5]),
-                                             PHYSICS_DT)
-        b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
-        r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
-        t = t0 + (i + 1) * PHYSICS_DT
-        # Only a hit, two spent missiles, ground contact or the time limit
-        # can end the engagement; _evaluate decides which, if any, did.
-        if bm_status is _HIT or rm_status is _HIT \
-                or b[2] < GROUND_FLOOR or r[2] < GROUND_FLOOR \
-                or t >= EPISODE_TIME_LIMIT \
-                or (bm_status is _EXPIRED and rm_status is _EXPIRED):
-            outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
-                                red_fired, t)
-        if recorder is not None:
-            for row in trajectory_rows(_state_of(
-                    b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired,
-                    t, outcome)):
-                recorder(row)
-        if outcome is not _ONGOING:
-            break
-
-    ns = _state_of(b, r, bk, rk, bm_status, rm_status, blue_fired, red_fired,
-                   t, outcome)
-    reward_blue, reward_red = _REWARDS[outcome]
-    return StepResult(ns, observe(ns, BLUE), observe(ns, RED),
-                      reward_blue, reward_red, outcome is not _ONGOING, outcome)
+    if out is None:
+        out = _reference(flat, raw_b, raw_r, params, recorder)
+    return flat_result(out)
 
 
 def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
@@ -493,18 +484,14 @@ def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
     The model returns (next flat state, obs_blue, obs_red, outcome code), bit
     for bit what env_step returns.  The compiled kernel's `step` computes it
     in one call.  Where the kernel is unavailable or hands the decision back,
-    env_step runs it on the rebuilt state, so its exception, or its result
-    flattened, comes out.
+    `_reference` runs it on the same flat tuple, so its exception or its
+    result comes out.
     """
     values = _param_values(params)
 
     def step(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
         out = None if _kernel is None else _kernel.step(flat, a_blue, a_red,
                                                         values)
-        if out is None:
-            res = env_step(unflatten(flat), a_blue, a_red, params=params)
-            out = (flatten(res.state), tuple(res.obs_blue.tolist()),
-                   tuple(res.obs_red.tolist()), _OUTCOME_CODES[res.outcome])
-        return out
+        return _reference(flat, a_blue, a_red, params) if out is None else out
 
     return step

@@ -1,8 +1,9 @@
-"""Build, cache and load `_kernel.c`, the compiled copy of env_step.
+"""Build, cache and load `_kernel.c`, the compiled copy of
+environment._reference.
 
-The extension has one entry point, `step`: a whole env_step decision on the
-flat engagement tuple (environment.flatten), which env_step and tree
-search's flat model (environment.flat_model) call.
+The extension has one entry point, `step`: a whole decision on the flat
+engagement tuple (environment.flatten), which env_step and tree search's
+flat model (environment.flat_model) call.
 
 The first import compiles the extension with the system C compiler into the
 package's `__pycache__`; later imports only hash the source and load the
@@ -17,8 +18,8 @@ The flags keep the arithmetic the interpreter's: no contraction of a
 multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
-load, `load` returns None with the reason, and env_step runs its Python loop
-(search's flat model runs env_step), which gives the same bytes more slowly;
+load, `load` returns None with the reason, and env_step and search's flat
+model run environment._reference, which gives the same bytes more slowly;
 `dogfight train` then says so on stderr.
 """
 
@@ -106,5 +107,5 @@ def load(cache_dir: Path = CACHE_DIR) -> tuple[Optional[ModuleType], str]:
         if not path.is_file():
             _compile(path)
         return _import(path), str(path)
-    except Exception as exc:  # any failure leaves the Python loop in charge
+    except Exception as exc:  # any failure leaves the reference in charge
         return None, f"{type(exc).__name__}: {exc}"

@@ -9,8 +9,8 @@ the gravitational constant with the aircraft model.
 As in the aircraft model there is one integration path: `_substep` advances
 the plain float tuple (x, y, z, vm, gamma, phi, t, n_mc, n_mh) by one
 guided RK4 step of four `_derivatives` calls, `missile_step` wraps it for a
-`MissileState`, and the Python loop of `environment.env_step` calls it
-directly for the substeps of a decision.  The mass, thrust and drag are
+`MissileState`, and `environment._reference`, the Python decision, calls
+it directly for the substeps of a decision.  The mass, thrust and drag are
 defined once, in `mass_at`, `thrust_at` and `drag_of`, which `_derivatives`
 calls.  Guidance is one float function, `pn_commands`, which takes the line
 of sight and its rate as components and returns the two commands or raises;

@@ -113,10 +113,6 @@ class RolloutBuffer:
     def transitions(self) -> list[Transition]:
         return [t for ep in self.episodes for t in ep]
 
-    def clear(self) -> None:
-        self.episodes = []
-        self._open = []
-
 
 def compute_advantages(buffer: RolloutBuffer, config: TrainConfig,
                        normalize: bool = True) -> None:

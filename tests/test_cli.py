@@ -7,7 +7,8 @@ wrapper calls it, plus both module entry points, ``python -m dogfight``
 and ``python -m dogfight.cli``; the child interpreters import the source
 tree under test.  A second subprocess check runs the installed
 ``dogfight`` script itself, and only where it is on PATH.  A third checks
-that importing ``dogfight.cli`` leaves ``multiprocessing`` unloaded.  Exit
+that importing ``dogfight.cli`` leaves ``multiprocessing`` unloaded.  The
+package's ``__all__`` is checked to name each export once.  Exit
 codes follow the contract: 0 success, 1 config or usage error, 2 runtime
 error.
 """
@@ -327,6 +328,14 @@ def test_console_script_and_module_answer():
         result = subprocess.run(cmd, capture_output=True, text=True,
                                 check=False, env=env)
         _assert_usage(result, what)
+
+
+def test_package_exports_resolve_once():
+    # A name left in __all__ after its definition is gone, or listed twice,
+    # fails here rather than at a caller's star import.
+    assert len(set(dogfight.__all__)) == len(dogfight.__all__)
+    missing = [name for name in dogfight.__all__ if not hasattr(dogfight, name)]
+    assert not missing
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -18,7 +18,6 @@ from dogfight.environment import (
     OBS_BOUNDS,
     OBS_DIM,
     RED,
-    ActionCommand,
     EngagementState,
     Outcome,
     ScenarioConfig,
@@ -288,15 +287,15 @@ def last_substep_start():
     return t
 
 
-def test_termination_fast_path_agrees_with_evaluate(monkeypatch):
-    # env_step calls _evaluate only after a hit, two spent missiles, ground
-    # contact or the time limit.  Both models are replaced by stubs that land
-    # drawn altitudes and missile statuses at the decision's first substep
-    # and hold them after that, so the outcome must equal _evaluate of
-    # exactly those at the first substep where it is not ONGOING, boundaries
-    # included.  The stubs live in the Python loop, so the compiled kernel is
-    # switched off; tests/test_kernel.py holds its trigger to this loop on
-    # real states.
+def test_decisions_end_at_the_first_evaluate_verdict(monkeypatch):
+    # The reference asks _evaluate after every substep and ends the decision
+    # at the first verdict that is not ONGOING.  Both models are replaced by
+    # stubs that land drawn altitudes and missile statuses at the decision's
+    # first substep and hold them after that, so the outcome and the time
+    # must be _evaluate's of exactly those at the first such substep,
+    # boundaries included.  The stubs live in the Python loop, so the
+    # compiled kernel is switched off; tests/test_kernel.py holds the
+    # kernel's evaluate to this loop on real states.
     from dogfight import environment as env
 
     monkeypatch.setattr(env, "_kernel", None)
@@ -383,8 +382,8 @@ def test_zero_sum_and_sparse_rewards():
 
 def test_env_step_deterministic():
     s = reset(5)
-    a = ActionCommand((2.0, 0.5, 0.3, 1.0))
-    b = ActionCommand((1.0, -0.2, -0.4, 1.0))
+    a = (2.0, 0.5, 0.3, 1.0)
+    b = (1.0, -0.2, -0.4, 1.0)
     r1 = env_step(s, a, b)
     r2 = env_step(s, a, b)
     assert r1.state == r2.state
@@ -395,8 +394,6 @@ def test_action_validation():
     s = reset(0)
     with pytest.raises(ValueError):
         env_step(s, (math.nan, 0.0, 0.0, -1.0), TRIM)
-    with pytest.raises(ValueError):
-        ActionCommand((1.0, 2.0, 3.0))
 
 
 MALFORMED_ACTIONS = {
@@ -431,9 +428,10 @@ def test_malformed_actions_raise_value_error(name, monkeypatch):
 
 
 def test_a_missile_in_the_wrong_slot_raises_on_every_path(monkeypatch):
-    # env_step flattens the state before it picks a path, so the kernel, the
-    # Python loop and the recorder's loop all refuse a missile that is not
-    # its slot's side's own, with the same ValueError.
+    # env_step flattens the state before it picks a path, and observe
+    # flattens it too, so the kernel, the Python loop, the recorder's loop
+    # and observe all refuse a missile that is not its slot's side's own,
+    # with the same ValueError.
     s = head_on_state()
     blue_shot = MissileState(0.0, 0.0, 5000.0, 600.0, 0.0, 0.0, 1.0, BLUE, RED)
     red_shot = replace(blue_shot, shooter=RED, target=BLUE)
@@ -446,7 +444,29 @@ def test_a_missile_in_the_wrong_slot_raises_on_every_path(monkeypatch):
                 with pytest.raises(ValueError, match="missile slot holds") as info:
                     env_step(wrong, TRIM, TRIM, recorder=recorder)
                 messages.add(str(info.value))
+        with pytest.raises(ValueError, match="missile slot holds") as info:
+            observe(wrong, BLUE)
+        messages.add(str(info.value))
         assert len(messages) == 1
+
+
+def test_a_finished_flat_engagement_comes_back_unchanged(monkeypatch):
+    # As env_step returns a finished engagement unchanged without reading
+    # the actions, the flat model returns its flat tuple, its outcome code
+    # and the observations of observe, with the kernel and without it.
+    finished = run_episode(head_on_state(), TRIM_FIRE, TRIM).state
+    flat = flatten(finished)
+    assert flat[9] != 0
+    for kernel in (environment._kernel, None):
+        monkeypatch.setattr(environment, "_kernel", kernel)
+        for action in (TRIM, MALFORMED_ACTIONS["list of 3"]):
+            nxt, obs_blue, obs_red, code = flat_model()(flat, action, action)
+            assert nxt == flat and code == flat[9]
+            assert np.array(obs_blue).tobytes() == \
+                observe(finished, BLUE).tobytes()
+            assert np.array(obs_red).tobytes() == \
+                observe(finished, RED).tobytes()
+            assert env_step(finished, action, action).state is finished
 
 
 def test_recorder_streams_rows():
