@@ -22,9 +22,8 @@ critic = init_params(4, LAYERS[:-1] + (1,))
 # One search call at an engagement's opening state.  The search's model of
 # the environment steps flat engagement tuples through the compiled kernel.
 state = reset(seed=0)
-model = flat_model()
 cfg = SearchConfig(num_actions=9, num_simulations=20, c_puct=1.25, max_depth=5)
-res = run_search(state, BLUE, actor, critic, actor, model, cfg,
+res = run_search(state, BLUE, actor, critic, actor, flat_model, cfg,
                  np.random.default_rng(7))
 print("visit counts:", res.visit_counts.tolist(),
       " sum =", int(res.visit_counts.sum()))
@@ -32,7 +31,7 @@ print("priors sum to", float(res.priors.sum()))
 print(f"root value {res.root_value:+.4f}, chose candidate {res.chosen_index}")
 
 # The same seed gives the same search, visit for visit.
-res2 = run_search(state, BLUE, actor, critic, actor, model, cfg,
+res2 = run_search(state, BLUE, actor, critic, actor, flat_model, cfg,
                   np.random.default_rng(7))
 print("deterministic rerun:", np.array_equal(res.visit_counts, res2.visit_counts))
 

@@ -18,58 +18,42 @@
  * Python's min and max keep their first argument on a tie, which py_min and
  * py_max copy (C's fmin and fmax need not, on zeros of either sign).
  *
- * Where the reference would raise (a guard of either model, a division by a
- * zero missile mass, a malformed action, an overflowing square) or where a
- * value is not finite, `step` returns None instead, and the caller runs the
- * decision through environment._reference, which raises the reference's
- * exception or yields its values.
+ * Where the reference would raise (a guard of either model, a malformed
+ * action, an overflowing square) or where a value is not finite, `step`
+ * returns None instead, and the caller runs the decision through
+ * environment._reference, which raises the reference's exception or yields
+ * its values.
+ *
+ * The model constants are not written here: kernel.defines passes each
+ * Python definition as a macro (G, PHYSICS_DT, V_FLOOR, GAMMA_LIMIT, the
+ * control bounds NX_MIN .. MU_MAX, GROUND_FLOOR, EPISODE_TIME_LIMIT,
+ * FIRE_RANGE, FIRE_BEARING, DECISION_SUBSTEPS, the observation bounds
+ * OBS_LO and OBS_HI, and MISSILE_PARAMS, the default MissileParams).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 
-/* The constants of dynamics and environment; CONSTANTS exposes them so that
- * a test holds them equal to the Python ones. */
 #define PI 3.141592653589793
-#define HALF_PI (PI / 2)
 static const double TAU = 6.283185307179586;
-static const double G = 9.8;
-static const double PHYSICS_DT = 0.02;
-static const double V_FLOOR = 100.0;
-#define GAMMA_LIMIT (3.141592653589793 / 2 - 1e-6)
-static const double GROUND_FLOOR = 100.0;
-static const double EPISODE_TIME_LIMIT = 200.0;
-static const double FIRE_RANGE = 12000.0;
-#define FIRE_BEARING (PI / 3)
-static const double NX_MIN = -2.0, NX_MAX = 2.0, NZ_MIN = 0.0, NZ_MAX = 8.0;
-#define MU_MIN (-PI)
-#define MU_MAX PI
-/* round(DECISION_DT / PHYSICS_DT): the substeps of one decision. */
-#define DECISION_SUBSTEPS 25
 
 /* environment.OBS_BOUNDS, feature by feature; the spans hi - lo are
  * computed at import, as the Python module computes them. */
 #define OBS_DIM 13
-static const double OBS_LO[OBS_DIM] = {
-    -PI, -HALF_PI, 250.0, 0.0, 0.0, 0.0, -PI, -HALF_PI, -PI, -HALF_PI, 0.0,
-    -PI, 0.0};
-static const double OBS_HI[OBS_DIM] = {
-    PI, HALF_PI, 400.0, 10000.0, 20000.0, 1.0, PI, HALF_PI, PI, HALF_PI,
-    20000.0, PI, 1.0};
+static const double obs_lo[OBS_DIM] = OBS_LO;
+static const double obs_hi[OBS_DIM] = OBS_HI;
 static double obs_span[OBS_DIM];
 
 /* Missile status and outcome codes, as environment passes them. */
 enum { NO_MISSILE = 0, IN_FLIGHT = 1, HIT = 2, EXPIRED = 3 };
 enum { ONGOING = 0, BLUE_WIN = 1, RED_WIN = 2, DRAW = 3 };
 
-/* The fields of missile.MissileParams, in declaration order. */
-typedef struct {
+/* The fields of missile.MissileParams, set by name. */
+static const struct {
     double p0, g0, gt, tw, rho, sm, cdm, k_pn, max_flight_time, hit_radius,
         min_speed, max_command;
-} Params;
-
-#define N_PARAMS 12
+} P = MISSILE_PARAMS;
 
 /* Return codes of the steppers below. */
 enum { OK = 0, BAIL = 1, FAIL = -1 };
@@ -200,9 +184,8 @@ aircraft_substep(double s[6], const double c[4], double dt)
 /* missile.pn_commands; leaves the commands as they were where the reference
  * raises ZeroRangeError or GuidanceSingularityError. */
 static void
-pn_commands(const Params *p, double rx, double ry, double rz, double wx,
-            double wy, double wz, double vm, double gamma_t, double *n_mc,
-            double *n_mh)
+pn_commands(double rx, double ry, double rz, double wx, double wy, double wz,
+            double vm, double gamma_t, double *n_mc, double *n_mh)
 {
     double h2, r2, h, beta_dot, epsilon_dot, epsilon, beta, s, cs, mc, mh, lim;
 
@@ -225,18 +208,20 @@ pn_commands(const Params *p, double rx, double ry, double rz, double wx,
     cs = cos(s);
     if (fabs(cs) < 1e-9)
         return;
-    mc = p->k_pn * (vm * cos(gamma_t) / G)
+    mc = P.k_pn * (vm * cos(gamma_t) / G)
          * (beta_dot + tan(epsilon) * tan(s) * epsilon_dot);
-    mh = vm * p->k_pn * epsilon_dot / (G * cs);
-    lim = p->max_command;
+    mh = vm * P.k_pn * epsilon_dot / (G * cs);
+    lim = P.max_command;
     *n_mc = mc < -lim ? -lim : mc > lim ? lim : mc;
     *n_mh = mh < -lim ? -lim : mh > lim ? lim : mh;
 }
 
-/* missile._derivatives into k; BAIL on either guard or a zero mass. */
+/* missile._derivatives into k; BAIL on either guard.  The mass is never
+ * zero: it falls to g0 - gt * tw (86 kg) and stays there.  Were it zero,
+ * the rates would not be finite, and step_missile would hand back. */
 static int
-missile_rates(const Params *p, double v, double gamma, double phi, double t,
-              double n_mc, double n_mh, double k[6])
+missile_rates(double v, double gamma, double phi, double t, double n_mc,
+              double n_mh, double k[6])
 {
     double cg, gm, pm, qm, sg, vcg;
 
@@ -245,11 +230,9 @@ missile_rates(const Params *p, double v, double gamma, double phi, double t,
     cg = cos(gamma);
     if (fabs(cg) < 1e-9)
         return BAIL;
-    gm = p->g0 - p->gt * (p->tw < t ? p->tw : t);
-    if (gm == 0.0)
-        return BAIL;
-    pm = t <= p->tw ? p->p0 : 0.0;
-    qm = 0.5 * p->rho * v * v * p->sm * p->cdm;
+    gm = P.g0 - P.gt * (P.tw < t ? P.tw : t);
+    pm = t <= P.tw ? P.p0 : 0.0;
+    qm = 0.5 * P.rho * v * v * P.sm * P.cdm;
     sg = sin(gamma);
     vcg = v * cg;
     k[0] = vcg * cos(phi);
@@ -285,8 +268,7 @@ segment_min_distance(const double r0[3], const double r1[3])
 /* missile._substep on m = (x, y, z, vm, gamma, phi, t, n_mc, n_mh), in
  * place, against the aircraft a = (x, y, z, v, gamma, phi). */
 static int
-missile_substep(const Params *p, double m[9], const double a[6], double dt,
-                int *status)
+missile_substep(double m[9], const double a[6], double dt, int *status)
 {
     double tv[3], k1[6], k2[6], k3[6], k4[6], r0[3], r1[3];
     double x = m[0], y = m[1], z = m[2], v = m[3], gamma = m[4], phi = m[5];
@@ -304,16 +286,16 @@ missile_substep(const Params *p, double m[9], const double a[6], double dt,
     if (py_hypot(tv[0], tv[1], &hyp))
         return FAIL;
     gamma_t = py_atan2(tv[2], hyp);
-    pn_commands(p, a[0] - x, a[1] - y, a[2] - z, tv[0] - vcg * cos(phi),
+    pn_commands(a[0] - x, a[1] - y, a[2] - z, tv[0] - vcg * cos(phi),
                 tv[1] - vcg * sin(phi), tv[2] - v * sin(gamma), v, gamma_t,
                 &n_mc, &n_mh);
 
-    if (missile_rates(p, v, gamma, phi, t, n_mc, n_mh, k1)
-        || missile_rates(p, v + h * k1[3], clip_gamma(gamma + h * k1[4]),
+    if (missile_rates(v, gamma, phi, t, n_mc, n_mh, k1)
+        || missile_rates(v + h * k1[3], clip_gamma(gamma + h * k1[4]),
                          phi + h * k1[5], t + h, n_mc, n_mh, k2)
-        || missile_rates(p, v + h * k2[3], clip_gamma(gamma + h * k2[4]),
+        || missile_rates(v + h * k2[3], clip_gamma(gamma + h * k2[4]),
                          phi + h * k2[5], t + h, n_mc, n_mh, k3)
-        || missile_rates(p, v + dt * k3[3], clip_gamma(gamma + dt * k3[4]),
+        || missile_rates(v + dt * k3[3], clip_gamma(gamma + dt * k3[4]),
                          phi + dt * k3[5], t + dt, n_mc, n_mh, k4))
         return BAIL;
 
@@ -333,9 +315,9 @@ missile_substep(const Params *p, double m[9], const double a[6], double dt,
     r1[0] = a[0] + dt * tv[0] - nx;
     r1[1] = a[1] + dt * tv[1] - ny;
     r1[2] = a[2] + dt * tv[2] - nz;
-    if (segment_min_distance(r0, r1) < p->hit_radius)
+    if (segment_min_distance(r0, r1) < P.hit_radius)
         *status = HIT;
-    else if (nt > p->max_flight_time || nv < p->min_speed)
+    else if (nt > P.max_flight_time || nv < P.min_speed)
         *status = EXPIRED;
     else
         *status = IN_FLIGHT;
@@ -392,9 +374,9 @@ tuple_of(const double *a, Py_ssize_t n)
 /* Advance a live missile one substep; BAIL also when it leaves the finite
  * range, where the reference may raise. */
 static int
-step_missile(const Params *p, double m[9], const double a[6], long *status)
+step_missile(double m[9], const double a[6], long *status)
 {
-    int st, code = missile_substep(p, m, a, PHYSICS_DT, &st);
+    int st, code = missile_substep(m, a, PHYSICS_DT, &st);
 
     if (code != OK)
         return code;
@@ -430,9 +412,9 @@ evaluate(double blue_z, double red_z, long bs, long rs, int blue_fired,
  * time after the last substep run.  BAIL where the reference must run the
  * decision instead. */
 static int
-substeps(const Params *p, double b[6], double r[6], double bk[9],
-         double rk[9], long *bs, long *rs, int bf, int rf,
-         const double ctrl[8], double t0, double *t, long *outcome)
+substeps(double b[6], double r[6], double bk[9], double rk[9], long *bs,
+         long *rs, int bf, int rf, const double ctrl[8], double t0, double *t,
+         long *outcome)
 {
     long i;
     int code;
@@ -440,9 +422,9 @@ substeps(const Params *p, double b[6], double r[6], double bk[9],
     *t = t0;
     for (i = 0; i < DECISION_SUBSTEPS && *outcome == ONGOING; i++) {
         /* Missiles first, against the aircraft at the start of the substep. */
-        if (*bs == IN_FLIGHT && (code = step_missile(p, bk, r, bs)) != OK)
+        if (*bs == IN_FLIGHT && (code = step_missile(bk, r, bs)) != OK)
             return code;
-        if (*rs == IN_FLIGHT && (code = step_missile(p, rk, b, rs)) != OK)
+        if (*rs == IN_FLIGHT && (code = step_missile(rk, b, rs)) != OK)
             return code;
         if ((code = aircraft_substep(b, ctrl, PHYSICS_DT)) != OK
             || (code = aircraft_substep(r, ctrl + 4, PHYSICS_DT)) != OK)
@@ -452,27 +434,6 @@ substeps(const Params *p, double b[6], double r[6], double bk[9],
         *t = t0 + (double)(i + 1) * PHYSICS_DT;
         *outcome = evaluate(b[2], r[2], *bs, *rs, bf, rf, *t);
     }
-    return OK;
-}
-
-/* The MissileParams fields from params; FAIL with TypeError unless it is a
- * 12-tuple of floats. */
-static int
-params_of(PyObject *params, Params *p)
-{
-    double pv[N_PARAMS];
-    Py_ssize_t i;
-
-    if (!PyTuple_Check(params) || PyTuple_GET_SIZE(params) != N_PARAMS) {
-        PyErr_SetString(PyExc_TypeError, "params must be a 12-tuple");
-        return FAIL;
-    }
-    for (i = 0; i < N_PARAMS; i++) {
-        pv[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(params, i));
-        if (pv[i] == -1.0 && PyErr_Occurred())
-            return FAIL;
-    }
-    memcpy(p, pv, sizeof *p);
     return OK;
 }
 
@@ -601,7 +562,7 @@ observe(const double own[6], const double tgt[6], int own_live,
         d1 = sqrt(sx + sy + sz);
     }
     else {
-        d1 = OBS_HI[10];
+        d1 = obs_hi[10];
     }
     feats[0] = own[5];
     feats[1] = own[4];
@@ -617,22 +578,21 @@ observe(const double own[6], const double tgt[6], int own_live,
     feats[11] = beta;
     feats[12] = inc != NULL ? 1.0 : 0.0;
     for (i = 0; i < OBS_DIM; i++) {
-        u = (feats[i] - OBS_LO[i]) / obs_span[i];
+        u = (feats[i] - obs_lo[i]) / obs_span[i];
         out[i] = u < 0.0 ? 0.0 : (u > 1.0 ? 1.0 : u);
     }
     return OK;
 }
 
 PyDoc_STRVAR(step_doc,
-"step(flat, a_blue, a_red, params)\n"
+"step(flat, a_blue, a_red)\n"
 "\n"
 "One env_step decision of DECISION_DT on a flat engagement (b, r, bk, rk,\n"
 "bs, rs, blue_fired, red_fired, t, outcome): the aircraft tuples, each\n"
 "missile's kinematics tuple or None, the missile status codes (0 none,\n"
 "1 in flight, 2 hit, 3 expired), the fired flags, the time and the outcome\n"
 "code (0 ongoing, 1 blue win, 2 red win, 3 draw).  a_blue and a_red are the\n"
-"raw actions as lists or tuples of 4 floats; params the MissileParams\n"
-"fields in order.\n"
+"raw actions as lists or tuples of 4 floats.\n"
 "\n"
 "Returns (flat, obs_blue, obs_red, outcome), the observations as tuples of\n"
 "13 floats, or None wherever environment._reference would raise or meets\n"
@@ -644,14 +604,13 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     double b[6], r[6], bk[9], rk[9], ab[4], ar[4], ctrl[8], t0, t;
     double obs_b[OBS_DIM], obs_r[OBS_DIM];
-    Params p;
     long bs, rs, outcome;
     int bf, rf, b_live, r_live, code;
     PyObject *flat, *tobj, *next, *out;
     Py_ssize_t i;
 
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "step expects 4 arguments, got %zd", nargs);
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "step expects 3 arguments, got %zd", nargs);
         return NULL;
     }
     flat = args[0];
@@ -687,11 +646,7 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     }
     b_live = bs == IN_FLIGHT;
     r_live = rs == IN_FLIGHT;
-    if ((b_live || r_live) && params_of(args[3], &p) != OK)
-        return NULL;
-
-    code = substeps(&p, b, r, bk, rk, &bs, &rs, bf, rf, ctrl, t0, &t,
-                    &outcome);
+    code = substeps(b, r, bk, rk, &bs, &rs, bf, rf, ctrl, t0, &t, &outcome);
     if (code == FAIL)
         return NULL;
     if (code == BAIL)
@@ -758,35 +713,14 @@ static struct PyModuleDef kernel_module = {
     .m_methods = kernel_methods,
 };
 
-/* ((lo, hi), ...) of the observation features, or their spans. */
-static PyObject *
-bounds_tuple(int spans)
-{
-    PyObject *t = PyTuple_New(OBS_DIM), *item;
-    int i;
-
-    if (t == NULL)
-        return NULL;
-    for (i = 0; i < OBS_DIM; i++) {
-        item = spans ? PyFloat_FromDouble(obs_span[i])
-                     : Py_BuildValue("(dd)", OBS_LO[i], OBS_HI[i]);
-        if (item == NULL) {
-            Py_DECREF(t);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(t, i, item);
-    }
-    return t;
-}
-
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *module, *math, *constants, *bounds, *spans;
+    PyObject *math;
     int i;
 
     for (i = 0; i < OBS_DIM; i++)
-        obs_span[i] = OBS_HI[i] - OBS_LO[i];
+        obs_span[i] = obs_hi[i] - obs_lo[i];
     math = PyImport_ImportModule("math");
     if (math == NULL)
         return NULL;
@@ -794,28 +728,5 @@ PyInit__kernel(void)
     Py_DECREF(math);
     if (math_hypot == NULL)
         return NULL;
-    module = PyModule_Create(&kernel_module);
-    if (module == NULL)
-        return NULL;
-    bounds = bounds_tuple(0);
-    spans = bounds_tuple(1);
-    constants = bounds == NULL || spans == NULL ? NULL : Py_BuildValue(
-        "{s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,s:d,"
-        "s:i,s:O,s:O}",
-        "pi", PI, "tau", TAU, "G", G, "PHYSICS_DT", PHYSICS_DT,
-        "V_FLOOR", V_FLOOR, "GAMMA_LIMIT", GAMMA_LIMIT,
-        "GROUND_FLOOR", GROUND_FLOOR, "EPISODE_TIME_LIMIT", EPISODE_TIME_LIMIT,
-        "FIRE_RANGE", FIRE_RANGE, "FIRE_BEARING", FIRE_BEARING,
-        "NX_MIN", NX_MIN, "NX_MAX", NX_MAX, "NZ_MIN", NZ_MIN, "NZ_MAX", NZ_MAX,
-        "MU_MIN", MU_MIN, "MU_MAX", MU_MAX,
-        "DECISION_SUBSTEPS", DECISION_SUBSTEPS,
-        "OBS_BOUNDS", bounds, "OBS_SPANS", spans);
-    Py_XDECREF(bounds);
-    Py_XDECREF(spans);
-    if (constants == NULL || PyModule_AddObject(module, "CONSTANTS", constants)) {
-        Py_XDECREF(constants);
-        Py_DECREF(module);
-        return NULL;
-    }
-    return module;
+    return PyModule_Create(&kernel_module);
 }

@@ -15,7 +15,12 @@ built on first import by `kernel.load`) does it in one `step` call: the
 action checks, the clamp, the fire gate, the substeps, the outcome and both
 observations.  `_reference` is the same decision in Python, the reference
 the kernel copies in the same arithmetic and order, so both give the same
-bytes; `_features` is its observation, and `observe` wraps it.
+bytes; `_features` is its observation, and `observe` wraps it.  The missile
+flies with DEFAULT_MISSILE_PARAMS on both routes.
+
+The kernel is built from this module's constants and dynamics' (see
+`kernel.defines`), so it is loaded below the last of them: a constant is
+defined once, here or in dynamics, and a changed one rebuilds the kernel.
 
 Two entry points make that call: `env_step` on EngagementStates, and
 `flat_model`, with which tree search steps its model states as flat tuples.
@@ -28,7 +33,7 @@ kernel hands a decision back because the reference would raise.  Setting
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
@@ -80,19 +85,10 @@ DEFAULT_MISSILE_PARAMS = MissileParams()
 
 _IN_FLIGHT = MissileStatus.IN_FLIGHT
 
-# The compiled copy of _reference, or None where it could not be built;
-# _KERNEL_DETAIL is its path or the reason.  The kernel speaks of
-# missile statuses by code and takes MissileParams as a tuple of its fields.
-_kernel, _KERNEL_DETAIL = _load_kernel()
+# A flat engagement and the kernel speak of missile statuses by code.
 _CODED_STATUSES = (None, _IN_FLIGHT, MissileStatus.HIT, MissileStatus.EXPIRED)
 _STATUS_CODES = {status: code for code, status in enumerate(_CODED_STATUSES)}
 _FLYING = _STATUS_CODES[_IN_FLIGHT]
-_DEFAULT_PARAM_VALUES = astuple(DEFAULT_MISSILE_PARAMS)
-
-
-def _param_values(p: MissileParams) -> tuple:
-    return _DEFAULT_PARAM_VALUES if p is DEFAULT_MISSILE_PARAMS else astuple(p)
-
 
 # The substeps of one decision; the kernel's DECISION_SUBSTEPS.
 _DECISION_SUBSTEPS = round(DECISION_DT / PHYSICS_DT)
@@ -121,6 +117,10 @@ OBS_BOUNDS = (
 OBS_DIM = len(OBS_BOUNDS)
 
 _OBS_SPANS = tuple((lo, hi - lo) for lo, hi in OBS_BOUNDS)
+
+# The compiled copy of _reference, built from the constants above, or None
+# where it could not be built; _KERNEL_DETAIL is its path or the reason.
+_kernel, _KERNEL_DETAIL = _load_kernel()
 
 
 class Outcome(Enum):
@@ -392,7 +392,6 @@ def flat_result(out: FlatStep) -> StepResult:
 
 
 def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
-               params: MissileParams,
                recorder: Optional[Recorder] = None) -> FlatStep:
     """One decision on a flat engagement in Python: the reference the kernel's
     `step` is held to bit for bit, with the same (next flat state, obs_blue,
@@ -424,13 +423,13 @@ def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
     for i in range(_DECISION_SUBSTEPS):
         # Missiles first, against the aircraft at the start of the substep.
         if bm_status is _IN_FLIGHT:
-            bk, bm_status = _missile_substep(params, bk, r[:3],
-                                             _velocity(r[3], r[4], r[5]),
-                                             PHYSICS_DT)
+            bk, bm_status = _missile_substep(
+                DEFAULT_MISSILE_PARAMS, bk, r[:3], _velocity(r[3], r[4], r[5]),
+                PHYSICS_DT)
         if rm_status is _IN_FLIGHT:
-            rk, rm_status = _missile_substep(params, rk, b[:3],
-                                             _velocity(b[3], b[4], b[5]),
-                                             PHYSICS_DT)
+            rk, rm_status = _missile_substep(
+                DEFAULT_MISSILE_PARAMS, rk, b[:3], _velocity(b[3], b[4], b[5]),
+                PHYSICS_DT)
         b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
         r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
         t = t0 + (i + 1) * PHYSICS_DT
@@ -451,7 +450,6 @@ def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
 
 
 def env_step(s: EngagementState, a_blue: Action, a_red: Action,
-             params: MissileParams = DEFAULT_MISSILE_PARAMS,
              recorder: Optional[Recorder] = None) -> StepResult:
     """Advance the engagement by one decision step of DECISION_DT.
 
@@ -472,26 +470,20 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     raw_r = _as_raw(a_red)
     out = None
     if _kernel is not None and recorder is None:
-        out = _kernel.step(flat, raw_b, raw_r, _param_values(params))
+        out = _kernel.step(flat, raw_b, raw_r)
     if out is None:
-        out = _reference(flat, raw_b, raw_r, params, recorder)
+        out = _reference(flat, raw_b, raw_r, recorder)
     return flat_result(out)
 
 
-def flat_model(params: MissileParams = DEFAULT_MISSILE_PARAMS) -> FlatModel:
-    """env_step on flat engagements, bound to params.
+def flat_model(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
+    """env_step on a flat engagement: the model with which search steps.
 
-    The model returns (next flat state, obs_blue, obs_red, outcome code), bit
-    for bit what env_step returns.  The compiled kernel's `step` computes it
-    in one call.  Where the kernel is unavailable or hands the decision back,
+    Returns (next flat state, obs_blue, obs_red, outcome code), bit for bit
+    what env_step returns.  The compiled kernel's `step` computes it in one
+    call.  Where the kernel is unavailable or hands the decision back,
     `_reference` runs it on the same flat tuple, so its exception or its
     result comes out.
     """
-    values = _param_values(params)
-
-    def step(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
-        out = None if _kernel is None else _kernel.step(flat, a_blue, a_red,
-                                                        values)
-        return _reference(flat, a_blue, a_red, params) if out is None else out
-
-    return step
+    out = None if _kernel is None else _kernel.step(flat, a_blue, a_red)
+    return _reference(flat, a_blue, a_red) if out is None else out

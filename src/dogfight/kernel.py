@@ -5,14 +5,22 @@ The extension has one entry point, `step`: a whole decision on the flat
 engagement tuple (environment.flatten), which env_step and tree search's
 flat model (environment.flat_model) call.
 
+The C source defines no model constant.  `defines` turns the Python
+definitions (dynamics' and environment's constants, the observation bounds
+and missile.MissileParams' defaults) into `-D` flags, each float by its
+repr, which the compiler reads back to the same double; so every constant
+has one definition, and the kernel computes with exactly its value.  The
+flags are read when the kernel is loaded, after environment has bound
+every name they take.
+
 The first import compiles the extension with the system C compiler into the
 package's `__pycache__`; later imports only hash the source and load the
 cached file.  The file name carries the sha256 of the C source, the compiler
-flags and the interpreter's extension suffix, so an outdated build is never
-loaded.  The compiler writes to a temporary file that is then renamed into
-place, so concurrent first imports cannot see a partial file.  A fresh build
-removes the other `_kernel-*` builds in its directory, best effort, so
-outdated builds do not pile up as the source changes.
+flags with the defines, and the interpreter's extension suffix, so a build
+of outdated source or constants is never loaded.  The compiler writes to a
+temporary file that is then renamed into place, so concurrent first imports
+cannot see a partial file.  A fresh build removes the other `_kernel-*`
+builds in its directory, best effort, so outdated builds do not pile up.
 
 The flags keep the arithmetic the interpreter's: no contraction of a
 multiply and an add into a fused multiply-add, and no builtin replacement of
@@ -30,6 +38,7 @@ import importlib.machinery
 import importlib.util
 import os
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 from types import ModuleType
 from typing import Optional
@@ -41,11 +50,46 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 MODULE_NAME = "dogfight._kernel"
 
 
+def defines() -> tuple[str, ...]:
+    """The model constants as `-D` flags, from their Python definitions.
+
+    A leading underscore is dropped from a macro's name.  OBS_LO and OBS_HI
+    are environment.OBS_BOUNDS' columns and MISSILE_PARAMS the fields of
+    environment.DEFAULT_MISSILE_PARAMS, as C initializers.  AttributeError
+    where a name is missing.
+    """
+    from . import dynamics, environment
+
+    named = ((dynamics, ("G", "PHYSICS_DT", "V_FLOOR", "GAMMA_LIMIT", "NX_MIN",
+                         "NX_MAX", "NZ_MIN", "NZ_MAX", "MU_MIN", "MU_MAX")),
+             (environment, ("GROUND_FLOOR", "EPISODE_TIME_LIMIT", "FIRE_RANGE",
+                            "FIRE_BEARING", "_DECISION_SUBSTEPS")))
+    flags = [f"-D{name.lstrip('_')}={getattr(module, name)!r}"
+             for module, names in named for name in names]
+    for macro, column in (("OBS_LO", 0), ("OBS_HI", 1)):
+        values = ", ".join(repr(pair[column]) for pair in environment.OBS_BOUNDS)
+        flags.append(f"-D{macro}={{{values}}}")
+    fields = ", ".join(f".{name} = {value!r}" for name, value
+                       in asdict(environment.DEFAULT_MISSILE_PARAMS).items())
+    flags.append(f"-DMISSILE_PARAMS={{{fields}}}")
+    return tuple(flags)
+
+
+def command(cc: str, output: Path, *extra: str) -> list[str]:
+    """The argv with which cc builds the extension at output; extra flags go
+    before the source."""
+    import sysconfig
+
+    return [cc, *FLAGS, *extra, *defines(), "-I",
+            sysconfig.get_paths()["include"], str(SOURCE), "-o", str(output),
+            "-lm"]
+
+
 def cached_path(cache_dir: Path = CACHE_DIR) -> Path:
-    """Where the build of the current source and flags lives."""
+    """Where the build of the current source, flags and constants lives."""
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     key = hashlib.sha256(SOURCE.read_bytes())
-    key.update("\0".join(FLAGS + (suffix,)).encode())
+    key.update("\0".join(FLAGS + defines() + (suffix,)).encode())
     return cache_dir / f"_kernel-{key.hexdigest()}{suffix}"
 
 
@@ -60,7 +104,6 @@ def _import(path: Path) -> ModuleType:
 def _compile(path: Path) -> None:
     """Build the extension at path; raises OSError with the reason."""
     import subprocess
-    import sysconfig
     import tempfile
 
     cc = shutil.which(COMPILER)
@@ -71,10 +114,8 @@ def _compile(path: Path) -> None:
                                suffix=".tmp")
     os.close(fd)
     try:
-        proc = subprocess.run(
-            [cc, *FLAGS, "-I", sysconfig.get_paths()["include"], str(SOURCE),
-             "-o", tmp, "-lm"],
-            capture_output=True, text=True)
+        proc = subprocess.run(command(cc, Path(tmp)), capture_output=True,
+                              text=True)
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines() or [""]
             raise OSError(f"{COMPILER} exited {proc.returncode}: {lines[0]}")

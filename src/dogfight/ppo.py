@@ -69,7 +69,6 @@ class Transition:
     reward: float
     value: float
     done: bool
-    z: Optional[float] = None
     advantage: Optional[float] = None
     value_target: Optional[float] = None
 
@@ -84,11 +83,7 @@ class TrainMetrics:
 
 
 class RolloutBuffer:
-    """Transitions grouped by episode; an episode closes on its done flag.
-
-    Closing an episode backfills the terminal outcome z (the terminal
-    reward) into every transition of that episode.
-    """
+    """Transitions grouped by episode; an episode closes on its done flag."""
 
     def __init__(self):
         self.episodes: list[list[Transition]] = []
@@ -97,9 +92,6 @@ class RolloutBuffer:
     def add(self, tr: Transition) -> None:
         self._open.append(tr)
         if tr.done:
-            z = tr.reward
-            for t in self._open:
-                t.z = z
             self.episodes.append(self._open)
             self._open = []
 
@@ -119,8 +111,8 @@ def compute_advantages(buffer: RolloutBuffer, config: TrainConfig,
     """Fill GAE advantages and discounted-outcome value targets in place.
 
     Value targets follow target(t) = gamma * target(t+1) backward from the
-    terminal z, so the chain identity is exact.  Advantages are normalized
-    to zero mean and unit variance over the whole buffer.
+    terminal reward z, so the chain identity is exact.  Advantages are
+    normalized to zero mean and unit variance over the whole buffer.
     """
     if buffer.open_count:
         raise ValueError(f"buffer has an open episode of {buffer.open_count} transitions")
@@ -128,7 +120,7 @@ def compute_advantages(buffer: RolloutBuffer, config: TrainConfig,
     for ep in buffer.episodes:
         gae = 0.0
         next_value = 0.0
-        target = ep[-1].z
+        target = ep[-1].reward
         for i, tr in enumerate(reversed(ep)):
             nonterminal = 0.0 if tr.done else 1.0
             delta = tr.reward + gamma * next_value * nonterminal - tr.value

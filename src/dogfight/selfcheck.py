@@ -253,7 +253,6 @@ def kernel_identity(decisions: int, seed: int) -> dict:
     if kernel is None:
         raise AssertionError("the compiled kernel is not loaded")
     spy = KernelSpy(kernel)
-    model = flat_model()
     rng = np.random.default_rng(seed)
     counts = dict(decisions=0, missile_in_flight=0, ended=0)
     state = held = None
@@ -267,7 +266,7 @@ def kernel_identity(decisions: int, seed: int) -> dict:
         try:
             environment._kernel = spy
             fast = env_step(state, held[0], held[1])
-            flat = flat_result(model(flatten(state), *held.tolist()))
+            flat = flat_result(flat_model(flatten(state), *held.tolist()))
             environment._kernel = None
             ref = env_step(state, held[0], held[1])
         finally:

@@ -28,7 +28,6 @@ import numpy as np
 from . import workers
 from .environment import (
     BLUE,
-    DEFAULT_MISSILE_PARAMS,
     DEFAULT_SCENARIO,
     OBS_DIM,
     RED,
@@ -41,7 +40,6 @@ from .environment import (
     reset,
 )
 from .mcts import SearchConfig, run_search
-from .missile import MissileParams
 from .mlp import MlpParams, adam_state_for, forward, init_params, log_density, \
     sample_and_logprob
 from .ppo import RolloutBuffer, TrainConfig, TrainMetrics, Transition, \
@@ -101,7 +99,7 @@ class LeagueConfig:
     """A training run: the master seed, the league, its output directory.
 
     The fields up to scenario are the run's INI file, in file order (see
-    harness); missile, layer_sizes and config_hash are set in code only.
+    harness); layer_sizes and config_hash are set in code only.
     """
 
     seed: int = 0
@@ -113,7 +111,6 @@ class LeagueConfig:
     train: TrainConfig = TrainConfig()
     search: SearchConfig = SearchConfig()
     scenario: ScenarioConfig = DEFAULT_SCENARIO
-    missile: MissileParams = DEFAULT_MISSILE_PARAMS
     layer_sizes: tuple[int, ...] = (13, 256, 256, 4)
     config_hash: str = ""
 
@@ -145,7 +142,7 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
          obs: tuple[np.ndarray, np.ndarray], use_mcts: bool,
          rng: np.random.Generator, opponent: MlpParams,
-         search_config: SearchConfig, missile_params: MissileParams):
+         search_config: SearchConfig):
     """One side's decision: search when flagged, raw policy sample otherwise.
 
     obs is the (own, opponent) observation pair of state.  Returns (action,
@@ -155,8 +152,7 @@ def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
     """
     if use_mcts:
         found = run_search(state, side, agent.actor, agent.critic, opponent,
-                           flat_model(missile_params), search_config, rng,
-                           root_obs=obs)
+                           flat_model, search_config, rng, root_obs=obs)
         action = found.action
         logp = log_density(found.root_mean, agent.actor.log_std, action)
         return action, float(logp), found.root_critic
@@ -168,7 +164,6 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
                use_mcts_a: bool, use_mcts_b: bool, seed: int, *,
                search_config: SearchConfig = SearchConfig(),
                scenario: ScenarioConfig = DEFAULT_SCENARIO,
-               missile_params: MissileParams = DEFAULT_MISSILE_PARAMS,
                game_index: int = 0,
                record_side: Optional[str] = None,
                buffer: Optional[RolloutBuffer] = None,
@@ -182,7 +177,7 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
     is reproducible bit-exactly.  seed_a/seed_b override the per-side
     streams (used by symmetry tests); initial_state skips the seeded reset.
     When record_side and buffer are given, that side's transitions are
-    appended to the buffer, which backfills the outcome on episode close.
+    appended to the buffer, which closes the episode on the last one.
     """
     if record_side is not None and record_side != BLUE:
         raise ValueError("collection records the blue side only")
@@ -200,11 +195,10 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
     while True:
         act_a, logp_a, value_a = _act(agent_a, BLUE, state, (obs_a, obs_b),
                                       use_mcts_a, rng_a, agent_b.actor,
-                                      search_config, missile_params)
+                                      search_config)
         act_b, _, _ = _act(agent_b, RED, state, (obs_b, obs_a), use_mcts_b,
-                           rng_b, agent_a.actor, search_config, missile_params)
-        res = env_step(state, act_a, act_b, params=missile_params,
-                       recorder=recorder)
+                           rng_b, agent_a.actor, search_config)
+        res = env_step(state, act_a, act_b, recorder=recorder)
         steps += 1
         if buffer is not None and record_side == BLUE:
             value = value_a if value_a is not None \
@@ -231,7 +225,6 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
                      use_mcts: bool = True,
                      search_config: SearchConfig = SearchConfig(),
                      scenario: ScenarioConfig = DEFAULT_SCENARIO,
-                     missile_params: MissileParams = DEFAULT_MISSILE_PARAMS,
                      match_sink: Optional[MatchSink] = None) -> IterationMetrics:
     """Play the current agent against sampled past checkpoints.
 
@@ -256,7 +249,7 @@ def evaluate_vs_past(current: AgentCheckpoint, pool: list[AgentCheckpoint],
         opp, g, seed = game
         return play_match(current, pool[opp], use_mcts, use_mcts, seed,
                           search_config=search_config, scenario=scenario,
-                          missile_params=missile_params, game_index=g)
+                          game_index=g)
 
     wins = losses = draws = 0
     seconds = 0.0
@@ -321,7 +314,6 @@ def train_loop(config: LeagueConfig, *,
             record = play_match(live, pool[-1], config.use_mcts, False, seed,
                                 search_config=config.search,
                                 scenario=config.scenario,
-                                missile_params=config.missile,
                                 record_side=BLUE, buffer=own)
             return record.sim_time, own.episodes
 
@@ -352,7 +344,6 @@ def train_loop(config: LeagueConfig, *,
                                      use_mcts=config.use_mcts,
                                      search_config=config.search,
                                      scenario=config.scenario,
-                                     missile_params=config.missile,
                                      match_sink=match_sink)
         now = time.monotonic()
         row = replace(evaluated, train=train_metrics,

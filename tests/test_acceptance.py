@@ -178,9 +178,7 @@ def test_criterion_6_search_properties():
     critic = mlp.init_params(1, SMALL[:-1] + (1,))
     opponent = mlp.init_params(2, SMALL, with_log_std=True)
 
-    model = flat_model()
-
-    res = run_search(reset(3), BLUE, actor, critic, opponent, model,
+    res = run_search(reset(3), BLUE, actor, critic, opponent, flat_model,
                      SearchConfig(), np.random.default_rng(5))
     visits_ok = int(res.visit_counts.sum()) == 20
     priors_ok = abs(float(res.priors.sum()) - 1.0) < 1e-12
@@ -198,7 +196,7 @@ def test_criterion_6_search_properties():
         best_ids = set()
 
         def tagging_model(s, ab, ar, _k=k, _e=expected, _ids=best_ids):
-            out = model(s, ab, ar)
+            out = flat_model(s, ab, ar)
             if np.array_equal(ab, _e[_k]):
                 _ids.add(id(out[0]))
             return out
@@ -209,7 +207,7 @@ def test_criterion_6_search_properties():
         dominated += got.chosen_index == k
 
     state = reset(33)
-    single = run_search(state, BLUE, actor, critic, opponent, model,
+    single = run_search(state, BLUE, actor, critic, opponent, flat_model,
                         SearchConfig(num_actions=1), np.random.default_rng(77))
     raw, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
                                     np.random.default_rng(77))

@@ -419,7 +419,7 @@ def test_malformed_actions_raise_value_error(name, monkeypatch):
     messages = set()
     for kernel in (environment._kernel, None):
         monkeypatch.setattr(environment, "_kernel", kernel)
-        for step in (env_step, lambda st, a, b: flat_model()(flatten(st), a, b)):
+        for step in (env_step, lambda st, a, b: flat_model(flatten(st), a, b)):
             for pair in ((bad, TRIM), (TRIM, bad)):
                 with pytest.raises(ValueError, match="4 finite reals") as info:
                     step(s, *pair)
@@ -460,7 +460,7 @@ def test_a_finished_flat_engagement_comes_back_unchanged(monkeypatch):
     for kernel in (environment._kernel, None):
         monkeypatch.setattr(environment, "_kernel", kernel)
         for action in (TRIM, MALFORMED_ACTIONS["list of 3"]):
-            nxt, obs_blue, obs_red, code = flat_model()(flat, action, action)
+            nxt, obs_blue, obs_red, code = flat_model(flat, action, action)
             assert nxt == flat and code == flat[9]
             assert np.array(obs_blue).tobytes() == \
                 observe(finished, BLUE).tobytes()

@@ -15,7 +15,6 @@ import os
 import shutil
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -25,14 +24,7 @@ import pytest
 
 from dogfight import environment, kernel, selfcheck
 from dogfight.dynamics import (
-    G,
     GAMMA_LIMIT,
-    MU_MAX,
-    MU_MIN,
-    NX_MAX,
-    NX_MIN,
-    NZ_MAX,
-    NZ_MIN,
     PHYSICS_DT,
     V_FLOOR,
     AircraftState,
@@ -41,10 +33,7 @@ from dogfight.dynamics import (
 from dogfight.environment import (
     BLUE,
     DECISION_DT,
-    DEFAULT_MISSILE_PARAMS,
     EPISODE_TIME_LIMIT,
-    FIRE_BEARING,
-    FIRE_RANGE,
     GROUND_FLOOR,
     OBS_BOUNDS,
     RED,
@@ -57,7 +46,7 @@ from dogfight.environment import (
     flatten,
     reset,
 )
-from dogfight.missile import MissileParams, MissileState, MissileStatus
+from dogfight.missile import MissileState, MissileStatus
 
 from test_environment import last_substep_start
 
@@ -65,48 +54,48 @@ TRIM = (1.0, 0.0, 0.0, -1.0)
 HAVE_CC = shutil.which(kernel.COMPILER) is not None
 
 
-def step(kernel_module, state, a_blue, a_red, **kwargs):
+def step(kernel_module, state, a_blue, a_red):
     saved, environment._kernel = environment._kernel, kernel_module
     try:
-        return env_step(state, a_blue, a_red, **kwargs)
+        return env_step(state, a_blue, a_red)
     finally:
         environment._kernel = saved
 
 
-def flat_step(kernel_module, state, a_blue, a_red, params=DEFAULT_MISSILE_PARAMS):
+def flat_step(kernel_module, state, a_blue, a_red):
     """The flat model's decision from state, rebuilt as a StepResult."""
     saved, environment._kernel = environment._kernel, kernel_module
     try:
-        return flat_result(flat_model(params)(flatten(state), a_blue, a_red))
+        return flat_result(flat_model(flatten(state), a_blue, a_red))
     finally:
         environment._kernel = saved
 
 
-def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True, **kwargs):
+def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True):
     """env_step through the kernel and through the Python loop, and the flat
     model through the kernel's step; the result once all agree byte for byte.
     kernel_runs says whether the kernel must finish the decision itself
     rather than hand it back."""
     spy = selfcheck.KernelSpy(environment._kernel)
-    fast = step(spy, state, a_blue, a_red, **kwargs)
-    ref = step(None, state, a_blue, a_red, **kwargs)
+    fast = step(spy, state, a_blue, a_red)
+    ref = step(None, state, a_blue, a_red)
     assert selfcheck.step_bytes(fast) == selfcheck.step_bytes(ref)
     assert spy.calls > 0 and (spy.handed_back == 0) == kernel_runs
     flat_spy = selfcheck.KernelSpy(environment._kernel)
-    flat = flat_step(flat_spy, state, a_blue, a_red, **kwargs)
+    flat = flat_step(flat_spy, state, a_blue, a_red)
     assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
     assert (flat_spy.handed_back == 0) == kernel_runs
     return ref
 
 
-def both_raise(state, a_blue=TRIM, a_red=TRIM, **kwargs):
+def both_raise(state, a_blue=TRIM, a_red=TRIM):
     """The exception all paths raise; they must agree in type and message."""
     raised = []
     spy = selfcheck.KernelSpy(environment._kernel)
     flat_spy = selfcheck.KernelSpy(environment._kernel)
-    calls = (lambda: step(spy, state, a_blue, a_red, **kwargs),
-             lambda: step(None, state, a_blue, a_red, **kwargs),
-             lambda: flat_step(flat_spy, state, a_blue, a_red, **kwargs))
+    calls = (lambda: step(spy, state, a_blue, a_red),
+             lambda: step(None, state, a_blue, a_red),
+             lambda: flat_step(flat_spy, state, a_blue, a_red))
     for call in calls:
         try:
             call()
@@ -149,20 +138,22 @@ def test_kernel_is_built_where_a_compiler_exists():
     assert environment._kernel is not None, environment._KERNEL_DETAIL
 
 
-def test_kernel_constants_are_the_models(compiled):
-    expected = {
-        "pi": math.pi, "tau": math.tau, "G": G, "PHYSICS_DT": PHYSICS_DT,
-        "V_FLOOR": V_FLOOR, "GAMMA_LIMIT": GAMMA_LIMIT,
-        "GROUND_FLOOR": GROUND_FLOOR, "EPISODE_TIME_LIMIT": EPISODE_TIME_LIMIT,
-        "FIRE_RANGE": FIRE_RANGE, "FIRE_BEARING": FIRE_BEARING,
-        "NX_MIN": NX_MIN, "NX_MAX": NX_MAX, "NZ_MIN": NZ_MIN, "NZ_MAX": NZ_MAX,
-        "MU_MIN": MU_MIN, "MU_MAX": MU_MAX,
-        "DECISION_SUBSTEPS": round(DECISION_DT / PHYSICS_DT),
-        "OBS_BOUNDS": OBS_BOUNDS,
-        "OBS_SPANS": tuple(span for _, span in environment._OBS_SPANS)}
-    # repr tells every float apart, -0.0 from 0.0 too.
-    assert {k: repr(v) for k, v in compiled.CONSTANTS.items()} == \
-        {k: repr(v) for k, v in expected.items()}
+def test_a_changed_constant_changes_the_build(tmp_path, monkeypatch):
+    # The kernel's constants are compiled in from the Python definitions, so
+    # changing one must name another build.
+    before = kernel.cached_path(tmp_path)
+    monkeypatch.setattr(environment, "FIRE_RANGE", environment.FIRE_RANGE + 1.0)
+    assert kernel.cached_path(tmp_path) != before
+    monkeypatch.undo()
+    assert kernel.cached_path(tmp_path) == before
+
+
+def test_a_missing_constant_leaves_the_reference_in_charge(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.delattr(environment, "FIRE_BEARING")
+    module, why = kernel.load(tmp_path)
+    assert module is None and "FIRE_BEARING" in why
+    assert not any(tmp_path.iterdir())
 
 
 def test_seeded_decisions_are_bit_identical(compiled):
@@ -296,15 +287,11 @@ def test_guards_raise_the_reference_exception(compiled):
         (replace(s, red_missile=missile(RED, BLUE, 9000.0, 0.0, 5000.0,
                                         gamma=-math.pi / 2),
                  red_fired=True), {}),
-        # A missile whose mass burns down to zero.
-        (replace(s, blue_missile=missile(BLUE, RED, 0.0, 0.0, 5000.0, t=13.0),
-                 blue_fired=True),
-         dict(params=MissileParams(g0=84.0, gt=7.0, tw=12.0))),
         # A non-finite heading, which the math module refuses.
         (replace(s, blue=replace(s.blue, phi=math.inf)), {}),
     ]
     kinds = {both_raise(state, **kw)[0] for state, kw in cases}
-    assert kinds == {DegenerateStateError, ValueError, ZeroDivisionError}
+    assert kinds == {DegenerateStateError, ValueError}
 
 
 def test_non_float_fields_take_the_python_loop(compiled):
@@ -324,12 +311,11 @@ def test_kernel_decisions_do_not_leak(compiled):
         blue_fired=True, red_fired=True))
     flats = [flatten(state) for state in rng_states]
     fire = (2.0, 0.5, 0.3, 1.0)
-    model = flat_model()
 
     def decide(count):
         for i in range(count):
             env_step(rng_states[i % len(rng_states)], fire, TRIM)
-            model(flats[i % len(flats)], fire, TRIM)
+            flat_model(flats[i % len(flats)], fire, TRIM)
 
     decide(1000)
     gc.collect()
@@ -437,12 +423,10 @@ def test_kernel_calls_keep_input_refcounts(compiled, branch):
     # leak, or a free while the caller still holds the object.
     state, a_blue, expected = BRANCHES[branch]
     flat, a_blue, a_red = flatten(state), list(a_blue), list(TRIM)
-    params = environment._DEFAULT_PARAM_VALUES
-    inputs = [o for o in (flat, *flat[:4], a_blue, a_red, params)
-              if o is not None]
+    inputs = [o for o in (flat, *flat[:4], a_blue, a_red) if o is not None]
     before = [sys.getrefcount(o) for o in inputs]
     for _ in range(3):
-        out = compiled.step(flat, a_blue, a_red, params)
+        out = compiled.step(flat, a_blue, a_red)
         if expected is None:
             assert out is None
         else:
@@ -461,14 +445,13 @@ def test_kernel_calls_keep_input_refcounts(compiled, branch):
 
 def test_step_hands_malformed_inputs_back(compiled):
     flat = flatten(duel())
-    params = environment._DEFAULT_PARAM_VALUES
-    assert compiled.step(flat, TRIM, TRIM, params) is not None
+    assert compiled.step(flat, TRIM, TRIM) is not None
     malformed_actions = ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0, 0.0],
                          [1, 0.0, 0.0, -1.0], [math.nan, 0.0, 0.0, -1.0],
                          np.array(TRIM), [[1.0, 0.0, 0.0, -1.0]] * 4)
     for a in malformed_actions:
-        assert compiled.step(flat, a, TRIM, params) is None
-        assert compiled.step(flat, TRIM, a, params) is None
+        assert compiled.step(flat, a, TRIM) is None
+        assert compiled.step(flat, TRIM, a) is None
     malformed_flats = (
         flat[:9], flat + (0,), list(flat),
         (flat[0][:5],) + flat[1:],              # a short aircraft
@@ -480,7 +463,7 @@ def test_step_hands_malformed_inputs_back(compiled):
         flat[:9] + (3,),                        # a finished engagement
     )
     for bad in malformed_flats:
-        assert compiled.step(bad, TRIM, TRIM, params) is None
+        assert compiled.step(bad, TRIM, TRIM) is None
 
 
 def test_kernel_identity_under_the_debug_allocator(compiled):
@@ -500,10 +483,10 @@ def test_kernel_identity_under_the_debug_allocator(compiled):
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    # The loader's own command, constants included, under extra warnings.
     proc = subprocess.run(
-        [kernel.COMPILER, *kernel.FLAGS, "-Wall", "-Wextra", "-c",
-         "-I", sysconfig.get_paths()["include"], str(kernel.SOURCE),
-         "-o", str(tmp_path / "kernel.o")],
+        kernel.command(kernel.COMPILER, tmp_path / "kernel.so", "-Wall",
+                       "-Wextra"),
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 

@@ -47,7 +47,7 @@ def make_critic(seed):
     return mlp.init_params(seed, SMALL[:-1] + (1,))
 
 
-env_model = flat_model()
+env_model = flat_model
 
 
 def manual_node(priors, visits=None, values=None):

@@ -66,7 +66,6 @@ def test_buffer_closes_episodes_and_backfills_z():
     assert buf.open_count == 2 and len(buf) == 0
     buf.add(make_transition(-1.0, 0.3, True))
     assert buf.open_count == 0 and len(buf) == 3
-    assert [t.z for t in buf.transitions()] == [-1.0, -1.0, -1.0]
 
 
 def test_compute_advantages_rejects_open_episode():
@@ -104,7 +103,7 @@ def test_value_target_chain_identity_exact():
     buf, _ = random_buffer(3, episodes=5, length=9)
     compute_advantages(buf, CFG)
     for ep in buf.episodes:
-        assert ep[-1].value_target == ep[-1].z
+        assert ep[-1].value_target == ep[-1].reward
         for a, b in zip(ep, ep[1:]):
             assert a.value_target == CFG.gamma * b.value_target
 

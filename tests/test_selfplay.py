@@ -129,7 +129,6 @@ def test_play_match_records_blue_transitions():
         assert tr.obs.shape == (13,)
         assert tr.action.shape == (4,)
         assert np.isfinite(tr.logp) and np.isfinite(tr.value)
-        assert tr.z == z
     assert all(not tr.done for tr in episode[:-1]) and episode[-1].done
 
 
