@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import fields, replace
@@ -240,7 +241,11 @@ def _params_from(tensors: list[np.ndarray], what: str) -> MlpParams:
 
 
 def save_checkpoint(path, ckpt: AgentCheckpoint) -> None:
-    """Write magic, length, payload (version, metadata, tensors), CRC32."""
+    """Write magic, length, payload (version, metadata, tensors), CRC32.
+
+    The file is written whole beside path, then renamed onto it, so a crash
+    leaves either the old checkpoint or the new one, never a torn file.
+    """
     if not 0 <= ckpt.iteration < 2 ** 32:
         raise ValueError(f"iteration {ckpt.iteration} out of range")
     if not 0 <= ckpt.seed < 2 ** 64:
@@ -256,8 +261,15 @@ def save_checkpoint(path, ckpt: AgentCheckpoint) -> None:
     payload += b"".join(_pack_tensor(t) for t in actor_tensors + critic_tensors)
     blob = MAGIC + struct.pack("<I", len(payload)) + payload
     blob += struct.pack("<I", zlib.crc32(payload))
-    with open(path, "wb") as fp:
-        fp.write(blob)
+    # The temporary name does not end in .ckpt, so no `*.ckpt` glob sees it.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> AgentCheckpoint:

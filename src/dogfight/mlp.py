@@ -9,7 +9,12 @@ product rounds differently from a matrix-vector product in the final bits,
 and downstream consumers rely on a batch result being exactly the stack of
 single-row results.  Training gradients go through an internal batched
 product instead; they are exact gradients of the loss as that path
-computes it.
+computes it.  That batched pass computes each layer into a buffer the
+process reuses from call to call, one per (direction, layer, width),
+grown to the largest row count seen, so a training minibatch allocates no
+(rows, width) temporaries.  The outputs backprop hands its loss function
+live in such a buffer and are valid only during the call; the gradients
+it returns are fresh arrays.
 """
 
 from __future__ import annotations
@@ -120,50 +125,65 @@ def forward(params: MlpParams, x) -> np.ndarray:
     raise ValueError(f"input must be a vector or a batch of rows, got ndim={arr.ndim}")
 
 
-def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward returning activations for the backward pass."""
-    last = len(params.weights) - 1
-    acts = [x]
-    h = x
-    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if j < last:
-            h = np.tanh(h)
-        acts.append(h)
-    return h, acts
-
-
 LossFn = Callable[[np.ndarray, Optional[np.ndarray]],
                   tuple[float, np.ndarray, Optional[np.ndarray]]]
+
+
+_SCRATCH: dict[tuple[str, int, int], np.ndarray] = {}
+
+
+def _scratch(direction: str, layer: int, rows: int, width: int) -> np.ndarray:
+    """The leading rows of this process's (direction, layer, width) buffer."""
+    buf = _SCRATCH.get((direction, layer, width))
+    if buf is None or buf.shape[0] < rows:
+        buf = _SCRATCH[direction, layer, width] = np.empty((rows, width))
+    return buf[:rows]
 
 
 def backprop(params: MlpParams, inputs, loss_fn: LossFn) -> tuple[float, MlpParams]:
     """Loss value and exact reverse-mode gradients for every parameter.
 
-    The gradients come back as an MlpParams congruent to params.
+    The gradients come back as an MlpParams congruent to params, in fresh
+    arrays.
 
     loss_fn(outputs, log_std) must return (loss, dloss/doutputs,
     dloss/dlog_std or None); any normalization over the batch belongs in
-    those derivatives.
+    those derivatives.  outputs is a view of a reused buffer, valid only
+    during the call: loss_fn may read it but must not keep it or write to
+    it.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if x.shape[1] != params.in_dim:
         raise ValueError(f"expected rows of size {params.in_dim}, got {x.shape}")
-    out, acts = _forward_batch(params, x)
-    loss, d_out, d_log_std = loss_fn(out, params.log_std)
+    rows = x.shape[0]
+    last = len(params.weights) - 1
+    acts = [x]
+    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = np.matmul(acts[j], w, out=_scratch("forward", j, rows, w.shape[1]))
+        h += b
+        if j < last:
+            np.tanh(h, out=h)
+        acts.append(h)
+    loss, d_out, d_log_std = loss_fn(acts[-1], params.log_std)
     loss = float(loss)
     if not math.isfinite(loss):
         raise NonFiniteError(f"non-finite loss {loss}")
 
-    n_layers = len(params.weights)
-    d_weights: list = [None] * n_layers
-    d_biases: list = [None] * n_layers
+    d_weights: list = [None] * (last + 1)
+    d_biases: list = [None] * (last + 1)
     delta = np.asarray(d_out, dtype=np.float64)
-    for j in range(n_layers - 1, -1, -1):
+    for j in range(last, -1, -1):
         d_weights[j] = acts[j].T @ delta
         d_biases[j] = delta.sum(axis=0)
         if j > 0:
-            delta = (delta @ params.weights[j].T) * (1.0 - acts[j] * acts[j])
+            # acts[j] is spent once its weight gradient is taken; it
+            # becomes the tanh derivative 1 - a*a in place.
+            a = acts[j]
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta = np.matmul(delta, params.weights[j].T,
+                              out=_scratch("backward", j, rows, a.shape[1]))
+            delta *= a
 
     if params.log_std is not None and d_log_std is None:
         d_log_std = np.zeros_like(params.log_std)

@@ -4,9 +4,11 @@ The binary-layout test re-reads a saved checkpoint with raw struct calls
 so the documented file format, not just the round-trip, is pinned.
 """
 
+import errno
 import hashlib
 import io
 import json
+import os
 import struct
 import zlib
 from dataclasses import replace
@@ -14,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dogfight import harness
 from dogfight.environment import env_step, reset
 from dogfight.harness import (
     FORMAT_VERSION,
@@ -303,6 +306,36 @@ def test_checkpoint_version_mismatch_names_both(tmp_path):
         load_checkpoint(path)
     message = str(err.value)
     assert "99" in message and str(FORMAT_VERSION) in message
+
+
+class _TornFile(io.FileIO):
+    """A file whose write stops halfway, as on a full disk."""
+
+    def write(self, data):
+        super().write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refuse_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "checkpoint_0003.ckpt"
+    save_checkpoint(path, _checkpoint(seed=0))
+    old = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(harness, "open", _TornFile, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(path, _checkpoint(seed=5))
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    save_checkpoint(path, _checkpoint(seed=5))
+    assert path.read_bytes() != old
 
 
 def test_load_config_missing_file(tmp_path):

@@ -2,10 +2,14 @@
 
 Gradient correctness is established against the selfcheck suite's central
 finite-difference oracle on a reduced 13-8-8-4 network.  The seed-0 forward vector is a
-frozen regression value.
+frozen regression value.  `_reference_backprop` keeps the batched pass with
+a fresh array per operation; backprop, which reuses its layer buffers, must
+match it byte for byte.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from dogfight.mlp import (
     log_density,
     sample_and_logprob,
 )
+from dogfight.ppo import TrainConfig, _actor_loss, _critic_loss
 from dogfight.selfcheck import max_fd_error
 
 SMALL = (13, 8, 8, 4)
@@ -151,6 +156,86 @@ def test_duplicated_sample_doubles_sum_gradient():
         # Doubling is exact linear algebra; the batched products of the two
         # runs may round their final bit differently, nothing more.
         np.testing.assert_allclose(2.0 * a, b, rtol=0, atol=1e-13)
+
+
+def _reference_backprop(params, inputs, loss_fn):
+    """backprop with a fresh array for every operation of the batched pass."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    last = len(params.weights) - 1
+    acts = [x]
+    h = x
+    for j, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w + b
+        if j < last:
+            h = np.tanh(h)
+        acts.append(h)
+    loss, d_out, d_log_std = loss_fn(h, params.log_std)
+    d_weights = [None] * (last + 1)
+    d_biases = [None] * (last + 1)
+    delta = np.asarray(d_out, dtype=np.float64)
+    for j in range(last, -1, -1):
+        d_weights[j] = acts[j].T @ delta
+        d_biases[j] = delta.sum(axis=0)
+        if j > 0:
+            delta = (delta @ params.weights[j].T) * (1.0 - acts[j] * acts[j])
+    if params.log_std is not None and d_log_std is None:
+        d_log_std = np.zeros_like(params.log_std)
+    return float(loss), MlpParams(
+        d_weights, d_biases,
+        None if params.log_std is None else np.asarray(d_log_std, dtype=np.float64))
+
+
+def test_backprop_matches_fresh_array_reference_bytes():
+    # The update's two networks, calls interleaved as in one process, over
+    # row counts that take prefix views of grown buffers and grow them.
+    actor = init_params(31, (13, 256, 256, 4), with_log_std=True)
+    actor.log_std[:] = [-0.3, 0.1, 0.0, 0.4]
+    critic = init_params(32, (13, 256, 256, 1))
+    cfg = TrainConfig()
+    rng = np.random.default_rng(33)
+    previous = None
+    for rows in (1024, 7, 1, 2048, 1024):
+        x = rng.uniform(-1.0, 1.0, (rows, 13))
+        kept = x.copy()
+        actions = rng.normal(size=(rows, 4))
+        old_logp = rng.normal(-5.5, 0.5, rows)
+        advantages = rng.normal(size=rows)
+        targets = rng.normal(size=rows)
+        calls = [(actor, lambda stats: _actor_loss(actions, old_logp, advantages,
+                                                   cfg, stats)),
+                 (critic, lambda stats: _critic_loss(targets))]
+        for params, make_loss in calls:
+            stats, ref_stats = {}, {}
+            loss, grads = backprop(params, x, make_loss(stats))
+            ref_loss, ref_grads = _reference_backprop(params, x, make_loss(ref_stats))
+            assert loss.hex() == ref_loss.hex()
+            assert stats == ref_stats
+            for got, want in zip(grads.tensors(), ref_grads.tensors(), strict=True):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == kept.tobytes()
+            if previous is not None:
+                assert not any(np.shares_memory(a, b)
+                               for a in grads.tensors() for b in previous.tensors())
+            previous = grads
+
+
+def test_backprop_reuses_its_layer_buffers():
+    # A 1024-row minibatch's (1024, 256) temporaries are 2 MiB each; once
+    # the buffers exist, a call allocates little beyond its gradients.
+    p = init_params(34, (13, 256, 256, 4), with_log_std=True)
+    rng = np.random.default_rng(35)
+    x = rng.uniform(-1.0, 1.0, (1024, 13))
+    fn = quadratic_loss(rng.normal(size=(1024, 4)))
+    backprop(p, x, fn)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        backprop(p, x, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_non_finite_loss_raises():
