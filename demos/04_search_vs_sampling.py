@@ -12,16 +12,16 @@ sampling raw actions.
 import numpy as np
 
 from dogfight import SearchConfig, flat_model, init_params, reset, run_search
-from dogfight.environment import BLUE
+from dogfight.environment import BLUE, flatten
 from dogfight.selfplay import AgentCheckpoint, play_match
 
 LAYERS = (13, 256, 256, 4)
 actor = init_params(3, LAYERS, with_log_std=True)
 critic = init_params(4, LAYERS[:-1] + (1,))
 
-# One search call at an engagement's opening state.  The search's model of
-# the environment steps flat engagement tuples through the compiled kernel.
-state = reset(seed=0)
+# One search call at an engagement's opening state, as the flat engagement
+# tuple that matches and search step through the compiled kernel.
+state = flatten(reset(seed=0))
 cfg = SearchConfig(num_actions=9, num_simulations=20, c_puct=1.25, max_depth=5)
 res = run_search(state, BLUE, actor, critic, actor, flat_model, cfg,
                  np.random.default_rng(7))

@@ -22,12 +22,12 @@ The kernel is built from this module's constants and dynamics' (see
 `kernel.defines`), so it is loaded below the last of them: a constant is
 defined once, here or in dynamics, and a changed one rebuilds the kernel.
 
-Two entry points make that call: `env_step` on EngagementStates, and
-`flat_model`, with which tree search steps its model states as flat tuples.
-Each falls back to `_reference` directly where the kernel is unavailable,
-where a recorder asks for every substep (env_step only), and where the
-kernel hands a decision back because the reference would raise.  Setting
-`_kernel` to None selects the reference.
+`flat_model` alone picks the route: it runs `_reference` where the kernel
+is unavailable, where a recorder asks for every substep, and where the
+kernel hands a decision back because the reference would raise.  Matches
+and tree search step flat tuples through it; `env_step` is the edge for
+callers that hold EngagementStates, and wraps it.  Setting `_kernel` to
+None selects the reference.
 """
 
 from __future__ import annotations
@@ -313,17 +313,15 @@ def _evaluate(blue_z, red_z, bm_status, rm_status, blue_fired, red_fired,
     return Outcome.ONGOING
 
 
-def trajectory_rows(s: EngagementState) -> list[TrajectoryRow]:
-    """Two export rows (blue then red) for the instant captured by s."""
+def trajectory_rows(flat: FlatState) -> list[TrajectoryRow]:
+    """Two export rows (blue then red) for the instant a flat engagement
+    captures."""
+    b, r, bk, rk, bs, rs, _, _, t, code = flat
+    outcome = OUTCOMES_BY_CODE[code].value
     rows = []
-    for side, craft, m in ((BLUE, s.blue, s.blue_missile),
-                           (RED, s.red, s.red_missile)):
-        if m is not None:
-            mx, my, mz = m.x, m.y, m.z
-        else:
-            mx = my = mz = None
-        rows.append((s.t, side, craft.x, craft.y, craft.z, craft.v,
-                     craft.gamma, craft.phi, mx, my, mz, s.outcome.value))
+    for side, craft, k, status in ((BLUE, b, bk, bs), (RED, r, rk, rs)):
+        mx, my, mz = k[:3] if status else (None, None, None)
+        rows.append((t, side, *craft, mx, my, mz, outcome))
     return rows
 
 
@@ -333,17 +331,18 @@ def trajectory_rows(s: EngagementState) -> list[TrajectoryRow]:
 # kinematics (missile._kinematics) or None, the missile status codes of
 # _STATUS_CODES, the fired flags, the time and the outcome code.  A side's
 # missile is always its own launch, so the tuple holds an EngagementState
-# without loss.  The kernel's `step` takes and returns it, and tree search
-# carries its model states this way.
+# without loss.  The kernel's `step` takes and returns it, and matches and
+# tree search carry their states this way.
 FlatState = tuple
 # (next flat state, obs_blue, obs_red, outcome code); the observations are
 # tuples of OBS_DIM floats.
 FlatStep = tuple
 FlatModel = Callable[[FlatState, Action, Action], FlatStep]
 
-_CODED_OUTCOMES = (Outcome.ONGOING, Outcome.BLUE_WIN, Outcome.RED_WIN,
-                   Outcome.DRAW)
-_OUTCOME_CODES = {o: code for code, o in enumerate(_CODED_OUTCOMES)}
+OUTCOMES_BY_CODE = (Outcome.ONGOING, Outcome.BLUE_WIN, Outcome.RED_WIN,
+                    Outcome.DRAW)
+"""The Outcome of each outcome code of a flat engagement."""
+_OUTCOME_CODES = {o: code for code, o in enumerate(OUTCOMES_BY_CODE)}
 REWARDS_BY_CODE = ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0), (0.0, 0.0))
 """(reward_blue, reward_red) of each outcome code of a flat engagement."""
 
@@ -378,7 +377,7 @@ def unflatten(flat: FlatState) -> EngagementState:
     return EngagementState(AircraftState(*b), AircraftState(*r),
                            _missile_of(bk, bs, BLUE, RED),
                            _missile_of(rk, rs, RED, BLUE),
-                           blue_fired, red_fired, t, _CODED_OUTCOMES[outcome])
+                           blue_fired, red_fired, t, OUTCOMES_BY_CODE[outcome])
 
 
 def flat_result(out: FlatStep) -> StepResult:
@@ -388,7 +387,8 @@ def flat_result(out: FlatStep) -> StepResult:
     flat, obs_blue, obs_red, code = out
     reward_blue, reward_red = REWARDS_BY_CODE[code]
     return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
-                      reward_blue, reward_red, code != 0, _CODED_OUTCOMES[code])
+                      reward_blue, reward_red, code != 0,
+                      OUTCOMES_BY_CODE[code])
 
 
 def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
@@ -436,10 +436,10 @@ def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
         outcome = _evaluate(b[2], r[2], bm_status, rm_status, blue_fired,
                             red_fired, t)
         if recorder is not None:
-            for row in trajectory_rows(unflatten((
+            for row in trajectory_rows((
                     b, r, bk, rk, _STATUS_CODES[bm_status],
                     _STATUS_CODES[rm_status], blue_fired, red_fired, t,
-                    _OUTCOME_CODES[outcome]))):
+                    _OUTCOME_CODES[outcome])):
                 recorder(row)
         if outcome is not _ONGOING:
             break
@@ -464,26 +464,22 @@ def env_step(s: EngagementState, a_blue: Action, a_red: Action,
     if s.outcome is not Outcome.ONGOING:
         return StepResult(s, observe(s, BLUE), observe(s, RED),
                           0.0, 0.0, True, s.outcome)
-
-    flat = flatten(s)
-    raw_b = _as_raw(a_blue)
-    raw_r = _as_raw(a_red)
-    out = None
-    if _kernel is not None and recorder is None:
-        out = _kernel.step(flat, raw_b, raw_r)
-    if out is None:
-        out = _reference(flat, raw_b, raw_r, recorder)
-    return flat_result(out)
+    return flat_result(flat_model(flatten(s), _as_raw(a_blue), _as_raw(a_red),
+                                  recorder))
 
 
-def flat_model(flat: FlatState, a_blue: Action, a_red: Action) -> FlatStep:
-    """env_step on a flat engagement: the model with which search steps.
+def flat_model(flat: FlatState, a_blue: Action, a_red: Action,
+               recorder: Optional[Recorder] = None) -> FlatStep:
+    """One decision on a flat engagement: the step of matches and search.
 
     Returns (next flat state, obs_blue, obs_red, outcome code), bit for bit
     what env_step returns.  The compiled kernel's `step` computes it in one
-    call.  Where the kernel is unavailable or hands the decision back,
-    `_reference` runs it on the same flat tuple, so its exception or its
-    result comes out.
+    call.  Where the kernel is unavailable, a recorder is given, or the
+    kernel hands the decision back, `_reference` runs it on the same flat
+    tuple, so its exception or its result comes out.  The kernel reads
+    actions that are lists or tuples of floats; anything else it hands back.
     """
-    out = None if _kernel is None else _kernel.step(flat, a_blue, a_red)
-    return _reference(flat, a_blue, a_red) if out is None else out
+    out = None
+    if _kernel is not None and recorder is None:
+        out = _kernel.step(flat, a_blue, a_red)
+    return _reference(flat, a_blue, a_red, recorder) if out is None else out

@@ -14,9 +14,9 @@ through the node (`build_candidates`), so a leaf costs one forward instead
 of three.  Drawing at expansion keeps the rng consumed in expansion order,
 so building later changes no value.
 
-The tree holds flat engagements (`environment.flatten`), not
-EngagementStates.  The env model takes a flat state and both raw actions and
-returns (next flat state, obs_blue, obs_red, outcome code), as
+The tree, root included, holds flat engagements (`environment.flatten`),
+not EngagementStates.  The env model takes a flat state and both raw
+actions and returns (next flat state, obs_blue, obs_red, outcome code), as
 `environment.flat_model` does, with observations equal to `observe` of the
 returned state; a child keeps that (own, opponent) pair as tuples of floats
 and turns its own observation into an array once, at first use.  Candidate
@@ -43,11 +43,8 @@ import numpy as np
 from .environment import (
     BLUE,
     REWARDS_BY_CODE,
-    EngagementState,
     FlatModel,
     FlatState,
-    Outcome,
-    flatten,
     observe,
     other_side,
     unflatten,
@@ -226,11 +223,11 @@ def _make_child(node: SearchNode, idx: int, side: str,
     return child
 
 
-def run_search(root_state: EngagementState, side: str, actor: MlpParams,
+def run_search(root_state: FlatState, side: str, actor: MlpParams,
                critic: Critic, opponent: MlpParams, env_model: FlatModel,
                config: SearchConfig, rng: np.random.Generator, *,
                root_obs: Optional[Observations] = None) -> SearchResult:
-    """Search from root_state and return the most-visited root action.
+    """Search from the flat root_state; return the most-visited root action.
 
     env_model steps flat states, as `environment.flat_model` does.  root_obs,
     when given, must be the (own, opponent) pair that `observe` returns for
@@ -242,9 +239,9 @@ def run_search(root_state: EngagementState, side: str, actor: MlpParams,
     descent through it; the root's always are, since every simulation
     starts there.
     """
-    if root_state.outcome is not Outcome.ONGOING:
+    if root_state[9]:  # the outcome code of a finished engagement
         raise ValueError("cannot search from a terminal state")
-    root = SearchNode(flatten(root_state), 0, root_obs)
+    root = SearchNode(root_state, 0, root_obs)
     root_value = expand_node(root, side, actor, critic, opponent, config, rng)
 
     for _ in range(config.num_simulations):

@@ -28,7 +28,6 @@ from .environment import (
     EngagementState,
     Outcome,
     StepResult,
-    env_step,
     flat_model,
     flat_result,
     flatten,
@@ -239,9 +238,9 @@ class KernelSpy:
 
 
 def kernel_identity(decisions: int, seed: int) -> dict:
-    """Step seeded random decisions through env_step with the compiled kernel,
-    and through the flat model (rebuilt with `flat_result`), against env_step
-    through the Python loop.  AssertionError at the first byte that differs.
+    """Step seeded random decisions through the flat model with the compiled
+    kernel against the flat model on the Python loop, each rebuilt with
+    `flat_result`.  AssertionError at the first byte that differs.
 
     Half the engagements start from `reset`, half from `envelope_state`.
     Raw actions are wider than the control envelope and fire often, and each
@@ -263,20 +262,17 @@ def kernel_identity(decisions: int, seed: int) -> dict:
         if held is None or rng.random() < 0.3:
             held = rng.uniform((-1.0, -3.0, -4.0, -0.3), (9.0, 3.0, 4.0, 1.0),
                                size=(2, 4))
+        flat, actions = flatten(state), held.tolist()
         try:
             environment._kernel = spy
-            fast = env_step(state, held[0], held[1])
-            flat = flat_result(flat_model(flatten(state), *held.tolist()))
+            fast = flat_result(flat_model(flat, *actions))
             environment._kernel = None
-            ref = env_step(state, held[0], held[1])
+            ref = flat_result(flat_model(flat, *actions))
         finally:
             environment._kernel = kernel
         if step_bytes(fast) != step_bytes(ref):
             raise AssertionError(f"kernel and Python loop differ from {state!r} "
-                                 f"under {held.tolist()!r}")
-        if step_bytes(flat) != step_bytes(ref):
-            raise AssertionError(f"the flat model and the Python loop differ "
-                                 f"from {state!r} under {held.tolist()!r}")
+                                 f"under {actions!r}")
         counts["decisions"] += 1
         counts["missile_in_flight"] += any(
             m is not None and m.status is MissileStatus.IN_FLIGHT
@@ -295,8 +291,7 @@ def check_kernel() -> str:
     counts = kernel_identity(2000, 1)
     return (f"built; {counts['decisions']} decisions "
             f"({counts['missile_in_flight']} with a missile in flight) "
-            "bit-identical to the Python loop through env_step and the flat "
-            "model")
+            "bit-identical to the Python loop")
 
 
 SELF_CHECKS = (

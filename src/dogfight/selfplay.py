@@ -7,6 +7,9 @@ sequences so a master seed reproduces the whole run bit-exactly.  A
 LeagueConfig is the whole run: that seed, the league's settings and the
 output directory; harness reads and writes it as the run's config.ini.
 
+A match flattens its start state once and steps that flat engagement
+tuple through environment.flat_model, as search does.
+
 Matches share nothing but read-only agents, so both match loops run on
 forked worker processes (`workers._in_order`), one per usable CPU (the
 affinity mask, cut to the cgroup CPU quota).  The parent draws every seed,
@@ -30,12 +33,17 @@ from .environment import (
     BLUE,
     DEFAULT_SCENARIO,
     OBS_DIM,
+    OUTCOMES_BY_CODE,
     RED,
+    REWARDS_BY_CODE,
     EngagementState,
+    FlatState,
     Outcome,
     ScenarioConfig,
-    env_step,
+    # Not called here; the benchmark's tracer (bench/tracing.py) rebinds it.
+    env_step,  # noqa: F401
     flat_model,
+    flatten,
     observe,
     reset,
 )
@@ -139,16 +147,16 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _act(agent: AgentCheckpoint, side: str, state: EngagementState,
+def _act(agent: AgentCheckpoint, side: str, state: FlatState,
          obs: tuple[np.ndarray, np.ndarray], use_mcts: bool,
          rng: np.random.Generator, opponent: MlpParams,
          search_config: SearchConfig):
     """One side's decision: search when flagged, raw policy sample otherwise.
 
-    obs is the (own, opponent) observation pair of state.  Returns (action,
-    log-probability of the action under the actor, critic output at the
-    own observation), the last taken from the search root and None when the
-    action was sampled without search.
+    state is the flat engagement and obs its (own, opponent) observation
+    pair.  Returns (action, log-probability of the action under the actor,
+    critic output at the own observation), the last taken from the search
+    root and None when the action was sampled without search.
     """
     if use_mcts:
         found = run_search(state, side, agent.actor, agent.critic, opponent,
@@ -189,33 +197,36 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
     if state.outcome is not Outcome.ONGOING:
         raise ValueError("initial state is already terminal")
 
-    # Each later pair comes from the env_step that made the state.
+    # Each later pair comes from the flat_model step that made the state.
+    flat = flatten(state)
     obs_a, obs_b = observe(state, BLUE), observe(state, RED)
     steps = 0
     while True:
-        act_a, logp_a, value_a = _act(agent_a, BLUE, state, (obs_a, obs_b),
+        act_a, logp_a, value_a = _act(agent_a, BLUE, flat, (obs_a, obs_b),
                                       use_mcts_a, rng_a, agent_b.actor,
                                       search_config)
-        act_b, _, _ = _act(agent_b, RED, state, (obs_b, obs_a), use_mcts_b,
+        act_b, _, _ = _act(agent_b, RED, flat, (obs_b, obs_a), use_mcts_b,
                            rng_b, agent_a.actor, search_config)
-        res = env_step(state, act_a, act_b, recorder=recorder)
+        # Lists, since the kernel hands arrays back to the reference.
+        flat, obs_blue, obs_red, code = flat_model(
+            flat, act_a.tolist(), act_b.tolist(), recorder)
         steps += 1
         if buffer is not None and record_side == BLUE:
             value = value_a if value_a is not None \
                 else float(forward(agent_a.critic, obs_a)[0])
             buffer.add(Transition(obs=obs_a, action=np.asarray(act_a, float),
-                                  logp=logp_a, reward=res.reward_blue,
-                                  value=value, done=res.done))
-        state, obs_a, obs_b = res.state, res.obs_blue, res.obs_red
-        if res.done:
+                                  logp=logp_a, reward=REWARDS_BY_CODE[code][0],
+                                  value=value, done=code != 0))
+        obs_a, obs_b = np.array(obs_blue), np.array(obs_red)
+        if code:
             break
 
     return MatchRecord(iteration=agent_a.iteration,
                        opponent_iteration=agent_b.iteration,
                        game_index=game_index,
-                       outcome=_OUTCOME_FOR_BLUE[state.outcome],
+                       outcome=_OUTCOME_FOR_BLUE[OUTCOMES_BY_CODE[code]],
                        episode_length=steps,
-                       sim_time=state.t,
+                       sim_time=flat[8],
                        seed=seed)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from dogfight import mlp, selfcheck, workers
 from dogfight.cli import main
-from dogfight.environment import BLUE, flat_model, observe, reset
+from dogfight.environment import BLUE, flat_model, flatten, observe, reset
 from dogfight.harness import load_config
 from dogfight.mcts import SearchConfig, run_search
 from dogfight.missile import MissileParams, drag_of, mass_at, thrust_at
@@ -178,8 +178,8 @@ def test_criterion_6_search_properties():
     critic = mlp.init_params(1, SMALL[:-1] + (1,))
     opponent = mlp.init_params(2, SMALL, with_log_std=True)
 
-    res = run_search(reset(3), BLUE, actor, critic, opponent, flat_model,
-                     SearchConfig(), np.random.default_rng(5))
+    res = run_search(flatten(reset(3)), BLUE, actor, critic, opponent,
+                     flat_model, SearchConfig(), np.random.default_rng(5))
     visits_ok = int(res.visit_counts.sum()) == 20
     priors_ok = abs(float(res.priors.sum()) - 1.0) < 1e-12
 
@@ -201,14 +201,15 @@ def test_criterion_6_search_properties():
                 _ids.add(id(out[0]))
             return out
 
-        got = run_search(state, BLUE, actor,
+        got = run_search(flatten(state), BLUE, actor,
                          lambda st, _ids=best_ids: 1.0 if id(st) in _ids else 0.0,
                          opponent, tagging_model, cfg, _EqualNormRng())
         dominated += got.chosen_index == k
 
     state = reset(33)
-    single = run_search(state, BLUE, actor, critic, opponent, flat_model,
-                        SearchConfig(num_actions=1), np.random.default_rng(77))
+    single = run_search(flatten(state), BLUE, actor, critic, opponent,
+                        flat_model, SearchConfig(num_actions=1),
+                        np.random.default_rng(77))
     raw, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
                                     np.random.default_rng(77))
     degenerate_ok = np.array_equal(single.action, raw)

@@ -481,8 +481,9 @@ def test_recorder_streams_rows():
     assert rows[0][8] is not None
     assert rows[1][8] is None
     assert rows[0][11] == "Ongoing"
-    start = trajectory_rows(s)
+    start = trajectory_rows(flatten(s))
     assert len(start) == 2 and start[0][0] == 0.0
+    assert trajectory_rows(flatten(res.state)) == rows[-2:]
 
 
 def test_outcome_latches_through_noop_steps():

@@ -1,9 +1,10 @@
 """The compiled kernel against the Python code it copies.
 
-Every test here compares env_step with the kernel (the default) and with
+Every test here compares a decision with the kernel (the default) and with
 `environment._kernel` patched to None, which runs environment._reference,
-the Python loop: the reference.  The flat model, which calls the kernel's `step` directly, is
-held to the same reference.  Equality is of the IEEE bytes of every field
+the Python loop: the reference.  env_step reaches either through the flat
+model, the one function that calls the kernel's `step`, so one comparison
+covers both.  Equality is of the IEEE bytes of every field
 (selfcheck.step_bytes, after environment.flat_result for the flat model).
 """
 
@@ -72,30 +73,23 @@ def flat_step(kernel_module, state, a_blue, a_red):
 
 
 def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True):
-    """env_step through the kernel and through the Python loop, and the flat
-    model through the kernel's step; the result once all agree byte for byte.
-    kernel_runs says whether the kernel must finish the decision itself
-    rather than hand it back."""
+    """env_step through the kernel and through the Python loop; the result
+    once both agree byte for byte.  kernel_runs says whether the kernel must
+    finish the decision itself rather than hand it back."""
     spy = selfcheck.KernelSpy(environment._kernel)
     fast = step(spy, state, a_blue, a_red)
     ref = step(None, state, a_blue, a_red)
     assert selfcheck.step_bytes(fast) == selfcheck.step_bytes(ref)
-    assert spy.calls > 0 and (spy.handed_back == 0) == kernel_runs
-    flat_spy = selfcheck.KernelSpy(environment._kernel)
-    flat = flat_step(flat_spy, state, a_blue, a_red)
-    assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
-    assert (flat_spy.handed_back == 0) == kernel_runs
+    assert spy.calls == 1 and (spy.handed_back == 0) == kernel_runs
     return ref
 
 
 def both_raise(state, a_blue=TRIM, a_red=TRIM):
-    """The exception all paths raise; they must agree in type and message."""
+    """The exception both paths raise; they must agree in type and message."""
     raised = []
     spy = selfcheck.KernelSpy(environment._kernel)
-    flat_spy = selfcheck.KernelSpy(environment._kernel)
     calls = (lambda: step(spy, state, a_blue, a_red),
-             lambda: step(None, state, a_blue, a_red),
-             lambda: flat_step(flat_spy, state, a_blue, a_red))
+             lambda: step(None, state, a_blue, a_red))
     for call in calls:
         try:
             call()
@@ -104,10 +98,9 @@ def both_raise(state, a_blue=TRIM, a_red=TRIM):
         else:
             raised.append(None)
     assert raised[0] is not None and all(r == raised[0] for r in raised)
-    # A handed-back decision costs one kernel call on each entry point: the
-    # reference then runs on the same flat tuple.
-    assert spy.handed_back == 1
-    assert flat_spy.handed_back == 1
+    # A handed-back decision costs one kernel call: the reference then runs
+    # on the same flat tuple.
+    assert spy.calls == spy.handed_back == 1
     return raised[0]
 
 
@@ -336,9 +329,9 @@ def _status(m):
 
 def test_step_on_the_pinned_rollout_inputs(compiled):
     # The states and held actions of test_environment's pinned rollout: the
-    # flat model, given each row as a list as search gives it, must return
-    # the Python loop's bytes on all 10,000 decisions without handing one
-    # back.
+    # flat model, given each row as a list as matches and search give it,
+    # must return the Python loop's bytes on all 10,000 decisions without
+    # handing one back.
     rng = np.random.default_rng(2024)
     spy = selfcheck.KernelSpy(compiled)
     state = held = None

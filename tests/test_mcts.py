@@ -185,8 +185,9 @@ def test_critic_value_clamped():
 
 
 def test_run_search_root_visit_sum():
-    res = run_search(reset(4), BLUE, make_actor(0), make_critic(1), make_actor(2),
-                     env_model, SearchConfig(), np.random.default_rng(7))
+    res = run_search(flatten(reset(4)), BLUE, make_actor(0), make_critic(1),
+                     make_actor(2), env_model, SearchConfig(),
+                     np.random.default_rng(7))
     assert int(res.visit_counts.sum()) == 20
     assert res.action.shape == (4,)
     assert abs(res.priors.sum() - 1.0) < 1e-9
@@ -198,8 +199,8 @@ def test_run_search_returns_root_forwards():
     # result, equal to fresh forwards on the root observation.
     state = reset(4)
     actor, critic = make_actor(0), make_critic(1)
-    res = run_search(state, BLUE, actor, critic, make_actor(2), env_model,
-                     SearchConfig(), np.random.default_rng(7))
+    res = run_search(flatten(state), BLUE, actor, critic, make_actor(2),
+                     env_model, SearchConfig(), np.random.default_rng(7))
     obs = observe(state, BLUE)
     np.testing.assert_array_equal(res.root_mean, mlp.forward(actor, obs))
     assert res.root_critic == float(mlp.forward(critic, obs)[0])
@@ -211,14 +212,16 @@ def test_run_search_rejects_terminal_root():
     from dataclasses import replace
     done = replace(state, outcome=Outcome.DRAW)
     with pytest.raises(ValueError):
-        run_search(done, BLUE, make_actor(0), make_critic(1), make_actor(2),
-                   env_model, SearchConfig(), np.random.default_rng(0))
+        run_search(flatten(done), BLUE, make_actor(0), make_critic(1),
+                   make_actor(2), env_model, SearchConfig(),
+                   np.random.default_rng(0))
 
 
 def test_run_search_deterministic():
     def once():
-        return run_search(reset(9), RED, make_actor(3), make_critic(4),
-                          make_actor(5), env_model, SearchConfig(),
+        return run_search(flatten(reset(9)), RED, make_actor(3),
+                          make_critic(4), make_actor(5), env_model,
+                          SearchConfig(),
                           np.random.default_rng(11))
 
     a, b = once(), once()
@@ -299,7 +302,7 @@ def test_opponent_plays_policy_mean():
             seen.append(ar)
         return env_model(s, ab, ar)
 
-    run_search(state, BLUE, make_actor(0), make_critic(1), opponent,
+    run_search(flatten(state), BLUE, make_actor(0), make_critic(1), opponent,
                recording_model, SearchConfig(), np.random.default_rng(3))
     assert seen
     for ar in seen:
@@ -326,7 +329,7 @@ def test_rigged_dominance_visit_recurrence():
                 best_ids.add(id(res[0]))
             return res
 
-        res = run_search(state, BLUE, actor,
+        res = run_search(flatten(state), BLUE, actor,
                          lambda st: 1.0 if id(st) in best_ids else 0.0,
                          opponent, model, cfg, EqualNormRng())
         assert res.chosen_index == k
@@ -340,8 +343,8 @@ def test_single_action_degenerates_to_raw_sample():
     state = reset(33)
     actor = make_actor(7)
     cfg = SearchConfig(num_actions=1)
-    res = run_search(state, BLUE, actor, make_critic(1), make_actor(2),
-                     env_model, cfg, np.random.default_rng(77))
+    res = run_search(flatten(state), BLUE, actor, make_critic(1),
+                     make_actor(2), env_model, cfg, np.random.default_rng(77))
     expected, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
                                          np.random.default_rng(77))
     np.testing.assert_array_equal(res.action, expected)
@@ -383,8 +386,9 @@ def test_seeded_searches_are_pinned():
         seen["missile_roots"] += (state.blue_missile is not None
                                   or state.red_missile is not None)
         actor, critic, opponent = nets[i % 3]
-        res = run_search(state, (BLUE, RED)[i % 2], actor, critic, opponent,
-                         model, configs[i % 3], np.random.default_rng(i))
+        res = run_search(flatten(state), (BLUE, RED)[i % 2], actor, critic,
+                         opponent, model, configs[i % 3],
+                         np.random.default_rng(i))
         digest.update(res.action.tobytes())
         digest.update(np.asarray(res.visit_counts, dtype=np.int64).tobytes())
         digest.update(res.priors.tobytes())
@@ -446,7 +450,7 @@ def _eager_expand(node, side, actor, critic, opponent, config, rng):
 
 def _eager_search(root_state, side, actor, critic, opponent, model, config, rng):
     """run_search's loop driven by the eager expansion."""
-    root = SearchNode(flatten(root_state), 0)
+    root = SearchNode(root_state, 0)
     root_value = _eager_expand(root, side, actor, critic, opponent, config, rng)
     for _ in range(config.num_simulations):
         node, path = root, []
@@ -507,10 +511,11 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
         expanded.clear()
         forwards[0] = 0
         rng = np.random.default_rng(i)
-        got = run_search(state, side, actor, critic, opponent, env_model, cfg, rng)
+        got = run_search(flatten(state), side, actor, critic, opponent,
+                         env_model, cfg, rng)
         n_forwards = forwards[0]
-        want = _eager_search(state, side, actor, critic, opponent, env_model, cfg,
-                             np.random.default_rng(i))
+        want = _eager_search(flatten(state), side, actor, critic, opponent,
+                             env_model, cfg, np.random.default_rng(i))
         for field in ("action", "visit_counts", "priors", "root_mean"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
@@ -564,8 +569,8 @@ def model_call_identity(searches, seed):
 
     for i in range(searches):
         actor, critic, opponent = nets[i % 2]
-        run_search(_prefix_root(seed_rng), (BLUE, RED)[i % 2], actor, critic,
-                   opponent, checked, configs[i // 2 % 2],
+        run_search(flatten(_prefix_root(seed_rng)), (BLUE, RED)[i % 2], actor,
+                   critic, opponent, checked, configs[i // 2 % 2],
                    np.random.default_rng(i))
     counts[1] = -1 if spy is None else spy.handed_back
     return tuple(counts)

@@ -11,6 +11,7 @@ left behind however the loop ends, a worker's death included.
 """
 
 import gc
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import selfplay, workers
+from dogfight import environment, mcts, selfcheck, selfplay, workers
 from dogfight.dynamics import AircraftState, DegenerateStateError
 from dogfight.environment import BLUE, RED, EngagementState, Outcome, reset
 from dogfight.mcts import SearchConfig
@@ -54,23 +55,44 @@ def make_agent(seed, iteration=0):
                            seed, "")
 
 
-def test_tracer_bindings_resolve(monkeypatch):
-    # The benchmark's tracer (bench/tracing.py) rebinds these module-level
-    # names; one that no longer exists makes a traced run fail.  The file is
-    # only imported here, writing no bytecode next to it, and no tracer is
-    # installed.
-    import importlib
+def _bench_tracing(monkeypatch):
+    """bench/tracing.py, imported without writing bytecode next to it."""
     import importlib.util
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # The benchmark's tracer (bench/tracing.py) rebinds these module-level
+    # names; one that no longer exists makes a traced run fail.  No tracer
+    # is installed here.
+    import importlib
+    tracing = _bench_tracing(monkeypatch)
     bindings = tracing.SPANS + tracing.HOT
     assert len(bindings) > 20
     missing = [(module, attr) for module, attr, _ in bindings
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_tracer_installs_and_restores_on_the_package(monkeypatch):
+    # Entering the tracer rebinds every name in SPANS and HOT, and exiting
+    # puts each original back, so a name that an unused-import cleanup
+    # removed fails here rather than in a traced benchmark run.
+    import importlib
+    tracing = _bench_tracing(monkeypatch)
+    bindings = [(importlib.import_module(module), attr)
+                for module, attr, _ in tracing.SPANS + tracing.HOT]
+    originals = [getattr(mod, attr) for mod, attr in bindings]
+    with tracing.Tracer():
+        assert all(getattr(mod, attr) is not fn
+                   for (mod, attr), fn in zip(bindings, originals))
+    assert all(getattr(mod, attr) is fn
+               for (mod, attr), fn in zip(bindings, originals))
 
 
 def test_match_record_outcome_validation():
@@ -114,6 +136,73 @@ def test_play_match_mcts_deterministic():
     r1 = play_match(a, b, True, True, 7, search_config=FAST_SEARCH)
     r2 = play_match(a, b, True, True, 7, search_config=FAST_SEARCH)
     assert r1 == r2
+
+
+# (outcome, decisions, sim_time, sha256 of the recorded blue transitions)
+# of seeded matches between make_agent(3, 1) and make_agent(4), as they were
+# when matches stepped through env_step.
+PINNED_MATCHES = {
+    (False, 4): ("Draw", 61, 30.1, "924ec45b9936d56535fef5ab8eb764da"
+                 "835170e50b475f7f568870cce3b38133"),
+    (False, 28): ("Win", 22, 10.76, "7af543223a0f01b639122df5f4cbb108"
+                  "9be230297d165f47f2cb641183fa409f"),
+    (True, 4): ("Draw", 56, 27.7, "a97ffafb368a0781c04078952787862a"
+                "652b33dd0880e46d2142d16da05fc35a"),
+    (True, 28): ("Win", 22, 10.9, "c8d79a05238904fc8a11f02b752c759f"
+                 "de47f919856528f4767eb5f5e60cb0ef"),
+}
+
+
+def _transitions_digest(buffer):
+    digest = hashlib.sha256()
+    for tr in buffer.transitions():
+        digest.update(tr.obs.tobytes())
+        digest.update(tr.action.tobytes())
+        digest.update(repr((tr.logp.hex(), tr.reward, tr.value.hex(),
+                            tr.done)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("use_mcts,seed", list(PINNED_MATCHES))
+def test_match_steps_only_through_the_flat_model(monkeypatch, use_mcts, seed):
+    # Each decision of a match is one flat_model call on the flat tuple: one
+    # kernel call that the kernel finishes, with no EngagementState rebuilt
+    # and no StepResult made.  Search, on both sides or neither, makes its
+    # own model calls, which are counted apart.
+    if environment._kernel is None:
+        pytest.skip(f"kernel unavailable: {environment._KERNEL_DETAIL}")
+    spy = selfcheck.KernelSpy(environment._kernel)
+    monkeypatch.setattr(environment, "_kernel", spy)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the match left the flat model")
+
+    for module, name in ((selfplay, "env_step"), (environment, "env_step"),
+                         (environment, "flat_result"),
+                         (environment, "unflatten"), (mcts, "unflatten")):
+        monkeypatch.setattr(module, name, unreachable)
+    search_steps = [0]
+    real_search = selfplay.run_search
+
+    def counting_search(state, side, actor, critic, opponent, env_model,
+                        *args, **kwargs):
+        def model(*step_args):
+            search_steps[0] += 1
+            return env_model(*step_args)
+        return real_search(state, side, actor, critic, opponent, model, *args,
+                           **kwargs)
+
+    monkeypatch.setattr(selfplay, "run_search", counting_search)
+    buffer = RolloutBuffer()
+    record = play_match(make_agent(3, 1), make_agent(4), use_mcts, use_mcts,
+                        seed, search_config=FAST_SEARCH, record_side=BLUE,
+                        buffer=buffer)
+    outcome, decisions, sim_time, digest = PINNED_MATCHES[use_mcts, seed]
+    assert record == MatchRecord(1, 0, 0, outcome, decisions, sim_time, seed)
+    assert _transitions_digest(buffer) == digest
+    assert spy.calls - search_steps[0] == decisions
+    assert spy.handed_back == 0
+    assert (search_steps[0] > 0) == use_mcts
 
 
 def test_play_match_records_blue_transitions():
