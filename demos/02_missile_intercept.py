@@ -9,11 +9,10 @@ law is direction-blind, so the westward hit time matches the eastward
 one.
 """
 
-from dogfight import AircraftState, MissileParams, MissileStatus, missile_step
+from dogfight import AircraftState, MissileStatus, missile_step
 from dogfight.missile import launch_missile
 
 DT = 0.02
-P = MissileParams()
 
 
 def chase(shooter, target_pos, target_vel):
@@ -21,7 +20,7 @@ def chase(shooter, target_pos, target_vel):
     m = launch_missile(shooter, "blue", "red")
     pos = target_pos
     while m.status is MissileStatus.IN_FLIGHT:
-        m = missile_step(m, P, pos, target_vel, DT)
+        m = missile_step(m, pos, target_vel, DT)
         pos = tuple(p + v * DT for p, v in zip(pos, target_vel))
     return m
 

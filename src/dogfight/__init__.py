@@ -30,7 +30,7 @@ from .harness import (
     serialize_config,
 )
 from .mcts import SearchConfig, SearchResult, run_search
-from .missile import MissileParams, MissileState, MissileStatus, missile_step
+from .missile import MissileState, MissileStatus, missile_step
 from .mlp import MlpParams, forward, init_params, sample_and_logprob
 from .ppo import RolloutBuffer, TrainConfig, TrainMetrics, Transition, \
     compute_advantages, train_iteration
@@ -53,7 +53,7 @@ __all__ = [
     "CheckpointError", "ConfigError", "load_checkpoint",
     "load_config", "parse_config", "save_checkpoint", "serialize_config",
     "SearchConfig", "SearchResult", "run_search",
-    "MissileParams", "MissileState", "MissileStatus", "missile_step",
+    "MissileState", "MissileStatus", "missile_step",
     "MlpParams", "forward", "init_params", "sample_and_logprob",
     "RolloutBuffer", "TrainConfig", "TrainMetrics", "Transition",
     "compute_advantages", "train_iteration",

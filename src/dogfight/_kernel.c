@@ -28,7 +28,9 @@
  * Python definition as a macro (G, PHYSICS_DT, V_FLOOR, GAMMA_LIMIT, the
  * control bounds NX_MIN .. MU_MAX, GROUND_FLOOR, EPISODE_TIME_LIMIT,
  * FIRE_RANGE, FIRE_BEARING, DECISION_SUBSTEPS, the observation bounds
- * OBS_LO and OBS_HI, and MISSILE_PARAMS, the default MissileParams).
+ * OBS_LO and OBS_HI, and the missile's THRUST, LAUNCH_MASS, BURN_RATE,
+ * BURN_TIME, AIR_DENSITY, REFERENCE_AREA, DRAG_COEFFICIENT, NAV_GAIN,
+ * MAX_FLIGHT_TIME, HIT_RADIUS, MIN_SPEED and MAX_COMMAND).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -48,12 +50,6 @@ static double obs_span[OBS_DIM];
 /* Missile status and outcome codes, as environment passes them. */
 enum { NO_MISSILE = 0, IN_FLIGHT = 1, HIT = 2, EXPIRED = 3 };
 enum { ONGOING = 0, BLUE_WIN = 1, RED_WIN = 2, DRAW = 3 };
-
-/* The fields of missile.MissileParams, set by name. */
-static const struct {
-    double p0, g0, gt, tw, rho, sm, cdm, k_pn, max_flight_time, hit_radius,
-        min_speed, max_command;
-} P = MISSILE_PARAMS;
 
 /* Return codes of the steppers below. */
 enum { OK = 0, BAIL = 1, FAIL = -1 };
@@ -208,17 +204,18 @@ pn_commands(double rx, double ry, double rz, double wx, double wy, double wz,
     cs = cos(s);
     if (fabs(cs) < 1e-9)
         return;
-    mc = P.k_pn * (vm * cos(gamma_t) / G)
+    mc = NAV_GAIN * (vm * cos(gamma_t) / G)
          * (beta_dot + tan(epsilon) * tan(s) * epsilon_dot);
-    mh = vm * P.k_pn * epsilon_dot / (G * cs);
-    lim = P.max_command;
+    mh = vm * NAV_GAIN * epsilon_dot / (G * cs);
+    lim = MAX_COMMAND;
     *n_mc = mc < -lim ? -lim : mc > lim ? lim : mc;
     *n_mh = mh < -lim ? -lim : mh > lim ? lim : mh;
 }
 
 /* missile._derivatives into k; BAIL on either guard.  The mass is never
- * zero: it falls to g0 - gt * tw (86 kg) and stays there.  Were it zero,
- * the rates would not be finite, and step_missile would hand back. */
+ * zero: it falls to LAUNCH_MASS - BURN_RATE * BURN_TIME (86 kg) and stays
+ * there.  Were it zero, the rates would not be finite, and step_missile
+ * would hand back. */
 static int
 missile_rates(double v, double gamma, double phi, double t, double n_mc,
               double n_mh, double k[6])
@@ -230,9 +227,9 @@ missile_rates(double v, double gamma, double phi, double t, double n_mc,
     cg = cos(gamma);
     if (fabs(cg) < 1e-9)
         return BAIL;
-    gm = P.g0 - P.gt * (P.tw < t ? P.tw : t);
-    pm = t <= P.tw ? P.p0 : 0.0;
-    qm = 0.5 * P.rho * v * v * P.sm * P.cdm;
+    gm = LAUNCH_MASS - BURN_RATE * (BURN_TIME < t ? BURN_TIME : t);
+    pm = t <= BURN_TIME ? THRUST : 0.0;
+    qm = 0.5 * AIR_DENSITY * v * v * REFERENCE_AREA * DRAG_COEFFICIENT;
     sg = sin(gamma);
     vcg = v * cg;
     k[0] = vcg * cos(phi);
@@ -315,9 +312,9 @@ missile_substep(double m[9], const double a[6], double dt, int *status)
     r1[0] = a[0] + dt * tv[0] - nx;
     r1[1] = a[1] + dt * tv[1] - ny;
     r1[2] = a[2] + dt * tv[2] - nz;
-    if (segment_min_distance(r0, r1) < P.hit_radius)
+    if (segment_min_distance(r0, r1) < HIT_RADIUS)
         *status = HIT;
-    else if (nt > P.max_flight_time || nv < P.min_speed)
+    else if (nt > MAX_FLIGHT_TIME || nv < MIN_SPEED)
         *status = EXPIRED;
     else
         *status = IN_FLIGHT;

@@ -16,11 +16,12 @@ action checks, the clamp, the fire gate, the substeps, the outcome and both
 observations.  `_reference` is the same decision in Python, the reference
 the kernel copies in the same arithmetic and order, so both give the same
 bytes; `_features` is its observation, and `observe` wraps it.  The missile
-flies with DEFAULT_MISSILE_PARAMS on both routes.
+flies on missile's module constants on both routes.
 
-The kernel is built from this module's constants and dynamics' (see
-`kernel.defines`), so it is loaded below the last of them: a constant is
-defined once, here or in dynamics, and a changed one rebuilds the kernel.
+The kernel is built from this module's constants, dynamics' and missile's
+(see `kernel.defines`), so it is loaded below the last of them: a constant
+is defined once, here, in dynamics or in missile, and a changed one rebuilds
+the kernel.
 
 `flat_model` alone picks the route: it runs `_reference` where the kernel
 is unavailable, where a recorder asks for every substep, and where the
@@ -54,7 +55,6 @@ from .dynamics import (
 )
 from .kernel import load as _load_kernel
 from .missile import (
-    MissileParams,
     MissileState,
     MissileStatus,
     _kinematics,
@@ -80,8 +80,6 @@ GROUND_FLOOR = 100.0
 
 FIRE_RANGE = 12000.0
 FIRE_BEARING = math.pi / 3
-
-DEFAULT_MISSILE_PARAMS = MissileParams()
 
 _IN_FLIGHT = MissileStatus.IN_FLIGHT
 
@@ -424,12 +422,10 @@ def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
         # Missiles first, against the aircraft at the start of the substep.
         if bm_status is _IN_FLIGHT:
             bk, bm_status = _missile_substep(
-                DEFAULT_MISSILE_PARAMS, bk, r[:3], _velocity(r[3], r[4], r[5]),
-                PHYSICS_DT)
+                bk, r[:3], _velocity(r[3], r[4], r[5]), PHYSICS_DT)
         if rm_status is _IN_FLIGHT:
             rk, rm_status = _missile_substep(
-                DEFAULT_MISSILE_PARAMS, rk, b[:3], _velocity(b[3], b[4], b[5]),
-                PHYSICS_DT)
+                rk, b[:3], _velocity(b[3], b[4], b[5]), PHYSICS_DT)
         b = _aircraft_substep(b, b_nx, b_nz, b_cmu, b_smu, PHYSICS_DT)
         r = _aircraft_substep(r, r_nx, r_nz, r_cmu, r_smu, PHYSICS_DT)
         t = t0 + (i + 1) * PHYSICS_DT

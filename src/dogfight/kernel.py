@@ -6,12 +6,12 @@ engagement tuple (environment.flatten).  environment.flat_model is its one
 caller; matches and tree search step through it, and env_step wraps it.
 
 The C source defines no model constant.  `defines` turns the Python
-definitions (dynamics' and environment's constants, the observation bounds
-and missile.MissileParams' defaults) into `-D` flags, each float by its
-repr, which the compiler reads back to the same double; so every constant
-has one definition, and the kernel computes with exactly its value.  The
-flags are read when the kernel is loaded, after environment has bound
-every name they take.
+definitions (dynamics', environment's and missile's constants and the
+observation bounds) into `-D` flags, each float by its repr, which the
+compiler reads back to the same double; so every constant has one
+definition, and the kernel computes with exactly its value.  The flags are
+read when the kernel is loaded, after environment has bound every name
+they take.
 
 The first import compiles the extension with the system C compiler into the
 package's `__pycache__`; later imports only hash the source and load the
@@ -38,7 +38,6 @@ import importlib.machinery
 import importlib.util
 import os
 import shutil
-from dataclasses import asdict
 from pathlib import Path
 from types import ModuleType
 from typing import Optional
@@ -54,24 +53,24 @@ def defines() -> tuple[str, ...]:
     """The model constants as `-D` flags, from their Python definitions.
 
     A leading underscore is dropped from a macro's name.  OBS_LO and OBS_HI
-    are environment.OBS_BOUNDS' columns and MISSILE_PARAMS the fields of
-    environment.DEFAULT_MISSILE_PARAMS, as C initializers.  AttributeError
+    are environment.OBS_BOUNDS' columns, as C initializers.  AttributeError
     where a name is missing.
     """
-    from . import dynamics, environment
+    from . import dynamics, environment, missile
 
     named = ((dynamics, ("G", "PHYSICS_DT", "V_FLOOR", "GAMMA_LIMIT", "NX_MIN",
                          "NX_MAX", "NZ_MIN", "NZ_MAX", "MU_MIN", "MU_MAX")),
              (environment, ("GROUND_FLOOR", "EPISODE_TIME_LIMIT", "FIRE_RANGE",
-                            "FIRE_BEARING", "_DECISION_SUBSTEPS")))
+                            "FIRE_BEARING", "_DECISION_SUBSTEPS")),
+             (missile, ("THRUST", "LAUNCH_MASS", "BURN_RATE", "BURN_TIME",
+                        "AIR_DENSITY", "REFERENCE_AREA", "DRAG_COEFFICIENT",
+                        "NAV_GAIN", "MAX_FLIGHT_TIME", "HIT_RADIUS",
+                        "MIN_SPEED", "MAX_COMMAND")))
     flags = [f"-D{name.lstrip('_')}={getattr(module, name)!r}"
              for module, names in named for name in names]
     for macro, column in (("OBS_LO", 0), ("OBS_HI", 1)):
         values = ", ".join(repr(pair[column]) for pair in environment.OBS_BOUNDS)
         flags.append(f"-D{macro}={{{values}}}")
-    fields = ", ".join(f".{name} = {value!r}" for name, value
-                       in asdict(environment.DEFAULT_MISSILE_PARAMS).items())
-    flags.append(f"-DMISSILE_PARAMS={{{fields}}}")
     return tuple(flags)
 
 

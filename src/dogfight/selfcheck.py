@@ -34,7 +34,7 @@ from .environment import (
     reset,
 )
 from .harness import load_checkpoint, save_checkpoint
-from .missile import MissileParams, MissileState, MissileStatus, missile_step
+from .missile import MissileState, MissileStatus, missile_step
 from .mlp import backprop, forward, init_params, log_density
 # The suite differentiates the production losses themselves, so it reaches
 # into ppo for the closures that backprop consumes.
@@ -73,9 +73,8 @@ def check_rk4_order() -> str:
 
 def fly_linear(tpos, tvel) -> MissileState:
     m = MissileState(0.0, 0.0, 5000.0, 300.0, 0.0, 0.0, 0.0, "blue", "red")
-    p = MissileParams()
     while m.status is MissileStatus.IN_FLIGHT:
-        m = missile_step(m, p, tpos, tvel, PHYSICS_DT)
+        m = missile_step(m, tpos, tvel, PHYSICS_DT)
         tpos = (tpos[0] + tvel[0] * PHYSICS_DT,
                 tpos[1] + tvel[1] * PHYSICS_DT,
                 tpos[2] + tvel[2] * PHYSICS_DT)

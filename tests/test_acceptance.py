@@ -23,7 +23,7 @@ from dogfight.cli import main
 from dogfight.environment import BLUE, flat_model, flatten, observe, reset
 from dogfight.harness import load_config
 from dogfight.mcts import SearchConfig, run_search
-from dogfight.missile import MissileParams, drag_of, mass_at, thrust_at
+from dogfight.missile import drag_of, mass_at, thrust_at
 from dogfight.ppo import (
     RolloutBuffer,
     TrainConfig,
@@ -68,15 +68,14 @@ def test_criterion_1_dynamics_invariants():
 # --- 2: missile constants ----------------------------------------------------
 
 def test_criterion_2_missile_constants():
-    p = MissileParams()
     hand = 7168.5486  # 0.5 * 0.607 * 900^2 * 0.0324 * 0.9
-    rel = abs(drag_of(p, 900.0) - hand) / hand
+    rel = abs(drag_of(900.0) - hand) / hand
     just_after = math.nextafter(12.0, math.inf)
-    cutoff = (thrust_at(p, 12.0) == 2000.0 and thrust_at(p, just_after) == 0.0)
-    mass = (mass_at(p, 12.0) == 86.0 and mass_at(p, 60.0) == 86.0
-            and mass_at(p, 6.0) == 128.0)
+    cutoff = (thrust_at(12.0) == 2000.0 and thrust_at(just_after) == 0.0)
+    mass = (mass_at(12.0) == 86.0 and mass_at(60.0) == 86.0
+            and mass_at(6.0) == 128.0)
     ok = rel < 1e-9 and cutoff and mass
-    _verdict(2, ok, f"drag(900)={drag_of(p, 900.0):.4f} rel err {rel:.1e}, "
+    _verdict(2, ok, f"drag(900)={drag_of(900.0):.4f} rel err {rel:.1e}, "
                     f"thrust cutoff at 12.0 s: {cutoff}, mass schedule: {mass}")
 
 

@@ -306,7 +306,7 @@ def test_decisions_end_at_the_first_evaluate_verdict(monkeypatch):
         + k[3:])
     monkeypatch.setattr(
         env, "_missile_substep",
-        lambda p, k, *_: (k, landing["status"].pop(0) if landing["status"]
+        lambda k, *_: (k, landing["status"].pop(0) if landing["status"]
                           else MissileStatus.IN_FLIGHT))
     t_limit = last_substep_start()
 

@@ -10,6 +10,7 @@ covers both.  Equality is of the IEEE bytes of every field
 
 import gc
 import hashlib
+import importlib
 import itertools
 import math
 import os
@@ -131,11 +132,17 @@ def test_kernel_is_built_where_a_compiler_exists():
     assert environment._kernel is not None, environment._KERNEL_DETAIL
 
 
-def test_a_changed_constant_changes_the_build(tmp_path, monkeypatch):
-    # The kernel's constants are compiled in from the Python definitions, so
-    # changing one must name another build.
+@pytest.mark.parametrize("module, name", [("dynamics", "G"),
+                                          ("environment", "FIRE_RANGE"),
+                                          ("missile", "HIT_RADIUS")])
+def test_a_changed_constant_changes_the_build(tmp_path, monkeypatch, module,
+                                              name):
+    # The kernel's constants are compiled in from the Python definitions of
+    # every module kernel.defines reads, so changing one must name another
+    # build.
+    module = importlib.import_module(f"dogfight.{module}")
     before = kernel.cached_path(tmp_path)
-    monkeypatch.setattr(environment, "FIRE_RANGE", environment.FIRE_RANGE + 1.0)
+    monkeypatch.setattr(module, name, getattr(module, name) + 1.0)
     assert kernel.cached_path(tmp_path) != before
     monkeypatch.undo()
     assert kernel.cached_path(tmp_path) == before

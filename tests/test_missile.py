@@ -8,15 +8,18 @@ values from a validated run.
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dogfight import missile
 from dogfight.dynamics import G, GAMMA_LIMIT, PHYSICS_DT, AircraftState, wrap_angle
 from dogfight.missile import (
+    HIT_RADIUS,
+    MAX_COMMAND,
+    MAX_FLIGHT_TIME,
+    MIN_SPEED,
     GuidanceSingularityError,
-    MissileParams,
     MissileState,
     MissileStatus,
     ZeroRangeError,
@@ -29,62 +32,51 @@ from dogfight.missile import (
     thrust_at,
 )
 
-P = MissileParams()
-
 
 def fresh(x=0.0, y=0.0, z=5000.0, vm=300.0, gamma=0.0, phi=0.0, t=0.0, **kw):
     return MissileState(x, y, z, vm, gamma, phi, t, "blue", "red", **kw)
 
 
-def fly_against_linear_target(m, p, tpos, tvel, dt=PHYSICS_DT):
+def fly_against_linear_target(m, tpos, tvel, dt=PHYSICS_DT):
     while m.status is MissileStatus.IN_FLIGHT:
-        m = missile_step(m, p, tpos, tvel, dt)
+        m = missile_step(m, tpos, tvel, dt)
         tpos = (tpos[0] + tvel[0] * dt, tpos[1] + tvel[1] * dt,
                 tpos[2] + tvel[2] * dt)
     return m
 
 
 def test_mass_schedule():
-    assert mass_at(P, 0.0) == 170.0
-    assert mass_at(P, 6.0) == 128.0
-    assert mass_at(P, 12.0) == 86.0
-    assert mass_at(P, 30.0) == 86.0
+    assert mass_at(0.0) == 170.0
+    assert mass_at(6.0) == 128.0
+    assert mass_at(12.0) == 86.0
+    assert mass_at(30.0) == 86.0
     # Non-increasing and continuous across burnout.
     ts = [i * 0.25 for i in range(0, 161)]
-    ms = [mass_at(P, t) for t in ts]
+    ms = [mass_at(t) for t in ts]
     assert all(a >= b for a, b in zip(ms, ms[1:]))
-    assert mass_at(P, 12.0 - 1e-9) == pytest.approx(mass_at(P, 12.0 + 1e-9), abs=1e-7)
+    assert mass_at(12.0 - 1e-9) == pytest.approx(mass_at(12.0 + 1e-9), abs=1e-7)
 
 
 def test_thrust_cutoff():
-    assert thrust_at(P, 0.0) == 2000.0
-    assert thrust_at(P, 12.0) == 2000.0
-    assert thrust_at(P, 12.0 + 1e-9) == 0.0
+    assert thrust_at(0.0) == 2000.0
+    assert thrust_at(12.0) == 2000.0
+    assert thrust_at(12.0 + 1e-9) == 0.0
 
 
 def test_drag_value_at_900():
     # 0.5 * 0.607 * 900^2 * 0.0324 * 0.9, worked out by hand.
-    assert drag_of(P, 900.0) == pytest.approx(7168.5486, rel=1e-9)
+    assert drag_of(900.0) == pytest.approx(7168.5486, rel=1e-9)
 
 
 def test_drag_quadratic_scaling():
     # Halving the speed quarters the drag, exactly in floating point
     # because the scale factor is a power of two.
-    assert 4.0 * drag_of(P, 450.0) == drag_of(P, 900.0)
-    assert drag_of(P, 0.0) == 0.0
-
-
-def test_params_must_be_positive():
-    with pytest.raises(ValueError):
-        MissileParams(p0=0.0)
-    with pytest.raises(ValueError):
-        MissileParams(hit_radius=-30.0)
-    with pytest.raises(ValueError):
-        MissileParams(tw=math.nan)
+    assert 4.0 * drag_of(450.0) == drag_of(900.0)
+    assert drag_of(0.0) == 0.0
 
 
 # The guidance cases below give pn_commands the target's position and
-# velocity relative to the missile.  With k_pn, vm and cos(epsilon + beta)
+# velocity relative to the missile.  With NAV_GAIN, vm and cos(epsilon + beta)
 # non-zero, n_mh is zero exactly when the elevation rate is, and then n_mc
 # is zero exactly when the azimuth rate is.
 
@@ -92,55 +84,56 @@ def test_params_must_be_positive():
 def test_zero_rate_head_on_geometry_gives_zero_commands():
     # Missile at (0, 0, 5000) flying +x at 300 m/s, target 5 km ahead at the
     # same altitude flying -x at 300 m/s: both line-of-sight rates vanish.
-    assert pn_commands(P, 5000.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0) == (0.0, 0.0)
+    assert pn_commands(5000.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0) == (0.0, 0.0)
 
 
 def test_horizontal_crossing_command_by_hand():
     # Target abeam-crossing: beta_dot = (300*4000)/4000^2 = 0.075 rad/s,
     # epsilon and epsilon_dot are zero, so only the yaw channel acts:
     # n_mc = K * vm / g * beta_dot.
-    n_mc, n_mh = pn_commands(P, 4000.0, 0.0, 0.0, -300.0, 300.0, 0.0, 300.0, 0.0)
+    n_mc, n_mh = pn_commands(4000.0, 0.0, 0.0, -300.0, 300.0, 0.0, 300.0, 0.0)
     assert n_mc == pytest.approx(4.0 * 300.0 * 0.075 / 9.8, rel=1e-12)
     assert n_mh == 0.0
 
 
-def test_commands_linear_in_navigation_gain():
+def test_commands_linear_in_navigation_gain(monkeypatch):
     los = (4000.0, 500.0, 200.0, -300.0, 300.0, -30.0)
-    full = pn_commands(P, *los, 300.0, 0.1)
-    half = pn_commands(replace(P, k_pn=2.0), *los, 300.0, 0.1)
+    full = pn_commands(*los, 300.0, 0.1)
+    monkeypatch.setattr(missile, "NAV_GAIN", 2.0)
+    half = pn_commands(*los, 300.0, 0.1)
     assert full[0] == pytest.approx(2.0 * half[0], rel=1e-12)
     assert full[1] == pytest.approx(2.0 * half[1], rel=1e-12)
 
 
 def test_commands_clamped_symmetrically():
     # beta_dot = 1000*100/100^2 = 10 rad/s, far beyond the clamp.
-    n_mc, _ = pn_commands(P, 100.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 300.0, 0.0)
-    assert n_mc == P.max_command
-    n_mc, _ = pn_commands(P, 100.0, 0.0, 0.0, 0.0, -1000.0, 0.0, 300.0, 0.0)
-    assert n_mc == -P.max_command
+    n_mc, _ = pn_commands(100.0, 0.0, 0.0, 0.0, 1000.0, 0.0, 300.0, 0.0)
+    assert n_mc == MAX_COMMAND
+    n_mc, _ = pn_commands(100.0, 0.0, 0.0, 0.0, -1000.0, 0.0, 300.0, 0.0)
+    assert n_mc == -MAX_COMMAND
 
 
 def test_vertical_line_of_sight_is_singular():
     with pytest.raises(GuidanceSingularityError):
-        pn_commands(P, 0.0, 0.0, 3000.0, 0.0, 0.0, 0.0, 300.0, 0.0)
+        pn_commands(0.0, 0.0, 3000.0, 0.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_right_angle_sum_is_singular():
     # Target directly abeam: beta = pi/2, epsilon = 0.
     with pytest.raises(GuidanceSingularityError):
-        pn_commands(P, 0.0, 5000.0, 0.0, 0.0, 0.0, 0.0, 300.0, 0.0)
+        pn_commands(0.0, 5000.0, 0.0, 0.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_zero_range_raises():
     with pytest.raises(ZeroRangeError):
-        pn_commands(P, 0.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0)
+        pn_commands(0.0, 0.0, 0.0, -600.0, 0.0, 0.0, 300.0, 0.0)
 
 
 def test_singular_geometry_holds_previous_command():
     # Target directly abeam makes pn_commands raise; the step must keep
     # flying with the stored commands instead.
     m = fresh(n_mc=3.3, n_mh=-1.1)
-    out = missile_step(m, P, (0.0, 5000.0, 5000.0), (300.0, 0.0, 0.0))
+    out = missile_step(m, (0.0, 5000.0, 5000.0), (300.0, 0.0, 0.0))
     assert out.n_mc == 3.3 and out.n_mh == -1.1
     assert out.status is MissileStatus.IN_FLIGHT
 
@@ -151,9 +144,9 @@ def test_burnout_coast_decelerates_at_drag_over_mass():
     # speed change is -drag * g / mass.
     m = fresh(vm=400.0, t=13.0)
     dt = 1e-6
-    out = missile_step(m, P, (10000.0, 0.0, 5000.0), (400.0, 0.0, 0.0), dt)
+    out = missile_step(m, (10000.0, 0.0, 5000.0), (400.0, 0.0, 0.0), dt)
     dv_dt = (out.vm - m.vm) / dt
-    expected = -drag_of(P, 400.0) * 9.8 / 86.0
+    expected = -drag_of(400.0) * 9.8 / 86.0
     assert dv_dt == pytest.approx(expected, rel=1e-5)
 
 
@@ -165,16 +158,16 @@ def test_vertical_climb_speed_rate():
     dt = 1e-8
     tpos = (m.x + 1000.0 * vel[0] / 300.0, m.y + 1000.0 * vel[1] / 300.0,
             m.z + 1000.0 * vel[2] / 300.0)
-    out = missile_step(m, P, tpos, vel, dt)
+    out = missile_step(m, tpos, vel, dt)
     dv_dt = (out.vm - m.vm) / dt
-    expected = (2000.0 - drag_of(P, 300.0)) * 9.8 / mass_at(P, 1.0) \
+    expected = (2000.0 - drag_of(300.0)) * 9.8 / mass_at(1.0) \
         - 9.8 * math.sin(gamma)
     assert dv_dt == pytest.approx(expected, rel=1e-6)
 
 
 def test_head_on_intercept():
     m = fresh()
-    out = fly_against_linear_target(m, P, (5000.0, 0.0, 5000.0), (-300.0, 0.0, 0.0))
+    out = fly_against_linear_target(m, (5000.0, 0.0, 5000.0), (-300.0, 0.0, 0.0))
     assert out.status is MissileStatus.HIT
     assert out.t < 8.0
     assert out.t == pytest.approx(6.88, abs=0.05)  # frozen regression
@@ -182,7 +175,7 @@ def test_head_on_intercept():
 
 def test_crossing_intercept():
     m = fresh()
-    out = fly_against_linear_target(m, P, (4000.0, 0.0, 5000.0), (0.0, 300.0, 0.0))
+    out = fly_against_linear_target(m, (4000.0, 0.0, 5000.0), (0.0, 300.0, 0.0))
     assert out.status is MissileStatus.HIT
     assert out.t == pytest.approx(12.72, abs=0.1)  # frozen regression
 
@@ -192,7 +185,7 @@ def test_head_on_intercept_westward():
     # axis once diverged because the guidance trig saw the unfolded azimuth
     # branch; the hit time must match the eastward engagement.
     m = fresh(phi=math.pi)
-    out = fly_against_linear_target(m, P, (-5000.0, 0.0, 5000.0), (300.0, 0.0, 0.0))
+    out = fly_against_linear_target(m, (-5000.0, 0.0, 5000.0), (300.0, 0.0, 0.0))
     assert out.status is MissileStatus.HIT
     assert out.t == pytest.approx(6.88, abs=0.05)
 
@@ -201,21 +194,21 @@ def test_pn_pitch_sign_is_bearing_independent():
     # A target drifting upward must pull a nose-up command on any bearing:
     # east, the missile flies +x at 300 m/s with the target 4 km ahead and
     # 100 m up flying (250, 0, 5); west is the same engagement mirrored.
-    n_east = pn_commands(P, 4000.0, 0.0, 100.0, -50.0, 0.0, 5.0, 300.0, 0.0)
-    n_west = pn_commands(P, -4000.0, 0.0, 100.0, 50.0, 0.0, 5.0, 300.0, 0.0)
+    n_east = pn_commands(4000.0, 0.0, 100.0, -50.0, 0.0, 5.0, 300.0, 0.0)
+    n_west = pn_commands(-4000.0, 0.0, 100.0, 50.0, 0.0, 5.0, 300.0, 0.0)
     assert n_east[1] > 0.0
     assert n_west[1] > 0.0
     assert n_west[1] == pytest.approx(n_east[1], rel=1e-12)
     assert n_west[0] == pytest.approx(n_east[0], rel=1e-12)
 
 
-def test_no_tunneling_through_hit_sphere():
+def test_no_tunneling_through_hit_sphere(monkeypatch):
     # 1500 m/s closure moves 30 m per step; both endpoints sit outside the
     # hit sphere while the midpoint passes inside.  The gain is made tiny so
     # guidance barely curves the path during the step.
-    p = replace(P, k_pn=1e-12)
+    monkeypatch.setattr(missile, "NAV_GAIN", 1e-12)
     m = fresh(x=-15.0, y=29.5, z=5000.0, vm=1500.0)
-    out = missile_step(m, p, (0.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
+    out = missile_step(m, (0.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
     start = math.hypot(-15.0, 29.5)
     assert start > 30.0  # endpoint distances alone would miss
     assert out.status is MissileStatus.HIT
@@ -226,7 +219,7 @@ def test_step_survives_stage_overshoot_at_the_vertical():
     # exactly pi/2, where the heading equation is undefined.  Solve for that
     # razor angle and confirm the step still integrates.  The target sits
     # straight overhead so guidance holds the stored max pitch command.
-    vm, n_mh = 400.0, P.max_command
+    vm, n_mh = 400.0, MAX_COMMAND
     g = GAMMA_LIMIT - 2e-2
     for _ in range(8):
         g = 0.5 * math.pi - 0.5 * PHYSICS_DT * (G / vm) * (n_mh - math.cos(g))
@@ -234,20 +227,20 @@ def test_step_survives_stage_overshoot_at_the_vertical():
     assert abs(stage - 0.5 * math.pi) < 1e-9
     assert abs(g) < GAMMA_LIMIT
     m = fresh(z=8000.0, vm=vm, gamma=g, n_mc=0.0, n_mh=n_mh)
-    out = missile_step(m, P, (0.0, 0.0, 10000.0), (0.0, 0.0, 0.0))
+    out = missile_step(m, (0.0, 0.0, 10000.0), (0.0, 0.0, 0.0))
     assert abs(out.gamma) <= GAMMA_LIMIT
     assert math.isfinite(out.phi) and math.isfinite(out.vm)
 
 
 def test_expires_past_max_flight_time():
     m = fresh(vm=400.0, t=59.99)
-    out = missile_step(m, P, (100000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
+    out = missile_step(m, (100000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
     assert out.status is MissileStatus.EXPIRED
 
 
 def test_expires_below_min_speed():
     m = fresh(vm=200.5, t=20.0)
-    out = missile_step(m, P, (100000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
+    out = missile_step(m, (100000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
     assert out.vm < 200.0
     assert out.status is MissileStatus.EXPIRED
 
@@ -265,10 +258,10 @@ def test_launch_inherits_shooter_state():
 def test_cannot_step_finished_missile():
     m = fresh(status=MissileStatus.HIT)
     with pytest.raises(ValueError):
-        missile_step(m, P, (1000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
+        missile_step(m, (1000.0, 0.0, 5000.0), (0.0, 0.0, 0.0))
 
 
-def textbook_missile_step(m, p, tpos, tvel, dt):
+def textbook_missile_step(m, tpos, tvel, dt):
     """Guided classical RK4 with the missile equations written out.
 
     Commands come from the geometry at the start of the step and are held
@@ -279,7 +272,7 @@ def textbook_missile_step(m, p, tpos, tvel, dt):
     """
     vel = missile_velocity(m)
     try:
-        n_mc, n_mh = pn_commands(p, tpos[0] - m.x, tpos[1] - m.y, tpos[2] - m.z,
+        n_mc, n_mh = pn_commands(tpos[0] - m.x, tpos[1] - m.y, tpos[2] - m.z,
                                  tvel[0] - vel[0], tvel[1] - vel[1],
                                  tvel[2] - vel[2], m.vm,
                                  math.atan2(tvel[2], math.hypot(tvel[0], tvel[1])))
@@ -289,7 +282,7 @@ def textbook_missile_step(m, p, tpos, tvel, dt):
     def deriv(v, gamma, phi, t):
         cg = math.cos(gamma)
         return (v * cg * math.cos(phi), v * cg * math.sin(phi), v * math.sin(gamma),
-                (thrust_at(p, t) - drag_of(p, v)) * G / mass_at(p, t)
+                (thrust_at(t) - drag_of(v)) * G / mass_at(t)
                 - G * math.sin(gamma),
                 (n_mh - cg) * G / v,
                 n_mc * G / (v * cg))
@@ -311,9 +304,9 @@ def textbook_missile_step(m, p, tpos, tvel, dt):
     r1 = np.add(tpos, np.multiply(dt, tvel)) - (x, y, z)
     d = r1 - r0
     u = 0.0 if d @ d == 0.0 else min(max(-(r0 @ d) / (d @ d), 0.0), 1.0)
-    if math.sqrt(sum(float(c) ** 2 for c in r0 + u * d)) < p.hit_radius:
+    if math.sqrt(sum(float(c) ** 2 for c in r0 + u * d)) < HIT_RADIUS:
         status = MissileStatus.HIT
-    elif t > p.max_flight_time or v < p.min_speed:
+    elif t > MAX_FLIGHT_TIME or v < MIN_SPEED:
         status = MissileStatus.EXPIRED
     else:
         status = MissileStatus.IN_FLIGHT
@@ -361,8 +354,8 @@ def test_missile_step_equals_textbook_rk4_bit_for_bit():
         tvel = (0.0, 0.0, 0.0) if kind == 1 else \
             tuple(map(float, rng.uniform(-300.0, 300.0, 3)))
         for _ in range(25):
-            ref = textbook_missile_step(m, P, tpos, tvel, PHYSICS_DT)
-            m = missile_step(m, P, tpos, tvel, PHYSICS_DT)
+            ref = textbook_missile_step(m, tpos, tvel, PHYSICS_DT)
+            m = missile_step(m, tpos, tvel, PHYSICS_DT)
             assert _bits(m) == _bits(ref)
             clamped += abs(m.gamma) == GAMMA_LIMIT
             if m.status is not MissileStatus.IN_FLIGHT:
