@@ -11,8 +11,9 @@ sampling raw actions.
 
 import numpy as np
 
-from dogfight import SearchConfig, flat_model, init_params, reset, run_search
-from dogfight.environment import BLUE, flatten
+from dogfight import SearchConfig, env_step, flatten, init_params, reset, \
+    run_search
+from dogfight.environment import BLUE
 from dogfight.selfplay import AgentCheckpoint, play_match
 
 LAYERS = (13, 256, 256, 4)
@@ -20,10 +21,10 @@ actor = init_params(3, LAYERS, with_log_std=True)
 critic = init_params(4, LAYERS[:-1] + (1,))
 
 # One search call at an engagement's opening state, as the flat engagement
-# tuple that matches and search step through the compiled kernel.
+# tuple that matches and search step through env_step.
 state = flatten(reset(seed=0))
 cfg = SearchConfig(num_actions=9, num_simulations=20, c_puct=1.25, max_depth=5)
-res = run_search(state, BLUE, actor, critic, actor, flat_model, cfg,
+res = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
                  np.random.default_rng(7))
 print("visit counts:", res.visit_counts.tolist(),
       " sum =", int(res.visit_counts.sum()))
@@ -31,7 +32,7 @@ print("priors sum to", float(res.priors.sum()))
 print(f"root value {res.root_value:+.4f}, chose candidate {res.chosen_index}")
 
 # The same seed gives the same search, visit for visit.
-res2 = run_search(state, BLUE, actor, critic, actor, flat_model, cfg,
+res2 = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
                   np.random.default_rng(7))
 print("deterministic rerun:", np.array_equal(res.visit_counts, res2.visit_counts))
 

@@ -14,11 +14,11 @@ from .environment import (
     EngagementState,
     Outcome,
     ScenarioConfig,
-    StepResult,
     env_step,
-    flat_model,
+    flatten,
     observe,
     reset,
+    unflatten,
 )
 from .harness import (
     CheckpointError,
@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AircraftState", "ControlInput", "clamp_controls", "rk4_step",
     "BLUE", "RED", "EngagementState", "Outcome", "ScenarioConfig",
-    "StepResult", "env_step", "flat_model", "observe", "reset",
+    "env_step", "flatten", "observe", "reset", "unflatten",
     "CheckpointError", "ConfigError", "load_checkpoint",
     "load_config", "parse_config", "save_checkpoint", "serialize_config",
     "SearchConfig", "SearchResult", "run_search",

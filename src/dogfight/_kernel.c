@@ -1,7 +1,8 @@
 /* The compiled copy of environment._reference.
  *
- * `step` is a whole decision on a flat engagement, the tuple that env_step
- * and the tree search pass (see environment.flatten): the action checks of
+ * `step` is a whole decision on a flat engagement, the tuple that matches
+ * and the tree search pass to environment.env_step, its one caller (see
+ * environment.flatten): the action checks of
  * _as_raw, dynamics.clamp_controls, the fire gate and
  * missile.launch_missile, the substeps, environment._evaluate and both
  * environment._features calls, in the Python code's order.  Each substep
@@ -584,12 +585,12 @@ observe(const double own[6], const double tgt[6], int own_live,
 PyDoc_STRVAR(step_doc,
 "step(flat, a_blue, a_red)\n"
 "\n"
-"One env_step decision of DECISION_DT on a flat engagement (b, r, bk, rk,\n"
-"bs, rs, blue_fired, red_fired, t, outcome): the aircraft tuples, each\n"
-"missile's kinematics tuple or None, the missile status codes (0 none,\n"
-"1 in flight, 2 hit, 3 expired), the fired flags, the time and the outcome\n"
-"code (0 ongoing, 1 blue win, 2 red win, 3 draw).  a_blue and a_red are the\n"
-"raw actions as lists or tuples of 4 floats.\n"
+"One environment.env_step decision of DECISION_DT on a flat engagement\n"
+"(b, r, bk, rk, bs, rs, blue_fired, red_fired, t, outcome): the aircraft\n"
+"tuples, each missile's kinematics tuple or None, the missile status codes\n"
+"(0 none, 1 in flight, 2 hit, 3 expired), the fired flags, the time and the\n"
+"outcome code (0 ongoing, 1 blue win, 2 red win, 3 draw).  a_blue and a_red\n"
+"are the raw actions as lists or tuples of 4 floats.\n"
 "\n"
 "Returns (flat, obs_blue, obs_red, outcome), the observations as tuples of\n"
 "13 floats, or None wherever environment._reference would raise or meets\n"

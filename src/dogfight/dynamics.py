@@ -15,7 +15,7 @@ motion, behind `aircraft_derivatives` too.  `rk4_step` is the one-substep
 wrapper over the dataclasses, and `environment._reference`, the Python
 decision, calls `_substep` directly for the 25 substeps of a decision.
 `_kernel.c` holds a compiled copy of `_substep`, written in the same
-operation order, that environment.flat_model runs instead where it can;
+operation order, that environment.env_step runs instead where it can;
 tests/test_kernel.py ties it bit for bit to this reference.
 
 Every stage keeps both guards of `_derivatives`: a non-positive speed or a

@@ -23,12 +23,13 @@ The kernel is built from this module's constants, dynamics' and missile's
 is defined once, here, in dynamics or in missile, and a changed one rebuilds
 the kernel.
 
-`flat_model` alone picks the route: it runs `_reference` where the kernel
-is unavailable, where a recorder asks for every substep, and where the
-kernel hands a decision back because the reference would raise.  Matches
-and tree search step flat tuples through it; `env_step` is the edge for
-callers that hold EngagementStates, and wraps it.  Setting `_kernel` to
-None selects the reference.
+`env_step` is the one step, and it alone picks the route: it runs
+`_reference` where the kernel is unavailable, where a recorder asks for
+every substep, and where the kernel hands a decision back because the
+reference would raise.  Matches and tree search step flat tuples through
+it; a caller that holds an EngagementState flattens it first, and
+`unflatten` rebuilds one from a step's result.  Setting `_kernel` to None
+selects the reference.
 """
 
 from __future__ import annotations
@@ -179,17 +180,6 @@ class EngagementState:
     outcome: Outcome
 
 
-@dataclass(frozen=True, slots=True)
-class StepResult:
-    state: EngagementState
-    obs_blue: np.ndarray
-    obs_red: np.ndarray
-    reward_blue: float
-    reward_red: float
-    done: bool
-    outcome: Outcome
-
-
 TrajectoryRow = tuple
 Recorder = Callable[[TrajectoryRow], None]
 
@@ -253,14 +243,14 @@ def _features(flat: FlatState, side: str) -> tuple:
     return tuple(out)
 
 
-def observe(s: EngagementState, side: str) -> np.ndarray:
-    """13 features describing the engagement from one side, normalized to [0, 1].
+def observe(flat: FlatState, side: str) -> np.ndarray:
+    """13 features describing a flat engagement from one side, normalized to
+    [0, 1].
 
     The construction only uses own/target/own-missile/incoming-missile
-    roles, so it is symmetric under swapping sides.  ValueError for a
-    missile in the other side's slot, as `flatten` raises.
+    roles, so it is symmetric under swapping sides.
     """
-    return np.array(_features(flatten(s), side))
+    return np.array(_features(flat, side))
 
 
 def _as_raw(a: Action) -> tuple[float, float, float, float]:
@@ -378,17 +368,6 @@ def unflatten(flat: FlatState) -> EngagementState:
                            blue_fired, red_fired, t, OUTCOMES_BY_CODE[outcome])
 
 
-def flat_result(out: FlatStep) -> StepResult:
-    """The StepResult that a flat step stands for: the rebuilt state, the
-    observations as arrays, and the rewards, done flag and outcome of its
-    outcome code."""
-    flat, obs_blue, obs_red, code = out
-    reward_blue, reward_red = REWARDS_BY_CODE[code]
-    return StepResult(unflatten(flat), np.array(obs_blue), np.array(obs_red),
-                      reward_blue, reward_red, code != 0,
-                      OUTCOMES_BY_CODE[code])
-
-
 def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
                recorder: Optional[Recorder] = None) -> FlatStep:
     """One decision on a flat engagement in Python: the reference the kernel's
@@ -445,35 +424,24 @@ def _reference(flat: FlatState, raw_b: Action, raw_r: Action,
     return nxt, _features(nxt, BLUE), _features(nxt, RED), nxt[9]
 
 
-def env_step(s: EngagementState, a_blue: Action, a_red: Action,
-             recorder: Optional[Recorder] = None) -> StepResult:
-    """Advance the engagement by one decision step of DECISION_DT.
+def env_step(flat: FlatState, a_blue: Action, a_red: Action,
+             recorder: Optional[Recorder] = None) -> FlatStep:
+    """Advance a flat engagement by one decision step of DECISION_DT: the one
+    step of matches and search.
 
-    Fire decisions are taken once at the decision boundary, then the inner
+    Returns (next flat state, obs_blue, obs_red, outcome code).  Fire
+    decisions are taken once at the decision boundary, then the inner
     sub-steps integrate missiles first (against the aircraft as they were
     at the start of the sub-step, matching the linear-target hit model) and
     the aircraft second.  Termination is checked after every sub-step and
-    freezes the state mid-decision.  Stepping a finished engagement returns
-    it unchanged with done set.  ValueError for a malformed action, or for a
-    missile in the other side's slot.
-    """
-    if s.outcome is not Outcome.ONGOING:
-        return StepResult(s, observe(s, BLUE), observe(s, RED),
-                          0.0, 0.0, True, s.outcome)
-    return flat_result(flat_model(flatten(s), _as_raw(a_blue), _as_raw(a_red),
-                                  recorder))
+    freezes the state mid-decision.  A finished engagement comes back
+    unchanged.  ValueError for a malformed action.
 
-
-def flat_model(flat: FlatState, a_blue: Action, a_red: Action,
-               recorder: Optional[Recorder] = None) -> FlatStep:
-    """One decision on a flat engagement: the step of matches and search.
-
-    Returns (next flat state, obs_blue, obs_red, outcome code), bit for bit
-    what env_step returns.  The compiled kernel's `step` computes it in one
-    call.  Where the kernel is unavailable, a recorder is given, or the
-    kernel hands the decision back, `_reference` runs it on the same flat
-    tuple, so its exception or its result comes out.  The kernel reads
-    actions that are lists or tuples of floats; anything else it hands back.
+    The compiled kernel's `step` computes the decision in one call.  Where
+    the kernel is unavailable, a recorder is given, or the kernel hands the
+    decision back, `_reference` runs it on the same flat tuple, so its
+    exception or its result comes out.  The kernel reads actions that are
+    lists or tuples of floats; anything else it hands back.
     """
     out = None
     if _kernel is not None and recorder is None:

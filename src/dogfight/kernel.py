@@ -2,8 +2,8 @@
 environment._reference.
 
 The extension has one entry point, `step`: a whole decision on the flat
-engagement tuple (environment.flatten).  environment.flat_model is its one
-caller; matches and tree search step through it, and env_step wraps it.
+engagement tuple (environment.flatten).  environment.env_step, the one
+step of matches and tree search, is its one caller.
 
 The C source defines no model constant.  `defines` turns the Python
 definitions (dynamics', environment's and missile's constants and the
@@ -26,7 +26,7 @@ The flags keep the arithmetic the interpreter's: no contraction of a
 multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
-load, `load` returns None with the reason, and the flat model runs
+load, `load` returns None with the reason, and env_step runs
 environment._reference, which gives the same bytes more slowly;
 `dogfight train` then says so on stderr.
 """

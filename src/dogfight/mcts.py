@@ -17,7 +17,7 @@ so building later changes no value.
 The tree, root included, holds flat engagements (`environment.flatten`),
 not EngagementStates.  The env model takes a flat state and both raw
 actions and returns (next flat state, obs_blue, obs_red, outcome code), as
-`environment.flat_model` does, with observations equal to `observe` of the
+`environment.env_step` does, with observations equal to `observe` of the
 returned state; a child keeps that (own, opponent) pair as tuples of floats
 and turns its own observation into an array once, at first use.  Candidate
 actions and the opponent's reply are lists of floats, so the model reads
@@ -47,7 +47,6 @@ from .environment import (
     FlatState,
     observe,
     other_side,
-    unflatten,
 )
 from .mlp import MlpParams, forward, log_density
 
@@ -126,8 +125,8 @@ def _observations(node: SearchNode, side: str) -> Observations:
     """
     obs = node.obs
     if obs is None:
-        state = unflatten(node.state)
-        obs = node.obs = (observe(state, side), observe(state, other_side(side)))
+        obs = node.obs = (observe(node.state, side),
+                          observe(node.state, other_side(side)))
     elif type(obs[0]) is not np.ndarray:
         obs = node.obs = (np.asarray(obs[0], dtype=np.float64), obs[1])
     return obs
@@ -229,7 +228,7 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
                root_obs: Optional[Observations] = None) -> SearchResult:
     """Search from the flat root_state; return the most-visited root action.
 
-    env_model steps flat states, as `environment.flat_model` does.  root_obs,
+    env_model steps flat states, as `environment.env_step` does.  root_obs,
     when given, must be the (own, opponent) pair that `observe` returns for
     root_state.  The root is expanded up front, then each
     simulation descends by PUCT, creating child states lazily, until it

@@ -26,10 +26,9 @@ from .environment import (
     BLUE,
     RED,
     EngagementState,
+    FlatStep,
     Outcome,
-    StepResult,
-    flat_model,
-    flat_result,
+    env_step,
     flatten,
     reset,
 )
@@ -169,22 +168,18 @@ def check_checkpoint_roundtrip() -> str:
 
 _AIRCRAFT = struct.Struct("<6d")
 _MISSILE = struct.Struct("<9d")
-_SCALARS = struct.Struct("<d??dd?")
+# Status codes, fired flags, clock, the state's and the step's outcome codes.
+_SCALARS = struct.Struct("<bb??dbb")
 
 
-def step_bytes(res: StepResult) -> bytes:
-    """Every field of a step result, floats as their IEEE bytes."""
-    s = res.state
-    parts = [_AIRCRAFT.pack(c.x, c.y, c.z, c.v, c.gamma, c.phi)
-             for c in (s.blue, s.red)]
-    for m in (s.blue_missile, s.red_missile):
-        parts.append(b"-" if m is None else _MISSILE.pack(
-            m.x, m.y, m.z, m.vm, m.gamma, m.phi, m.t, m.n_mc, m.n_mh)
-            + f"{m.shooter}>{m.target}:{m.status.value}".encode())
-    parts.append(_SCALARS.pack(s.t, s.blue_fired, s.red_fired, res.reward_blue,
-                               res.reward_red, res.done))
-    parts += [s.outcome.value.encode(), res.obs_blue.tobytes(),
-              res.obs_red.tobytes()]
+def step_bytes(out: FlatStep) -> bytes:
+    """Every field of an env_step result, floats as their IEEE bytes."""
+    (b, r, bk, rk, bs, rs, blue_fired, red_fired, t, state_code), \
+        obs_blue, obs_red, code = out
+    parts = [_AIRCRAFT.pack(*b), _AIRCRAFT.pack(*r)]
+    parts += [b"-" if k is None else _MISSILE.pack(*k) for k in (bk, rk)]
+    parts += [_SCALARS.pack(bs, rs, blue_fired, red_fired, t, state_code, code),
+              np.array(obs_blue).tobytes(), np.array(obs_red).tobytes()]
     return b"|".join(parts)
 
 
@@ -237,9 +232,9 @@ class KernelSpy:
 
 
 def kernel_identity(decisions: int, seed: int) -> dict:
-    """Step seeded random decisions through the flat model with the compiled
-    kernel against the flat model on the Python loop, each rebuilt with
-    `flat_result`.  AssertionError at the first byte that differs.
+    """Step seeded random decisions through env_step with the compiled kernel
+    against env_step on the Python loop.  AssertionError at the first byte
+    that differs.
 
     Half the engagements start from `reset`, half from `envelope_state`.
     Raw actions are wider than the control envelope and fire often, and each
@@ -256,28 +251,26 @@ def kernel_identity(decisions: int, seed: int) -> dict:
     state = held = None
     for _ in range(decisions):
         if state is None:
-            state = (reset(int(rng.integers(2 ** 63))) if rng.random() < 0.5
-                     else envelope_state(rng))
+            state = flatten(reset(int(rng.integers(2 ** 63)))
+                            if rng.random() < 0.5 else envelope_state(rng))
         if held is None or rng.random() < 0.3:
             held = rng.uniform((-1.0, -3.0, -4.0, -0.3), (9.0, 3.0, 4.0, 1.0),
                                size=(2, 4))
-        flat, actions = flatten(state), held.tolist()
+        actions = held.tolist()
         try:
             environment._kernel = spy
-            fast = flat_result(flat_model(flat, *actions))
+            fast = env_step(state, *actions)
             environment._kernel = None
-            ref = flat_result(flat_model(flat, *actions))
+            ref = env_step(state, *actions)
         finally:
             environment._kernel = kernel
         if step_bytes(fast) != step_bytes(ref):
             raise AssertionError(f"kernel and Python loop differ from {state!r} "
                                  f"under {actions!r}")
         counts["decisions"] += 1
-        counts["missile_in_flight"] += any(
-            m is not None and m.status is MissileStatus.IN_FLIGHT
-            for m in (state.blue_missile, state.red_missile))
-        counts["ended"] += ref.done
-        state = None if ref.done else ref.state
+        counts["missile_in_flight"] += environment._FLYING in state[4:6]
+        counts["ended"] += ref[3] != 0
+        state = None if ref[3] else ref[0]
     if spy.handed_back:
         raise AssertionError(f"the kernel handed {spy.handed_back} of "
                              f"{spy.calls} calls back to the Python code")

@@ -8,7 +8,9 @@ LeagueConfig is the whole run: that seed, the league's settings and the
 output directory; harness reads and writes it as the run's config.ini.
 
 A match flattens its start state once and steps that flat engagement
-tuple through environment.flat_model, as search does.
+tuple through environment.env_step, the step search takes too.  Both look
+the name up in this module at call time, so a wrapper bound here sees
+every decision and every model step of a search.
 
 Matches share nothing but read-only agents, so both match loops run on
 forked worker processes (`workers._in_order`), one per usable CPU (the
@@ -36,13 +38,10 @@ from .environment import (
     OUTCOMES_BY_CODE,
     RED,
     REWARDS_BY_CODE,
-    EngagementState,
     FlatState,
     Outcome,
     ScenarioConfig,
-    # Not called here; the benchmark's tracer (bench/tracing.py) rebinds it.
-    env_step,  # noqa: F401
-    flat_model,
+    env_step,
     flatten,
     observe,
     reset,
@@ -160,7 +159,7 @@ def _act(agent: AgentCheckpoint, side: str, state: FlatState,
     """
     if use_mcts:
         found = run_search(state, side, agent.actor, agent.critic, opponent,
-                           flat_model, search_config, rng, root_obs=obs)
+                           env_step, search_config, rng, root_obs=obs)
         action = found.action
         logp = log_density(found.root_mean, agent.actor.log_std, action)
         return action, float(logp), found.root_critic
@@ -176,14 +175,15 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
                record_side: Optional[str] = None,
                buffer: Optional[RolloutBuffer] = None,
                recorder=None,
-               initial_state: Optional[EngagementState] = None,
+               initial_state: Optional[FlatState] = None,
                seed_a: Optional[int] = None,
                seed_b: Optional[int] = None) -> MatchRecord:
     """Run one engagement to termination; agent_a flies blue, agent_b red.
 
     The seed spawns the reset and both sides' sampling streams, so a match
     is reproducible bit-exactly.  seed_a/seed_b override the per-side
-    streams (used by symmetry tests); initial_state skips the seeded reset.
+    streams (used by symmetry tests); initial_state, a flat engagement,
+    skips the seeded reset.
     When record_side and buffer are given, that side's transitions are
     appended to the buffer, which closes the episode on the last one.
     """
@@ -192,14 +192,13 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
     ss_reset, ss_a, ss_b = np.random.SeedSequence(seed).spawn(3)
     rng_a = np.random.default_rng(ss_a if seed_a is None else seed_a)
     rng_b = np.random.default_rng(ss_b if seed_b is None else seed_b)
-    state = reset(_seed_int(ss_reset), scenario) if initial_state is None \
-        else initial_state
-    if state.outcome is not Outcome.ONGOING:
+    flat = flatten(reset(_seed_int(ss_reset), scenario)) \
+        if initial_state is None else initial_state
+    if flat[9]:  # the outcome code of a finished engagement
         raise ValueError("initial state is already terminal")
 
-    # Each later pair comes from the flat_model step that made the state.
-    flat = flatten(state)
-    obs_a, obs_b = observe(state, BLUE), observe(state, RED)
+    # Each later pair comes from the env_step that made the state.
+    obs_a, obs_b = observe(flat, BLUE), observe(flat, RED)
     steps = 0
     while True:
         act_a, logp_a, value_a = _act(agent_a, BLUE, flat, (obs_a, obs_b),
@@ -208,7 +207,7 @@ def play_match(agent_a: AgentCheckpoint, agent_b: AgentCheckpoint,
         act_b, _, _ = _act(agent_b, RED, flat, (obs_b, obs_a), use_mcts_b,
                            rng_b, agent_a.actor, search_config)
         # Lists, since the kernel hands arrays back to the reference.
-        flat, obs_blue, obs_red, code = flat_model(
+        flat, obs_blue, obs_red, code = env_step(
             flat, act_a.tolist(), act_b.tolist(), recorder)
         steps += 1
         if buffer is not None and record_side == BLUE:

@@ -20,7 +20,7 @@ import pytest
 
 from dogfight import mlp, selfcheck, workers
 from dogfight.cli import main
-from dogfight.environment import BLUE, flat_model, flatten, observe, reset
+from dogfight.environment import BLUE, env_step, flatten, observe, reset
 from dogfight.harness import load_config
 from dogfight.mcts import SearchConfig, run_search
 from dogfight.missile import drag_of, mass_at, thrust_at
@@ -178,7 +178,7 @@ def test_criterion_6_search_properties():
     opponent = mlp.init_params(2, SMALL, with_log_std=True)
 
     res = run_search(flatten(reset(3)), BLUE, actor, critic, opponent,
-                     flat_model, SearchConfig(), np.random.default_rng(5))
+                     env_step, SearchConfig(), np.random.default_rng(5))
     visits_ok = int(res.visit_counts.sum()) == 20
     priors_ok = abs(float(res.priors.sum()) - 1.0) < 1e-12
 
@@ -188,26 +188,26 @@ def test_criterion_6_search_properties():
     dominated = 0
     for trial in range(100):
         k = trial % 9
-        state = reset(trial)
+        state = flatten(reset(trial))
         mean = mlp.forward(actor, observe(state, BLUE))
         expected = mean + np.exp(actor.log_std) \
             * _EqualNormRng().standard_normal((9, 4))
         best_ids = set()
 
         def tagging_model(s, ab, ar, _k=k, _e=expected, _ids=best_ids):
-            out = flat_model(s, ab, ar)
+            out = env_step(s, ab, ar)
             if np.array_equal(ab, _e[_k]):
                 _ids.add(id(out[0]))
             return out
 
-        got = run_search(flatten(state), BLUE, actor,
+        got = run_search(state, BLUE, actor,
                          lambda st, _ids=best_ids: 1.0 if id(st) in _ids else 0.0,
                          opponent, tagging_model, cfg, _EqualNormRng())
         dominated += got.chosen_index == k
 
-    state = reset(33)
-    single = run_search(flatten(state), BLUE, actor, critic, opponent,
-                        flat_model, SearchConfig(num_actions=1),
+    state = flatten(reset(33))
+    single = run_search(state, BLUE, actor, critic, opponent,
+                        env_step, SearchConfig(num_actions=1),
                         np.random.default_rng(77))
     raw, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
                                     np.random.default_rng(77))

@@ -17,17 +17,19 @@ from dogfight.environment import (
     GROUND_FLOOR,
     OBS_BOUNDS,
     OBS_DIM,
+    OUTCOMES_BY_CODE,
     RED,
+    REWARDS_BY_CODE,
     EngagementState,
     Outcome,
     ScenarioConfig,
     env_step,
     fire_allowed,
-    flat_model,
     flatten,
     observe,
     reset,
     trajectory_rows,
+    unflatten,
 )
 
 TRIM = (1.0, 0.0, 0.0, -1.0)          # level flight, hold fire
@@ -40,12 +42,20 @@ def head_on_state(separation=5000.0, alt=5000.0, speed=300.0):
     return EngagementState(blue, red, None, None, False, False, 0.0, Outcome.ONGOING)
 
 
+def decide(state, a_blue, a_red, **kwargs):
+    """env_step from an EngagementState: (next state, obs_blue, obs_red,
+    outcome code)."""
+    nxt, obs_blue, obs_red, code = env_step(flatten(state), a_blue, a_red,
+                                            **kwargs)
+    return unflatten(nxt), obs_blue, obs_red, code
+
+
 def run_episode(state, a_blue, a_red, max_decisions=500):
+    """The finished state and the rewards of its outcome."""
     for _ in range(max_decisions):
-        res = env_step(state, a_blue, a_red)
-        state = res.state
-        if res.done:
-            return res
+        state, _, _, code = decide(state, a_blue, a_red)
+        if code:
+            return state, REWARDS_BY_CODE[code]
     raise AssertionError("episode did not terminate")
 
 
@@ -90,14 +100,14 @@ def test_scenario_validation():
 
 def test_observation_shape_and_speed_feature():
     s = head_on_state(speed=300.0)
-    obs = observe(s, BLUE)
+    obs = observe(flatten(s), BLUE)
     assert obs.shape == (OBS_DIM,) == (13,)
     assert obs[2] == pytest.approx((300.0 - 250.0) / 150.0)  # = 1/3
 
 
 def test_observation_absent_missile_sentinels():
     s = head_on_state()
-    obs = observe(s, BLUE)
+    obs = observe(flatten(s), BLUE)
     assert obs[5] == 0.0    # own missile flag
     assert obs[10] == 1.0   # incoming-missile distance at the far sentinel
     assert obs[12] == 0.0   # incoming missile flag
@@ -107,7 +117,7 @@ def test_observation_aspect_azimuth():
     blue = AircraftState(0.0, 0.0, 5000.0, 300.0, 0.0, 0.0)
     red = AircraftState(1000.0, 1000.0, 5000.0, 300.0, 0.0, 0.0)
     s = EngagementState(blue, red, None, None, False, False, 0.0, Outcome.ONGOING)
-    obs = observe(s, BLUE)
+    obs = observe(flatten(s), BLUE)
     # Bearing pi/4 off the nose, normalized over [-pi, pi].
     assert obs[6] == pytest.approx((math.pi / 4 + math.pi) / (2 * math.pi))
     assert obs[11] == obs[6]  # world-frame line of sight equals it here (phi=0)
@@ -129,8 +139,9 @@ def test_observation_mirror_symmetry():
     rng = np.random.default_rng(3)
     for _ in range(100):
         s = _random_state(rng)
-        np.testing.assert_array_equal(observe(s, BLUE), observe(_mirror(s), RED))
-        np.testing.assert_array_equal(observe(s, RED), observe(_mirror(s), BLUE))
+        flat, mirrored = flatten(s), flatten(_mirror(s))
+        np.testing.assert_array_equal(observe(flat, BLUE), observe(mirrored, RED))
+        np.testing.assert_array_equal(observe(flat, RED), observe(mirrored, BLUE))
 
 
 def _random_state(rng):
@@ -163,85 +174,82 @@ def _random_state(rng):
 def test_observation_fuzz_bounds():
     rng = np.random.default_rng(99)
     for _ in range(100_000):
-        s = _random_state(rng)
+        s = flatten(_random_state(rng))
         obs = observe(s, BLUE if rng.random() < 0.5 else RED)
         assert obs.shape == (13,)
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
 
 
 def test_trim_no_fire_draws_at_time_limit():
-    res = run_episode(head_on_state(separation=40000.0), TRIM, TRIM)
-    assert res.outcome is Outcome.DRAW
-    assert (res.reward_blue, res.reward_red) == (0.0, 0.0)
-    assert res.state.t == EPISODE_TIME_LIMIT
+    state, rewards = run_episode(head_on_state(separation=40000.0), TRIM, TRIM)
+    assert state.outcome is Outcome.DRAW
+    assert rewards == (0.0, 0.0)
+    assert state.t == EPISODE_TIME_LIMIT
 
 
 def test_head_on_fire_blue_wins():
-    res = run_episode(head_on_state(), TRIM_FIRE, TRIM)
-    assert res.outcome is Outcome.BLUE_WIN
-    assert (res.reward_blue, res.reward_red) == (1.0, -1.0)
-    assert res.state.blue_missile.status is MissileStatus.HIT
-    assert res.state.t < 8.0
+    state, rewards = run_episode(head_on_state(), TRIM_FIRE, TRIM)
+    assert state.outcome is Outcome.BLUE_WIN
+    assert rewards == (1.0, -1.0)
+    assert state.blue_missile.status is MissileStatus.HIT
+    assert state.t < 8.0
 
 
 def test_head_on_fire_red_wins():
     # mirror of the previous test: red's shot chases down the -x axis, which
     # regressed once when the guidance azimuth used the unfolded branch
-    res = run_episode(head_on_state(), TRIM, TRIM_FIRE)
-    assert res.outcome is Outcome.RED_WIN
-    assert (res.reward_blue, res.reward_red) == (-1.0, 1.0)
-    assert res.state.red_missile.status is MissileStatus.HIT
-    assert res.state.t < 8.0
+    state, rewards = run_episode(head_on_state(), TRIM, TRIM_FIRE)
+    assert state.outcome is Outcome.RED_WIN
+    assert rewards == (-1.0, 1.0)
+    assert state.red_missile.status is MissileStatus.HIT
+    assert state.t < 8.0
 
 
 def test_head_on_outcome_is_side_symmetric():
-    blue_res = run_episode(head_on_state(), TRIM_FIRE, TRIM)
-    red_res = run_episode(head_on_state(), TRIM, TRIM_FIRE)
-    assert abs(blue_res.state.t - red_res.state.t) < 0.1
+    blue_won, _ = run_episode(head_on_state(), TRIM_FIRE, TRIM)
+    red_won, _ = run_episode(head_on_state(), TRIM, TRIM_FIRE)
+    assert abs(blue_won.t - red_won.t) < 0.1
 
 
 def test_fire_gate_blocks_target_behind():
     s = head_on_state()
     s = replace(s, blue=replace(s.blue, phi=math.pi))  # nose away from red
     assert not fire_allowed(s.blue, s.red)
-    res = env_step(s, TRIM_FIRE, TRIM)
-    assert res.state.blue_missile is None
-    assert not res.state.blue_fired
+    nxt = decide(s, TRIM_FIRE, TRIM)[0]
+    assert nxt.blue_missile is None
+    assert not nxt.blue_fired
 
 
 def test_fire_gate_blocks_out_of_range():
     s = head_on_state(separation=15000.0)
     assert not fire_allowed(s.blue, s.red)
-    res = env_step(s, TRIM_FIRE, TRIM)
-    assert res.state.blue_missile is None
+    assert decide(s, TRIM_FIRE, TRIM)[0].blue_missile is None
 
 
 def test_fire_gate_launches_in_envelope():
     s = head_on_state()
     assert fire_allowed(s.blue, s.red)
-    res = env_step(s, TRIM_FIRE, TRIM)
-    assert res.state.blue_fired
-    assert res.state.blue_missile is not None
-    assert res.state.red_missile is None
+    nxt = decide(s, TRIM_FIRE, TRIM)[0]
+    assert nxt.blue_fired
+    assert nxt.blue_missile is not None
+    assert nxt.red_missile is None
 
 
 def test_fired_flag_latches_one_missile_per_side():
     s = head_on_state()
-    res = env_step(s, TRIM_FIRE, TRIM)
-    first = res.state.blue_missile
-    res2 = env_step(res.state, TRIM_FIRE, TRIM)
-    assert res2.state.blue_fired
+    nxt = decide(s, TRIM_FIRE, TRIM)[0]
+    first = nxt.blue_missile
+    nxt2 = decide(nxt, TRIM_FIRE, TRIM)[0]
+    assert nxt2.blue_fired
     # Same missile advanced, not a fresh launch.
-    assert res2.state.blue_missile.t == pytest.approx(first.t + DECISION_DT)
+    assert nxt2.blue_missile.t == pytest.approx(first.t + DECISION_DT)
 
 
 def test_finished_engagement_is_frozen():
-    res = run_episode(head_on_state(), TRIM_FIRE, TRIM)
-    done_state = res.state
-    again = env_step(done_state, TRIM_FIRE, TRIM_FIRE)
-    assert again.state == done_state
-    assert again.done and again.outcome is done_state.outcome
-    assert (again.reward_blue, again.reward_red) == (0.0, 0.0)
+    done_state, _ = run_episode(head_on_state(), TRIM_FIRE, TRIM)
+    again, _, _, code = decide(done_state, TRIM_FIRE, TRIM_FIRE)
+    assert again == done_state
+    assert code != 0 and OUTCOMES_BY_CODE[code] is done_state.outcome
 
 
 def test_ground_contact_draws():
@@ -249,19 +257,18 @@ def test_ground_contact_draws():
     # winner: wins must come from missiles, not opponent crashes.
     s = head_on_state(separation=40000.0)
     s = replace(s, blue=replace(s.blue, z=150.0, gamma=-0.5))
-    res = run_episode(s, TRIM, TRIM)
-    assert res.outcome is Outcome.DRAW
-    assert (res.reward_blue, res.reward_red) == (0.0, 0.0)
-    assert res.state.blue.z < 100.0
-    assert res.state.t < 200.0  # ended by the floor, not the clock
+    state, rewards = run_episode(s, TRIM, TRIM)
+    assert state.outcome is Outcome.DRAW
+    assert rewards == (0.0, 0.0)
+    assert state.blue.z < 100.0
+    assert state.t < 200.0  # ended by the floor, not the clock
 
 
 def test_mutual_ground_is_draw():
     s = head_on_state(separation=40000.0)
     s = replace(s, blue=replace(s.blue, z=150.0, gamma=-0.5),
                 red=replace(s.red, z=150.0, gamma=-0.5))
-    res = run_episode(s, TRIM, TRIM)
-    assert res.outcome is Outcome.DRAW
+    assert run_episode(s, TRIM, TRIM)[0].outcome is Outcome.DRAW
 
 
 def test_both_missiles_expired_is_draw():
@@ -271,9 +278,9 @@ def test_both_missiles_expired_is_draw():
     dead2 = replace(dead, shooter=RED, target=BLUE)
     s = replace(s, blue_missile=dead, red_missile=dead2,
                 blue_fired=True, red_fired=True)
-    res = env_step(s, TRIM, TRIM)
-    assert res.done and res.outcome is Outcome.DRAW
-    assert res.state.t == pytest.approx(0.02)  # ends on the first sub-step
+    nxt, _, _, code = decide(s, TRIM, TRIM)
+    assert code != 0 and nxt.outcome is Outcome.DRAW
+    assert nxt.t == pytest.approx(0.02)  # ends on the first sub-step
 
 
 def last_substep_start():
@@ -355,7 +362,7 @@ def test_decisions_end_at_the_first_evaluate_verdict(monkeypatch):
         landing["z"] = [z_b, z_r]
         landing["status"] = [m[1] for m in (m_b, m_r)
                              if m is not None and m[0] is flying]
-        res = env_step(s, TRIM, TRIM)
+        nxt = decide(s, TRIM, TRIM)[0]
         assert not landing["z"] and not landing["status"]
         after = [None if m is None else m[1] for m in (m_b, m_r)]
         for k in range(1, round(DECISION_DT / PHYSICS_DT) + 1):
@@ -363,35 +370,35 @@ def test_decisions_end_at_the_first_evaluate_verdict(monkeypatch):
             expected = env._evaluate(z_b, z_r, *after, *fired, t)
             if expected is not Outcome.ONGOING:
                 break
-        assert (res.outcome, res.state.t) == (expected, t)
-        seen.add(res.outcome)
+        assert (nxt.outcome, nxt.t) == (expected, t)
+        seen.add(nxt.outcome)
     assert seen == set(Outcome)
 
 
 def test_zero_sum_and_sparse_rewards():
-    state = head_on_state()
+    state = flatten(head_on_state())
     for _ in range(50):
-        res = env_step(state, TRIM_FIRE, TRIM_FIRE)
-        assert res.reward_blue + res.reward_red == 0.0
-        if res.reward_blue != 0.0:
-            assert res.done
-        state = res.state
-        if res.done:
+        state, _, _, code = env_step(state, TRIM_FIRE, TRIM_FIRE)
+        reward_blue, reward_red = REWARDS_BY_CODE[code]
+        assert reward_blue + reward_red == 0.0
+        if reward_blue != 0.0:
+            assert code != 0
+        if code:
             break
 
 
 def test_env_step_deterministic():
-    s = reset(5)
+    s = flatten(reset(5))
     a = (2.0, 0.5, 0.3, 1.0)
     b = (1.0, -0.2, -0.4, 1.0)
     r1 = env_step(s, a, b)
     r2 = env_step(s, a, b)
-    assert r1.state == r2.state
-    np.testing.assert_array_equal(r1.obs_blue, r2.obs_blue)
+    assert r1[0] == r2[0]
+    np.testing.assert_array_equal(r1[1], r2[1])
 
 
 def test_action_validation():
-    s = reset(0)
+    s = flatten(reset(0))
     with pytest.raises(ValueError):
         env_step(s, (math.nan, 0.0, 0.0, -1.0), TRIM)
 
@@ -412,67 +419,52 @@ MALFORMED_ACTIONS = {
 
 @pytest.mark.parametrize("name", list(MALFORMED_ACTIONS))
 def test_malformed_actions_raise_value_error(name, monkeypatch):
-    # Each side, through env_step and through the flat model with and
-    # without the compiled kernel: the same ValueError every time.
+    # Each side, through env_step with and without the compiled kernel: the
+    # same ValueError every time.
     bad = MALFORMED_ACTIONS[name]
-    s = reset(0)
+    s = flatten(reset(0))
     messages = set()
     for kernel in (environment._kernel, None):
         monkeypatch.setattr(environment, "_kernel", kernel)
-        for step in (env_step, lambda st, a, b: flat_model(flatten(st), a, b)):
-            for pair in ((bad, TRIM), (TRIM, bad)):
-                with pytest.raises(ValueError, match="4 finite reals") as info:
-                    step(s, *pair)
-                messages.add(str(info.value))
+        for pair in ((bad, TRIM), (TRIM, bad)):
+            with pytest.raises(ValueError, match="4 finite reals") as info:
+                env_step(s, *pair)
+            messages.add(str(info.value))
     assert len(messages) == 1
 
 
-def test_a_missile_in_the_wrong_slot_raises_on_every_path(monkeypatch):
-    # env_step flattens the state before it picks a path, and observe
-    # flattens it too, so the kernel, the Python loop, the recorder's loop
-    # and observe all refuse a missile that is not its slot's side's own,
-    # with the same ValueError.
+def test_a_missile_in_the_wrong_slot_raises_on_every_path():
+    # Every path from an EngagementState into env_step or observe starts at
+    # flatten, and a flat tuple holds each side's own missile only, so
+    # flatten refuses a missile that is not its slot's side's own.
     s = head_on_state()
     blue_shot = MissileState(0.0, 0.0, 5000.0, 600.0, 0.0, 0.0, 1.0, BLUE, RED)
     red_shot = replace(blue_shot, shooter=RED, target=BLUE)
     for wrong in (replace(s, blue_missile=red_shot, blue_fired=True),
                   replace(s, red_missile=blue_shot, red_fired=True)):
-        messages = set()
-        for kernel in (environment._kernel, None):
-            monkeypatch.setattr(environment, "_kernel", kernel)
-            for recorder in (None, [].append):
-                with pytest.raises(ValueError, match="missile slot holds") as info:
-                    env_step(wrong, TRIM, TRIM, recorder=recorder)
-                messages.add(str(info.value))
-        with pytest.raises(ValueError, match="missile slot holds") as info:
-            observe(wrong, BLUE)
-        messages.add(str(info.value))
-        assert len(messages) == 1
+        with pytest.raises(ValueError, match="missile slot holds"):
+            flatten(wrong)
 
 
 def test_a_finished_flat_engagement_comes_back_unchanged(monkeypatch):
-    # As env_step returns a finished engagement unchanged without reading
-    # the actions, the flat model returns its flat tuple, its outcome code
-    # and the observations of observe, with the kernel and without it.
-    finished = run_episode(head_on_state(), TRIM_FIRE, TRIM).state
-    flat = flatten(finished)
+    # env_step returns a finished engagement's flat tuple, its outcome code
+    # and the observations of observe without reading the actions, with the
+    # kernel and without it.
+    flat = flatten(run_episode(head_on_state(), TRIM_FIRE, TRIM)[0])
     assert flat[9] != 0
     for kernel in (environment._kernel, None):
         monkeypatch.setattr(environment, "_kernel", kernel)
         for action in (TRIM, MALFORMED_ACTIONS["list of 3"]):
-            nxt, obs_blue, obs_red, code = flat_model(flat, action, action)
+            nxt, obs_blue, obs_red, code = env_step(flat, action, action)
             assert nxt == flat and code == flat[9]
-            assert np.array(obs_blue).tobytes() == \
-                observe(finished, BLUE).tobytes()
-            assert np.array(obs_red).tobytes() == \
-                observe(finished, RED).tobytes()
-            assert env_step(finished, action, action).state is finished
+            assert np.array(obs_blue).tobytes() == observe(flat, BLUE).tobytes()
+            assert np.array(obs_red).tobytes() == observe(flat, RED).tobytes()
 
 
 def test_recorder_streams_rows():
     rows = []
     s = head_on_state()
-    res = env_step(s, TRIM_FIRE, TRIM, recorder=rows.append)
+    nxt = env_step(flatten(s), TRIM_FIRE, TRIM, recorder=rows.append)[0]
     assert len(rows) == 2 * 25  # two sides for each sub-step
     assert rows[0][1] == BLUE and rows[1][1] == RED
     ts = [r[0] for r in rows[::2]]
@@ -483,16 +475,15 @@ def test_recorder_streams_rows():
     assert rows[0][11] == "Ongoing"
     start = trajectory_rows(flatten(s))
     assert len(start) == 2 and start[0][0] == 0.0
-    assert trajectory_rows(flatten(res.state)) == rows[-2:]
+    assert trajectory_rows(nxt) == rows[-2:]
 
 
 def test_outcome_latches_through_noop_steps():
-    res = run_episode(head_on_state(), TRIM_FIRE, TRIM)
-    state = res.state
+    finished, _ = run_episode(head_on_state(), TRIM_FIRE, TRIM)
+    state = flatten(finished)
     for _ in range(3):
-        nxt = env_step(state, TRIM, TRIM)
-        assert nxt.outcome is res.outcome
-        state = nxt.state
+        state, _, _, code = env_step(state, TRIM, TRIM)
+        assert OUTCOMES_BY_CODE[code] is finished.outcome
 
 
 # sha256 of the rollout below, taken from the integrator as it stood before
@@ -517,20 +508,19 @@ def test_seeded_rollout_is_pinned():
         if held is None or rng.random() < 0.2:
             held = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
                                size=(2, 4))
-        res = env_step(state, held[0], held[1], recorder=rows.append)
+        state, obs_blue, obs_red, code = decide(state, held[0], held[1],
+                                                recorder=rows.append)
         floored += sum(r[5] == V_FLOOR for r in rows)
         clamped += sum(abs(r[6]) == GAMMA_LIMIT for r in rows)
         digest.update(repr(rows).encode())
-        digest.update(repr(res.state).encode())
-        digest.update(res.obs_blue.tobytes())
-        digest.update(res.obs_red.tobytes())
-        digest.update(repr((res.reward_blue, res.reward_red, res.done,
-                            res.outcome.value)).encode())
+        digest.update(repr(state).encode())
+        digest.update(np.array(obs_blue).tobytes())
+        digest.update(np.array(obs_red).tobytes())
+        digest.update(repr((*REWARDS_BY_CODE[code], code != 0,
+                            OUTCOMES_BY_CODE[code].value)).encode())
         rows.clear()
-        if res.done:
-            hits += res.outcome in (Outcome.BLUE_WIN, Outcome.RED_WIN)
+        if code:
+            hits += state.outcome in (Outcome.BLUE_WIN, Outcome.RED_WIN)
             state = None
-        else:
-            state = res.state
     assert floored > 0 and clamped > 0 and hits > 0
     assert digest.hexdigest() == ROLLOUT_SHA256

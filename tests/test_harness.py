@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dogfight import harness
-from dogfight.environment import env_step, reset
+from dogfight.environment import env_step, flatten, reset, unflatten
 from dogfight.harness import (
     FORMAT_VERSION,
     MAGIC,
@@ -370,9 +370,8 @@ def test_write_match_line():
 
 def test_write_trajectory_format():
     rows = []
-    state = reset(0)
-    state = env_step(state, (1.0, 0.0, 0.0, -1.0), (1.0, 0.0, 0.0, -1.0),
-                     recorder=rows.append).state
+    state = unflatten(env_step(flatten(reset(0)), (1.0, 0.0, 0.0, -1.0),
+                               (1.0, 0.0, 0.0, -1.0), recorder=rows.append)[0])
     sink = io.StringIO()
     write_trajectory(sink, rows)
     lines = sink.getvalue().splitlines()

@@ -2,10 +2,9 @@
 
 Every test here compares a decision with the kernel (the default) and with
 `environment._kernel` patched to None, which runs environment._reference,
-the Python loop: the reference.  env_step reaches either through the flat
-model, the one function that calls the kernel's `step`, so one comparison
-covers both.  Equality is of the IEEE bytes of every field
-(selfcheck.step_bytes, after environment.flat_result for the flat model).
+the Python loop: the reference.  env_step, the one function that calls the
+kernel's `step`, reaches either.  Equality is of the IEEE bytes of every
+field of its result (selfcheck.step_bytes).
 """
 
 import gc
@@ -43,10 +42,9 @@ from dogfight.environment import (
     Outcome,
     _evaluate,
     env_step,
-    flat_model,
-    flat_result,
     flatten,
     reset,
+    unflatten,
 )
 from dogfight.missile import MissileState, MissileStatus
 
@@ -57,32 +55,24 @@ HAVE_CC = shutil.which(kernel.COMPILER) is not None
 
 
 def step(kernel_module, state, a_blue, a_red):
+    """env_step from an EngagementState, with kernel_module as the kernel."""
     saved, environment._kernel = environment._kernel, kernel_module
     try:
-        return env_step(state, a_blue, a_red)
-    finally:
-        environment._kernel = saved
-
-
-def flat_step(kernel_module, state, a_blue, a_red):
-    """The flat model's decision from state, rebuilt as a StepResult."""
-    saved, environment._kernel = environment._kernel, kernel_module
-    try:
-        return flat_result(flat_model(flatten(state), a_blue, a_red))
+        return env_step(flatten(state), a_blue, a_red)
     finally:
         environment._kernel = saved
 
 
 def both_paths(state, a_blue=TRIM, a_red=TRIM, kernel_runs=True):
-    """env_step through the kernel and through the Python loop; the result
-    once both agree byte for byte.  kernel_runs says whether the kernel must
-    finish the decision itself rather than hand it back."""
+    """env_step through the kernel and through the Python loop; the next
+    state once both agree byte for byte.  kernel_runs says whether the kernel
+    must finish the decision itself rather than hand it back."""
     spy = selfcheck.KernelSpy(environment._kernel)
     fast = step(spy, state, a_blue, a_red)
     ref = step(None, state, a_blue, a_red)
     assert selfcheck.step_bytes(fast) == selfcheck.step_bytes(ref)
     assert spy.calls == 1 and (spy.handed_back == 0) == kernel_runs
-    return ref
+    return unflatten(ref[0])
 
 
 def both_raise(state, a_blue=TRIM, a_red=TRIM):
@@ -173,7 +163,7 @@ def test_hits_are_bit_identical(compiled):
                                  blue_fired=bm is not None,
                                  red_fired=rm is not None))
         assert res.outcome is outcome
-        for m in (res.state.blue_missile, res.state.red_missile):
+        for m in (res.blue_missile, res.red_missile):
             assert m is None or m.status is MissileStatus.HIT
 
 
@@ -182,19 +172,19 @@ def test_expiries_are_bit_identical(compiled):
     # On flight time: still fast, past 60 s on the first substep.
     late = missile(BLUE, RED, 0.0, 0.0, 5000.0, vm=700.0, t=59.99)
     res = both_paths(replace(s, blue_missile=late, blue_fired=True))
-    m = res.state.blue_missile
+    m = res.blue_missile
     assert m.status is MissileStatus.EXPIRED and m.t > 60.0 and m.vm > 200.0
     # On speed: coasting past burnout, drag takes it under 200 m/s.
     slow = missile(BLUE, RED, 0.0, 0.0, 5000.0, vm=200.05, t=30.0)
     res = both_paths(replace(s, blue_missile=slow, blue_fired=True))
-    m = res.state.blue_missile
+    m = res.blue_missile
     assert m.status is MissileStatus.EXPIRED and m.vm < 200.0 and m.t < 60.0
     # Both spent ends the engagement once both sides have fired.
     res = both_paths(replace(s, blue_missile=late, blue_fired=True,
                              red_missile=replace(late, shooter=RED, target=BLUE,
                                                  x=20000.0, phi=math.pi),
                              red_fired=True))
-    assert res.outcome is Outcome.DRAW and res.state.t == PHYSICS_DT
+    assert res.outcome is Outcome.DRAW and res.t == PHYSICS_DT
 
 
 def test_spent_missiles_without_fired_flags_resume(compiled):
@@ -205,7 +195,7 @@ def test_spent_missiles_without_fired_flags_resume(compiled):
     s = duel(blue_missile=spent,
              red_missile=replace(spent, shooter=RED, target=BLUE))
     res = both_paths(s)
-    assert res.outcome is Outcome.ONGOING and res.state.t == DECISION_DT
+    assert res.outcome is Outcome.ONGOING and res.t == DECISION_DT
 
 
 def test_guidance_holds_are_bit_identical(compiled):
@@ -224,8 +214,8 @@ def test_guidance_holds_are_bit_identical(compiled):
     )
     for m in cases:
         res = both_paths(replace(s, blue_missile=m, blue_fired=True))
-        assert res.state.t == EPISODE_TIME_LIMIT
-        after = res.state.blue_missile
+        assert res.t == EPISODE_TIME_LIMIT
+        after = res.blue_missile
         assert (after.n_mc, after.n_mh) == (1.5, -2.5)
 
 
@@ -234,15 +224,15 @@ def test_integrator_limits_are_bit_identical(compiled):
     # The speed floor under full deceleration.
     res = both_paths(replace(s, blue=replace(s.blue, v=V_FLOOR + 0.01)),
                      a_blue=(1.0, -2.0, 0.0, -1.0))
-    assert res.state.blue.v == V_FLOOR
+    assert res.blue.v == V_FLOOR
     # The flight-path clip under a full pull up.
     res = both_paths(replace(s, blue=replace(s.blue, gamma=GAMMA_LIMIT - 1e-4)),
                      a_blue=(8.0, 0.0, 0.0, -1.0))
-    assert res.state.blue.gamma == GAMMA_LIMIT
+    assert res.blue.gamma == GAMMA_LIMIT
     # A heading wrap that lands on -pi reports +pi; under TRIM the heading
     # stays at -pi, so it does at every substep.
     res = both_paths(replace(s, blue=replace(s.blue, phi=-math.pi)))
-    assert res.state.blue.phi == math.pi
+    assert res.blue.phi == math.pi
 
 
 def test_signed_zero_controls_are_bit_identical(compiled):
@@ -254,7 +244,7 @@ def test_signed_zero_controls_are_bit_identical(compiled):
                          ((1.0, 0.0, -0.0, -1.0), -1.0),
                          ((0.0, 0.0, 0.0, -1.0), 1.0)):
         res = both_paths(s, a_blue)
-        assert math.copysign(1.0, res.state.blue.phi) == sign
+        assert math.copysign(1.0, res.blue.phi) == sign
 
 
 def test_terminations_are_bit_identical(compiled):
@@ -262,10 +252,10 @@ def test_terminations_are_bit_identical(compiled):
     # Ground contact.
     res = both_paths(replace(s, red=replace(s.red, z=GROUND_FLOOR + 1.0,
                                             gamma=-0.5)))
-    assert res.outcome is Outcome.DRAW and res.state.red.z < GROUND_FLOOR
+    assert res.outcome is Outcome.DRAW and res.red.z < GROUND_FLOOR
     # The clock lands exactly on the limit at the decision's last substep.
     res = both_paths(replace(s, t=EPISODE_TIME_LIMIT - DECISION_DT))
-    assert res.outcome is Outcome.DRAW and res.state.t == EPISODE_TIME_LIMIT
+    assert res.outcome is Outcome.DRAW and res.t == EPISODE_TIME_LIMIT
     # Start states across the envelope end the same way on both paths.
     import numpy as np
     rng = np.random.default_rng(8)
@@ -299,7 +289,7 @@ def test_non_float_fields_take_the_python_loop(compiled):
     s = duel()
     res = both_paths(replace(s, blue=AircraftState(0, 0, 5000, 300, 0, 0)),
                      kernel_runs=False)
-    assert type(res.state.blue.x) is float
+    assert type(res.blue.x) is float
 
 
 def test_kernel_decisions_do_not_leak(compiled):
@@ -314,8 +304,8 @@ def test_kernel_decisions_do_not_leak(compiled):
 
     def decide(count):
         for i in range(count):
-            env_step(rng_states[i % len(rng_states)], fire, TRIM)
-            flat_model(flats[i % len(flats)], fire, TRIM)
+            env_step(flatten(rng_states[i % len(rng_states)]), fire, TRIM)
+            env_step(flats[i % len(flats)], fire, TRIM)
 
     decide(1000)
     gc.collect()
@@ -335,10 +325,10 @@ def _status(m):
 
 
 def test_step_on_the_pinned_rollout_inputs(compiled):
-    # The states and held actions of test_environment's pinned rollout: the
-    # flat model, given each row as a list as matches and search give it,
-    # must return the Python loop's bytes on all 10,000 decisions without
-    # handing one back.
+    # The states and held actions of test_environment's pinned rollout:
+    # env_step, given each row as a list as matches and search give it, must
+    # return the Python loop's bytes on all 10,000 decisions without handing
+    # one back.
     rng = np.random.default_rng(2024)
     spy = selfcheck.KernelSpy(compiled)
     state = held = None
@@ -349,9 +339,9 @@ def test_step_on_the_pinned_rollout_inputs(compiled):
             held = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
                                size=(2, 4))
         ref = step(None, state, held[0], held[1])
-        flat = flat_step(spy, state, held[0].tolist(), held[1].tolist())
-        assert selfcheck.step_bytes(flat) == selfcheck.step_bytes(ref)
-        state = None if ref.done else ref.state
+        fast = step(spy, state, held[0].tolist(), held[1].tolist())
+        assert selfcheck.step_bytes(fast) == selfcheck.step_bytes(ref)
+        state = None if ref[3] else unflatten(ref[0])
     assert spy.calls == 10_000 and spy.handed_back == 0
 
 
@@ -378,12 +368,11 @@ def test_step_ends_decisions_as_evaluate_does(compiled):
             case = replace(case, blue=replace(case.blue, z=GROUND_FLOOR - 1.0))
         elif low is RED:
             case = replace(case, red=replace(case.red, z=GROUND_FLOOR - 1.0))
-        res = both_paths(case)
-        st = res.state
-        assert res.outcome is _evaluate(
+        st = both_paths(case)
+        assert st.outcome is _evaluate(
             st.blue.z, st.red.z, _status(st.blue_missile),
             _status(st.red_missile), st.blue_fired, st.red_fired, st.t)
-        seen.add(res.outcome)
+        seen.add(st.outcome)
     assert seen == set(Outcome)
 
 
@@ -538,10 +527,11 @@ def _rollout_digest(decisions: int) -> str:
     state = None
     for _ in range(decisions):
         if state is None:
-            state = reset(int(rng.integers(2 ** 63)))
-        res = env_step(state, rng.uniform(-1.0, 9.0, 4), rng.uniform(-1.0, 9.0, 4))
-        digest.update(selfcheck.step_bytes(res))
-        state = None if res.done else res.state
+            state = flatten(reset(int(rng.integers(2 ** 63))))
+        out = env_step(state, rng.uniform(-1.0, 9.0, 4).tolist(),
+                       rng.uniform(-1.0, 9.0, 4).tolist())
+        digest.update(selfcheck.step_bytes(out))
+        state = None if out[3] else out[0]
     return digest.hexdigest()
 
 

@@ -19,7 +19,6 @@ from dogfight.environment import (
     RED,
     Outcome,
     env_step,
-    flat_model,
     flatten,
     observe,
     reset,
@@ -47,7 +46,7 @@ def make_critic(seed):
     return mlp.init_params(seed, SMALL[:-1] + (1,))
 
 
-env_model = flat_model
+env_model = env_step
 
 
 def manual_node(priors, visits=None, values=None):
@@ -201,7 +200,7 @@ def test_run_search_returns_root_forwards():
     actor, critic = make_actor(0), make_critic(1)
     res = run_search(flatten(state), BLUE, actor, critic, make_actor(2),
                      env_model, SearchConfig(), np.random.default_rng(7))
-    obs = observe(state, BLUE)
+    obs = observe(flatten(state), BLUE)
     np.testing.assert_array_equal(res.root_mean, mlp.forward(actor, obs))
     assert res.root_critic == float(mlp.forward(critic, obs)[0])
     assert res.root_value == min(max(res.root_critic, -1.0), 1.0)
@@ -273,8 +272,8 @@ def test_tree_invariants_after_search():
     for node in _walk(root):
         # Each node's observations are the env model's, equal to observe's.
         own, opp = node.obs
-        np.testing.assert_array_equal(own, observe(unflatten(node.state), BLUE))
-        np.testing.assert_array_equal(opp, observe(unflatten(node.state), RED))
+        np.testing.assert_array_equal(own, observe(node.state, BLUE))
+        np.testing.assert_array_equal(opp, observe(node.state, RED))
         if not node.expanded:
             continue
         q = np.asarray(node.q_values())
@@ -294,7 +293,7 @@ def test_tree_invariants_after_search():
 def test_opponent_plays_policy_mean():
     state = reset(14)
     opponent = make_actor(6)
-    expected = mlp.forward(opponent, observe(state, RED))
+    expected = mlp.forward(opponent, observe(flatten(state), RED))
     seen = []
 
     def recording_model(s, ab, ar):
@@ -318,7 +317,7 @@ def test_rigged_dominance_visit_recurrence():
     for k in range(9):
         state = reset(20 + k)
         stub = EqualNormRng()
-        obs = observe(state, BLUE)
+        obs = observe(flatten(state), BLUE)
         mean = mlp.forward(actor, obs)
         expected_actions = mean + np.exp(actor.log_std) * stub.standard_normal((9, 4))
         best_ids = set()
@@ -345,7 +344,7 @@ def test_single_action_degenerates_to_raw_sample():
     cfg = SearchConfig(num_actions=1)
     res = run_search(flatten(state), BLUE, actor, make_critic(1),
                      make_actor(2), env_model, cfg, np.random.default_rng(77))
-    expected, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
+    expected, _ = mlp.sample_and_logprob(actor, observe(flatten(state), BLUE),
                                          np.random.default_rng(77))
     np.testing.assert_array_equal(res.action, expected)
     assert res.chosen_index == 0
@@ -374,19 +373,18 @@ def test_seeded_searches_are_pinned():
     digest = hashlib.sha256()
     state = None
     for i in range(200):
-        while state is None or state.outcome is not Outcome.ONGOING:
-            state = reset(int(rng.integers(0, 2 ** 31)))
+        while state is None or state[9]:
+            state = flatten(reset(int(rng.integers(0, 2 ** 31))))
             for _ in range(int(rng.integers(0, 60))):
                 acts = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
-                                   size=(2, 4))
-                res = env_step(state, acts[0], acts[1])
-                if res.done:
+                                   size=(2, 4)).tolist()
+                nxt = env_step(state, acts[0], acts[1])
+                if nxt[3]:
                     break
-                state = res.state
-        seen["missile_roots"] += (state.blue_missile is not None
-                                  or state.red_missile is not None)
+                state = nxt[0]
+        seen["missile_roots"] += state[2] is not None or state[3] is not None
         actor, critic, opponent = nets[i % 3]
-        res = run_search(flatten(state), (BLUE, RED)[i % 2], actor, critic,
+        res = run_search(state, (BLUE, RED)[i % 2], actor, critic,
                          opponent, model, configs[i % 3],
                          np.random.default_rng(i))
         digest.update(res.action.tobytes())
@@ -395,8 +393,8 @@ def test_seeded_searches_are_pinned():
         digest.update(res.root_mean.tobytes())
         digest.update(repr((res.chosen_index, res.root_value,
                             res.root_critic)).encode())
-        step = env_step(state, res.action, res.action[::-1])
-        state = None if step.done else step.state
+        nxt = env_step(state, res.action.tolist(), res.action[::-1].tolist())
+        state = None if nxt[3] else nxt[0]
     assert seen["missile_roots"] > 50 and seen["terminal_children"] > 100
     assert digest.hexdigest() == SEARCH_SHA256
 
@@ -405,18 +403,18 @@ DEFAULT_ACTOR, DEFAULT_CRITIC = (13, 256, 256, 4), (13, 256, 256, 1)
 
 
 def _prefix_root(seed_rng):
-    """The end of a seeded random-action engagement prefix that has not
+    """The flat end of a seeded random-action engagement prefix that has not
     ended; about half of these carry a missile."""
     state = None
-    while state is None or state.outcome is not Outcome.ONGOING:
-        state = reset(int(seed_rng.integers(0, 2 ** 31)))
+    while state is None or state[9]:
+        state = flatten(reset(int(seed_rng.integers(0, 2 ** 31))))
         for _ in range(int(seed_rng.integers(0, 60))):
             acts = seed_rng.uniform((-1.0, -3.0, -4.0, -1.0),
-                                    (9.0, 3.0, 4.0, 1.0), size=(2, 4))
-            res = env_step(state, acts[0], acts[1])
-            if res.done:
+                                    (9.0, 3.0, 4.0, 1.0), size=(2, 4)).tolist()
+            nxt = env_step(state, acts[0], acts[1])
+            if nxt[3]:
                 break
-            state = res.state
+            state = nxt[0]
     return state
 
 
@@ -503,18 +501,17 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     missile_roots = leaves = 0
     for i in range(50):
         state = _prefix_root(seed_rng)
-        missile_roots += (state.blue_missile is not None
-                          or state.red_missile is not None)
+        missile_roots += state[2] is not None or state[3] is not None
         side = (BLUE, RED)[i % 2]
         actor, critic, opponent = nets[i % 2]
         cfg = configs[i // 2 % 2]
         expanded.clear()
         forwards[0] = 0
         rng = np.random.default_rng(i)
-        got = run_search(flatten(state), side, actor, critic, opponent,
+        got = run_search(state, side, actor, critic, opponent,
                          env_model, cfg, rng)
         n_forwards = forwards[0]
-        want = _eager_search(flatten(state), side, actor, critic, opponent,
+        want = _eager_search(state, side, actor, critic, opponent,
                              env_model, cfg, np.random.default_rng(i))
         for field in ("action", "visit_counts", "priors", "root_mean"):
             a, b = getattr(got, field), getattr(want, field)
@@ -541,10 +538,11 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
 
 def model_call_identity(searches, seed):
     """Run seeded default-size searches, both sides, from `_prefix_root`
-    roots, with every model call checked against env_step's Python loop on
-    the rebuilt state, byte for byte (environment.flat_result and
-    selfcheck.step_bytes).  Returns (model calls, calls the kernel handed
-    back, terminal calls, calls with a missile in flight)."""
+    roots, with every model call checked against env_step's Python loop,
+    byte for byte (selfcheck.step_bytes), and every state it steps checked
+    to survive unflatten and flatten unchanged.  Returns (model calls, calls
+    the kernel handed back, terminal calls, calls with a missile in
+    flight)."""
     seed_rng = np.random.default_rng(seed)
     nets = _default_nets(2)
     configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
@@ -557,19 +555,20 @@ def model_call_identity(searches, seed):
         try:
             out = env_model(flat, a_blue, a_red)
             environment._kernel = None
-            ref = env_step(unflatten(flat), a_blue, a_red)
+            ref = env_step(flat, a_blue, a_red)
         finally:
             environment._kernel = saved
-        assert selfcheck.step_bytes(environment.flat_result(out)) == \
-            selfcheck.step_bytes(ref), (flat, a_blue, a_red)
+        assert selfcheck.step_bytes(out) == selfcheck.step_bytes(ref), \
+            (flat, a_blue, a_red)
+        assert flatten(unflatten(flat)) == flat
         counts[0] += 1
-        counts[2] += ref.done
+        counts[2] += ref[3] != 0
         counts[3] += 1 in (flat[4], flat[5])
         return out
 
     for i in range(searches):
         actor, critic, opponent = nets[i % 2]
-        run_search(flatten(_prefix_root(seed_rng)), (BLUE, RED)[i % 2], actor,
+        run_search(_prefix_root(seed_rng), (BLUE, RED)[i % 2], actor,
                    critic, opponent, checked, configs[i // 2 % 2],
                    np.random.default_rng(i))
     counts[1] = -1 if spy is None else spy.handed_back

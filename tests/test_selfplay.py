@@ -29,7 +29,8 @@ import pytest
 
 from dogfight import environment, mcts, selfcheck, selfplay, workers
 from dogfight.dynamics import AircraftState, DegenerateStateError
-from dogfight.environment import BLUE, RED, EngagementState, Outcome, reset
+from dogfight.environment import BLUE, RED, EngagementState, Outcome, \
+    flatten, reset
 from dogfight.mcts import SearchConfig
 from dogfight.mlp import init_params
 from dogfight.ppo import RolloutBuffer, TrainConfig
@@ -140,7 +141,7 @@ def test_play_match_mcts_deterministic():
 
 # (outcome, decisions, sim_time, sha256 of the recorded blue transitions)
 # of seeded matches between make_agent(3, 1) and make_agent(4), as they were
-# when matches stepped through env_step.
+# when matches stepped an EngagementState through env_step.
 PINNED_MATCHES = {
     (False, 4): ("Draw", 61, 30.1, "924ec45b9936d56535fef5ab8eb764da"
                  "835170e50b475f7f568870cce3b38133"),
@@ -164,23 +165,22 @@ def _transitions_digest(buffer):
 
 
 @pytest.mark.parametrize("use_mcts,seed", list(PINNED_MATCHES))
-def test_match_steps_only_through_the_flat_model(monkeypatch, use_mcts, seed):
-    # Each decision of a match is one flat_model call on the flat tuple: one
-    # kernel call that the kernel finishes, with no EngagementState rebuilt
-    # and no StepResult made.  Search, on both sides or neither, makes its
-    # own model calls, which are counted apart.
+def test_match_steps_only_through_env_step(monkeypatch, use_mcts, seed):
+    # Each decision of a match is one env_step call on the flat tuple: one
+    # kernel call that the kernel finishes, with no EngagementState rebuilt.
+    # Search, on both sides or neither, makes its own model calls, which are
+    # counted apart.
     if environment._kernel is None:
         pytest.skip(f"kernel unavailable: {environment._KERNEL_DETAIL}")
     spy = selfcheck.KernelSpy(environment._kernel)
     monkeypatch.setattr(environment, "_kernel", spy)
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("the match left the flat model")
+        raise AssertionError("the match rebuilt an EngagementState")
 
-    for module, name in ((selfplay, "env_step"), (environment, "env_step"),
-                         (environment, "flat_result"),
-                         (environment, "unflatten"), (mcts, "unflatten")):
-        monkeypatch.setattr(module, name, unreachable)
+    # mcts does not import unflatten; the stub fails a search that would.
+    for module in (environment, mcts):
+        monkeypatch.setattr(module, "unflatten", unreachable, raising=False)
     search_steps = [0]
     real_search = selfplay.run_search
 
@@ -203,6 +203,35 @@ def test_match_steps_only_through_the_flat_model(monkeypatch, use_mcts, seed):
     assert spy.calls - search_steps[0] == decisions
     assert spy.handed_back == 0
     assert (search_steps[0] > 0) == use_mcts
+
+
+def test_the_traced_step_sees_every_model_step(monkeypatch):
+    # The benchmark's tracer counts env_step calls through a wrapper bound
+    # to selfplay.env_step.  A match looks that name up at every decision
+    # and hands it to the search as its model, so a search match on one
+    # worker makes one wrapped call per decision and one per child that its
+    # searches step to.
+    steps, children = [0], [0]
+    real_step, real_child = selfplay.env_step, mcts._make_child
+
+    def counting_step(*args, **kwargs):
+        steps[0] += 1
+        return real_step(*args, **kwargs)
+
+    def counting_child(*args):
+        children[0] += 1
+        return real_child(*args)
+
+    monkeypatch.setattr(selfplay, "env_step", counting_step)
+    monkeypatch.setattr(mcts, "_make_child", counting_child)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    records = []
+    evaluate_vs_past(make_agent(3, 1), [make_agent(4)],
+                     np.random.default_rng(5), opponents=1, games=1,
+                     use_mcts=True, search_config=FAST_SEARCH,
+                     match_sink=records.append)
+    assert len(records) == 1 and children[0] > 0
+    assert steps[0] == records[0].episode_length + children[0]
 
 
 def test_play_match_records_blue_transitions():
@@ -228,7 +257,7 @@ def test_play_match_rejects_red_recording():
 
 
 def test_play_match_rejects_terminal_initial_state():
-    done = replace(reset(0), outcome=Outcome.DRAW)
+    done = flatten(replace(reset(0), outcome=Outcome.DRAW))
     with pytest.raises(ValueError):
         play_match(make_agent(0), make_agent(1), False, False, 0,
                    initial_state=done)
@@ -248,9 +277,9 @@ def test_play_match_side_swap_mirrors_bitwise():
     s = _close_head_on()
     swapped = replace(s, blue=s.red, red=s.blue)
     rows1, rows2 = [], []
-    r1 = play_match(a, b, False, False, 0, initial_state=s,
+    r1 = play_match(a, b, False, False, 0, initial_state=flatten(s),
                     seed_a=101, seed_b=202, recorder=rows1.append)
-    r2 = play_match(b, a, False, False, 0, initial_state=swapped,
+    r2 = play_match(b, a, False, False, 0, initial_state=flatten(swapped),
                     seed_a=202, seed_b=101, recorder=rows2.append)
     flip = {"Win": "Loss", "Loss": "Win", "Draw": "Draw"}
     assert r2.outcome == flip[r1.outcome]
