@@ -1,7 +1,8 @@
-/* The compiled copy of environment._reference.
+/* The compiled copy of environment._reference and of mcts.run_search's
+ * tree walk.
  *
  * `step` is a whole decision on a flat engagement, the tuple that matches
- * and the tree search pass to environment.env_step, its one caller (see
+ * pass to environment.env_step, its one caller (see
  * environment.flatten): the action checks of
  * _as_raw, dynamics.clamp_controls, the fire gate and
  * missile.launch_missile, the substeps, environment._evaluate and both
@@ -24,6 +25,14 @@
  * returns None instead, and the caller runs the decision through
  * environment._reference, which raises the reference's exception or yields
  * its values.
+ *
+ * `search` is run_search's walk: the tree's visit counts, value sums,
+ * priors, actions, child links and engagements are C values, each child is
+ * stepped by `decide`, the body of `step`, and PUCT and backup keep the
+ * Python walk's operation order.  It calls Python back for the networks
+ * and the search rng only, where the Python walk does that work and in its
+ * order.  Wherever a child step would hand back or a value or score is not
+ * finite, it returns None and run_search runs its Python walk instead.
  *
  * The model constants are not written here: kernel.defines passes each
  * Python definition as a macro (G, PHYSICS_DT, V_FLOOR, GAMMA_LIMIT, the
@@ -582,6 +591,73 @@ observe(const double own[6], const double tgt[6], int own_live,
     return OK;
 }
 
+/* A flat engagement as C values.  A side's missile kinematics are read only
+ * while its status is not NO_MISSILE. */
+typedef struct {
+    double b[6], r[6], bk[9], rk[9], t;
+    long bs, rs, outcome;
+    int bf, rf;
+} engagement;
+
+/* Unpack a flat engagement tuple into e; 0 when it is anything else. */
+static int
+engagement_of(PyObject *flat, engagement *e)
+{
+    PyObject *tobj;
+
+    if (!PyTuple_CheckExact(flat) || PyTuple_GET_SIZE(flat) != 10)
+        return 0;
+    tobj = PyTuple_GET_ITEM(flat, 8);
+    return floats_of(PyTuple_GET_ITEM(flat, 0), e->b, 6)
+           && floats_of(PyTuple_GET_ITEM(flat, 1), e->r, 6)
+           && code_of(PyTuple_GET_ITEM(flat, 4), EXPIRED, &e->bs)
+           && code_of(PyTuple_GET_ITEM(flat, 5), EXPIRED, &e->rs)
+           && missile_of(PyTuple_GET_ITEM(flat, 2), e->bs, e->bk)
+           && missile_of(PyTuple_GET_ITEM(flat, 3), e->rs, e->rk)
+           && flag_of(PyTuple_GET_ITEM(flat, 6), &e->bf)
+           && flag_of(PyTuple_GET_ITEM(flat, 7), &e->rf)
+           && PyFloat_CheckExact(tobj)
+           && isfinite(e->t = PyFloat_AS_DOUBLE(tobj))
+           && code_of(PyTuple_GET_ITEM(flat, 9), DRAW, &e->outcome);
+}
+
+/* One decision on the ongoing engagement e, in place, under the raw actions
+ * ab and ar: the clamp, the fire gate and launch, the substeps and both
+ * observations.  live[0] and live[1] say whether blue's and red's missile
+ * flew over the substeps.  BAIL where the reference must run the decision. */
+static int
+decide(engagement *e, const double ab[4], const double ar[4], int live[2],
+       double obs_b[OBS_DIM], double obs_r[OBS_DIM])
+{
+    double ctrl[8];
+    int code;
+
+    controls_of(ab, ctrl);
+    controls_of(ar, ctrl + 4);
+    if (ab[3] > 0.0 && !e->bf && fire_allowed(e->b, e->r)) {
+        launch(e->b, e->bk);
+        e->bs = IN_FLIGHT;
+        e->bf = 1;
+    }
+    if (ar[3] > 0.0 && !e->rf && fire_allowed(e->r, e->b)) {
+        launch(e->r, e->rk);
+        e->rs = IN_FLIGHT;
+        e->rf = 1;
+    }
+    live[0] = e->bs == IN_FLIGHT;
+    live[1] = e->rs == IN_FLIGHT;
+    code = substeps(e->b, e->r, e->bk, e->rk, &e->bs, &e->rs, e->bf, e->rf,
+                    ctrl, e->t, &e->t, &e->outcome);
+    if (code != OK)
+        return code;
+    code = observe(e->b, e->r, e->bs == IN_FLIGHT,
+                   e->rs == IN_FLIGHT ? e->rk : NULL, obs_b);
+    if (code != OK)
+        return code;
+    return observe(e->r, e->b, e->rs == IN_FLIGHT,
+                   e->bs == IN_FLIGHT ? e->bk : NULL, obs_r);
+}
+
 PyDoc_STRVAR(step_doc,
 "step(flat, a_blue, a_red)\n"
 "\n"
@@ -600,11 +676,10 @@ PyDoc_STRVAR(step_doc,
 static PyObject *
 step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    double b[6], r[6], bk[9], rk[9], ab[4], ar[4], ctrl[8], t0, t;
-    double obs_b[OBS_DIM], obs_r[OBS_DIM];
-    long bs, rs, outcome;
-    int bf, rf, b_live, r_live, code;
-    PyObject *flat, *tobj, *next, *out;
+    engagement e;
+    double ab[4], ar[4], obs_b[OBS_DIM], obs_r[OBS_DIM];
+    int live[2], code;
+    PyObject *flat, *next, *out;
     Py_ssize_t i;
 
     if (nargs != 3) {
@@ -612,48 +687,12 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     flat = args[0];
-    if (!PyTuple_CheckExact(flat) || PyTuple_GET_SIZE(flat) != 10)
-        Py_RETURN_NONE;
-    tobj = PyTuple_GET_ITEM(flat, 8);
     /* A finished engagement is returned unchanged by the reference. */
-    if (!floats_of(PyTuple_GET_ITEM(flat, 0), b, 6)
-        || !floats_of(PyTuple_GET_ITEM(flat, 1), r, 6)
-        || !code_of(PyTuple_GET_ITEM(flat, 4), EXPIRED, &bs)
-        || !code_of(PyTuple_GET_ITEM(flat, 5), EXPIRED, &rs)
-        || !missile_of(PyTuple_GET_ITEM(flat, 2), bs, bk)
-        || !missile_of(PyTuple_GET_ITEM(flat, 3), rs, rk)
-        || !flag_of(PyTuple_GET_ITEM(flat, 6), &bf)
-        || !flag_of(PyTuple_GET_ITEM(flat, 7), &rf)
-        || !PyFloat_CheckExact(tobj) || !isfinite(t0 = PyFloat_AS_DOUBLE(tobj))
-        || !code_of(PyTuple_GET_ITEM(flat, 9), DRAW, &outcome)
-        || outcome != ONGOING
+    if (!engagement_of(flat, &e) || e.outcome != ONGOING
         || !action_of(args[1], ab) || !action_of(args[2], ar))
         Py_RETURN_NONE;
 
-    controls_of(ab, ctrl);
-    controls_of(ar, ctrl + 4);
-    if (ab[3] > 0.0 && !bf && fire_allowed(b, r)) {
-        launch(b, bk);
-        bs = IN_FLIGHT;
-        bf = 1;
-    }
-    if (ar[3] > 0.0 && !rf && fire_allowed(r, b)) {
-        launch(r, rk);
-        rs = IN_FLIGHT;
-        rf = 1;
-    }
-    b_live = bs == IN_FLIGHT;
-    r_live = rs == IN_FLIGHT;
-    code = substeps(b, r, bk, rk, &bs, &rs, bf, rf, ctrl, t0, &t, &outcome);
-    if (code == FAIL)
-        return NULL;
-    if (code == BAIL)
-        Py_RETURN_NONE;
-
-    code = observe(b, r, bs == IN_FLIGHT, rs == IN_FLIGHT ? rk : NULL, obs_b);
-    if (code == OK)
-        code = observe(r, b, rs == IN_FLIGHT, bs == IN_FLIGHT ? bk : NULL,
-                       obs_r);
+    code = decide(&e, ab, ar, live, obs_b, obs_r);
     if (code == FAIL)
         return NULL;
     if (code == BAIL)
@@ -662,19 +701,19 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     next = PyTuple_New(10);
     if (next == NULL)
         return NULL;
-    PyTuple_SET_ITEM(next, 0, tuple_of(b, 6));
-    PyTuple_SET_ITEM(next, 1, tuple_of(r, 6));
+    PyTuple_SET_ITEM(next, 0, tuple_of(e.b, 6));
+    PyTuple_SET_ITEM(next, 1, tuple_of(e.r, 6));
     /* A missile's tuple is new only if it was in flight over the substeps. */
-    PyTuple_SET_ITEM(next, 2, b_live ? tuple_of(bk, 9)
-                                     : Py_NewRef(PyTuple_GET_ITEM(flat, 2)));
-    PyTuple_SET_ITEM(next, 3, r_live ? tuple_of(rk, 9)
-                                     : Py_NewRef(PyTuple_GET_ITEM(flat, 3)));
-    PyTuple_SET_ITEM(next, 4, PyLong_FromLong(bs));
-    PyTuple_SET_ITEM(next, 5, PyLong_FromLong(rs));
-    PyTuple_SET_ITEM(next, 6, PyBool_FromLong(bf));
-    PyTuple_SET_ITEM(next, 7, PyBool_FromLong(rf));
-    PyTuple_SET_ITEM(next, 8, PyFloat_FromDouble(t));
-    PyTuple_SET_ITEM(next, 9, PyLong_FromLong(outcome));
+    PyTuple_SET_ITEM(next, 2, live[0] ? tuple_of(e.bk, 9)
+                                      : Py_NewRef(PyTuple_GET_ITEM(flat, 2)));
+    PyTuple_SET_ITEM(next, 3, live[1] ? tuple_of(e.rk, 9)
+                                      : Py_NewRef(PyTuple_GET_ITEM(flat, 3)));
+    PyTuple_SET_ITEM(next, 4, PyLong_FromLong(e.bs));
+    PyTuple_SET_ITEM(next, 5, PyLong_FromLong(e.rs));
+    PyTuple_SET_ITEM(next, 6, PyBool_FromLong(e.bf));
+    PyTuple_SET_ITEM(next, 7, PyBool_FromLong(e.rf));
+    PyTuple_SET_ITEM(next, 8, PyFloat_FromDouble(e.t));
+    PyTuple_SET_ITEM(next, 9, PyLong_FromLong(e.outcome));
     for (i = 0; i < 10; i++) {
         if (PyTuple_GET_ITEM(next, i) == NULL) {
             Py_DECREF(next);
@@ -697,16 +736,431 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
+/* The search tree of mcts.run_search.  A node holds its engagement and its
+ * (own, opponent) observations; once expanded, the handle that expand
+ * returned; once built, the opponent's reply and its k edges. */
+typedef struct {
+    engagement e;
+    double own[OBS_DIM], opp[OBS_DIM], reply[4];
+    double value;           /* the critic's output, once evaluated */
+    double terminal_value;  /* the outcome's reward to the searching side */
+    Py_ssize_t depth;
+    int terminal, evaluated, built;
+    PyObject *handle;
+} node;
+
+/* An edge: the candidate's action and prior, its visit count and value sum,
+ * and the index of the node it leads to, or -1 before it is stepped. */
+typedef struct {
+    double a[4], p, w;
+    long n;
+    Py_ssize_t child;
+} edge;
+
+typedef struct {
+    node *nodes;
+    edge *edges;        /* k per node, node i's from i * k */
+    Py_ssize_t *path;   /* the edges a simulation descends */
+    double *scratch;    /* a build's actions and priors, 5 * k doubles */
+    Py_ssize_t len, cap, k;
+    PyObject *root_obs[2];  /* borrowed */
+    PyObject *root_built;   /* build's result at the root */
+} tree;
+
+static void
+free_tree(tree *t)
+{
+    Py_ssize_t i;
+
+    for (i = 0; i < t->len; i++)
+        Py_XDECREF(t->nodes[i].handle);
+    Py_XDECREF(t->root_built);
+    PyMem_Free(t->nodes);
+    PyMem_Free(t->edges);
+    PyMem_Free(t->path);
+    PyMem_Free(t->scratch);
+}
+
+/* Make room for cap nodes; FAIL with MemoryError set where there is none. */
+static int
+reserve(tree *t, Py_ssize_t cap)
+{
+    void *p;
+
+    if (cap > PY_SSIZE_T_MAX / t->k / (Py_ssize_t)sizeof(edge))
+        goto nomem;
+    if ((p = PyMem_Realloc(t->nodes, cap * sizeof(node))) == NULL)
+        goto nomem;
+    t->nodes = p;
+    if ((p = PyMem_Realloc(t->edges, cap * t->k * sizeof(edge))) == NULL)
+        goto nomem;
+    t->edges = p;
+    if ((p = PyMem_Realloc(t->path, cap * sizeof(Py_ssize_t))) == NULL)
+        goto nomem;
+    t->path = p;
+    t->cap = cap;
+    return OK;
+nomem:
+    PyErr_NoMemory();
+    return FAIL;
+}
+
+/* A fresh node's index; -1 with MemoryError set where the tree cannot grow. */
+static Py_ssize_t
+add_node(tree *t)
+{
+    node *nd;
+
+    if (t->len == t->cap && reserve(t, 2 * t->cap) != OK)
+        return -1;
+    nd = &t->nodes[t->len];
+    nd->terminal = nd->evaluated = nd->built = 0;
+    nd->handle = NULL;
+    return t->len++;
+}
+
+/* Node i's own (which 0) or opponent's (1) observation: the root's as the
+ * caller gave it, any other's as a new tuple. */
+static PyObject *
+observation(tree *t, Py_ssize_t i, int which)
+{
+    if (i == 0)
+        return Py_NewRef(t->root_obs[which]);
+    return tuple_of(which ? t->nodes[i].opp : t->nodes[i].own, OBS_DIM);
+}
+
+/* Keep the critic's output out as node i's and set *value to it clamped
+ * as mcts._evaluate_state clamps it; BAIL where out is not finite. */
+static int
+keep_value(tree *t, Py_ssize_t i, PyObject *out, double *value)
+{
+    double v;
+
+    if (!PyFloat_CheckExact(out)) {
+        PyErr_SetString(PyExc_TypeError, "the critic's value must be a float");
+        return FAIL;
+    }
+    v = PyFloat_AS_DOUBLE(out);
+    if (!isfinite(v))
+        return BAIL;
+    t->nodes[i].value = v;
+    t->nodes[i].evaluated = 1;
+    *value = py_min(py_max(v, -1.0), 1.0);
+    return OK;
+}
+
+/* mcts.expand_node through expand(own) -> (critic output, handle). */
+static int
+expand_node(tree *t, Py_ssize_t i, PyObject *expand, double *value)
+{
+    PyObject *own = observation(t, i, 0), *res;
+    int code;
+
+    if (own == NULL)
+        return FAIL;
+    res = PyObject_CallOneArg(expand, own);
+    Py_DECREF(own);
+    if (res == NULL)
+        return FAIL;
+    if (!PyTuple_CheckExact(res) || PyTuple_GET_SIZE(res) != 2) {
+        Py_DECREF(res);
+        PyErr_SetString(PyExc_TypeError, "expand must return (value, handle)");
+        return FAIL;
+    }
+    code = keep_value(t, i, PyTuple_GET_ITEM(res, 0), value);
+    if (code == OK)
+        t->nodes[i].handle = Py_NewRef(PyTuple_GET_ITEM(res, 1));
+    Py_DECREF(res);
+    return code;
+}
+
+/* mcts._evaluate_state at the depth cap, through evaluate(own) -> critic
+ * output, called once per node. */
+static int
+evaluate_node(tree *t, Py_ssize_t i, PyObject *evaluate, double *value)
+{
+    PyObject *own, *res;
+    int code;
+
+    if (t->nodes[i].evaluated) {
+        *value = py_min(py_max(t->nodes[i].value, -1.0), 1.0);
+        return OK;
+    }
+    if ((own = observation(t, i, 0)) == NULL)
+        return FAIL;
+    res = PyObject_CallOneArg(evaluate, own);
+    Py_DECREF(own);
+    if (res == NULL)
+        return FAIL;
+    code = keep_value(t, i, res, value);
+    Py_DECREF(res);
+    return code;
+}
+
+/* Copy a C-contiguous buffer of exactly n doubles (a float64 numpy array)
+ * into out; 0 when obj is anything else. */
+static int
+copy_doubles(PyObject *obj, double *out, Py_ssize_t n)
+{
+    Py_buffer view;
+    int ok;
+
+    if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    ok = view.len == n * (Py_ssize_t)sizeof(double)
+         && strcmp(view.format, "d") == 0;
+    if (ok)
+        memcpy(out, view.buf, view.len);
+    PyBuffer_Release(&view);
+    return ok;
+}
+
+/* mcts.build_candidates through build(handle, opp) -> (actions, priors,
+ * mean, reply): node i's k edges and the opponent's reply.  BAIL where an
+ * array is not of float64 and of its shape. */
+static int
+build_node(tree *t, Py_ssize_t i, PyObject *build)
+{
+    node *nd = &t->nodes[i];
+    edge *ed = t->edges + i * t->k;
+    double *a = t->scratch, *p = t->scratch + 4 * t->k;
+    PyObject *opp, *res;
+    Py_ssize_t j;
+    int code = OK;
+
+    if ((opp = observation(t, i, 1)) == NULL)
+        return FAIL;
+    res = PyObject_CallFunctionObjArgs(build, nd->handle, opp, NULL);
+    Py_DECREF(opp);
+    if (res == NULL)
+        return FAIL;
+    if (!PyTuple_CheckExact(res) || PyTuple_GET_SIZE(res) != 4) {
+        Py_DECREF(res);
+        PyErr_SetString(PyExc_TypeError,
+                        "build must return (actions, priors, mean, reply)");
+        return FAIL;
+    }
+    if (!copy_doubles(PyTuple_GET_ITEM(res, 0), a, 4 * t->k)
+        || !copy_doubles(PyTuple_GET_ITEM(res, 1), p, t->k)
+        || !copy_doubles(PyTuple_GET_ITEM(res, 3), nd->reply, 4))
+        code = BAIL;
+    else {
+        for (j = 0; j < t->k; j++) {
+            memcpy(ed[j].a, a + 4 * j, sizeof ed[j].a);
+            ed[j].p = p[j];
+            ed[j].w = 0.0;
+            ed[j].n = 0;
+            ed[j].child = -1;
+        }
+        nd->built = 1;
+        if (i == 0)
+            t->root_built = Py_NewRef(res);
+    }
+    Py_DECREF(res);
+    return code;
+}
+
+/* mcts.puct_select over k edges, in its operation order; ties go to the
+ * lowest index.  -1 where a score is not finite. */
+static Py_ssize_t
+puct_select(const edge *ed, Py_ssize_t k, double c_puct)
+{
+    Py_ssize_t j, best = -1;
+    long total = 0;
+    double root_n, q, score, best_score = 0.0;
+
+    for (j = 0; j < k; j++)
+        total += ed[j].n;
+    root_n = sqrt((double)total + 1.0);
+    for (j = 0; j < k; j++) {
+        q = ed[j].n ? ed[j].w / (double)ed[j].n : 0.0;
+        score = q + c_puct * ed[j].p * root_n / (1.0 + (double)ed[j].n);
+        if (!isfinite(score))
+            return -1;
+        if (best < 0 || score > best_score) {
+            best = j;
+            best_score = score;
+        }
+    }
+    return best;
+}
+
+/* mcts._make_child: step node i's engagement under edge j's action and the
+ * opponent's reply into a new node, its observations seen from the
+ * searching side. */
+static int
+step_child(tree *t, Py_ssize_t i, Py_ssize_t j, int red)
+{
+    Py_ssize_t c = add_node(t);
+    node *parent, *child;
+    edge *ed;
+    int live[2], code;
+
+    if (c < 0)
+        return FAIL;
+    parent = &t->nodes[i];
+    child = &t->nodes[c];
+    ed = &t->edges[i * t->k + j];
+    if (!all_finite(ed->a, 4) || !all_finite(parent->reply, 4))
+        return BAIL;
+    child->e = parent->e;
+    child->depth = parent->depth + 1;
+    code = red ? decide(&child->e, parent->reply, ed->a, live, child->opp,
+                        child->own)
+               : decide(&child->e, ed->a, parent->reply, live, child->own,
+                        child->opp);
+    if (code != OK)
+        return code;
+    if (child->e.outcome != ONGOING) {
+        child->terminal = 1;
+        child->terminal_value = child->e.outcome == DRAW ? 0.0
+            : child->e.outcome == (red ? RED_WIN : BLUE_WIN) ? 1.0 : -1.0;
+    }
+    ed->child = c;
+    return OK;
+}
+
+PyDoc_STRVAR(search_doc,
+"search(flat, red, own, opp, k, simulations, c_puct, max_depth, expand,\n"
+"       evaluate, build)\n"
+"\n"
+"mcts.run_search's tree walk from the flat engagement flat, for red's side\n"
+"when red is true, else blue's; own and opp are the root's observations.\n"
+"Each node's children are stepped here, as `step` steps; Python is called\n"
+"only for the numpy work, in the walk's order: expand(own) -> (critic\n"
+"output, handle) when a node is expanded, evaluate(own) -> critic output\n"
+"at the depth cap, build(handle, opp) -> (actions, priors, mean, reply)\n"
+"arrays on the first descent through a node.\n"
+"\n"
+"Returns (root visit counts, root critic output, root build result), or\n"
+"None wherever a child step would hand back, a critic output or a score\n"
+"is not finite, or an array is not of float64 and of its shape: then\n"
+"run_search's Python walk must run the search.  An exception raised by a\n"
+"callback propagates.");
+
+static PyObject *
+search(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    tree t = {0};
+    PyObject *expand, *evaluate, *build, *visits, *out = NULL;
+    Py_ssize_t sims, max_depth, s, i, j, len;
+    double c_puct, value = 0.0;
+    int red, code;
+    edge *ed;
+
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError, "search expects 11 arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    if ((red = PyObject_IsTrue(args[1])) < 0
+        || ((t.k = PyLong_AsSsize_t(args[4])) == -1 && PyErr_Occurred())
+        || ((sims = PyLong_AsSsize_t(args[5])) == -1 && PyErr_Occurred())
+        || ((c_puct = PyFloat_AsDouble(args[6])) == -1.0 && PyErr_Occurred())
+        || ((max_depth = PyLong_AsSsize_t(args[7])) == -1 && PyErr_Occurred()))
+        return NULL;
+    if (t.k < 1 || sims < 1 || max_depth < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "k, simulations and max_depth must be >= 1");
+        return NULL;
+    }
+    t.root_obs[0] = args[2];
+    t.root_obs[1] = args[3];
+    expand = args[8];
+    evaluate = args[9];
+    build = args[10];
+    if (t.k > PY_SSIZE_T_MAX / 5 / (Py_ssize_t)sizeof(double)
+        || (t.scratch = PyMem_Malloc(5 * t.k * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    /* A simulation adds at most one node. */
+    if (reserve(&t, sims < 64 ? sims + 1 : 64) != OK || add_node(&t) < 0) {
+        code = FAIL;
+        goto done;
+    }
+    t.nodes[0].depth = 0;
+    if (!engagement_of(args[0], &t.nodes[0].e)
+        || t.nodes[0].e.outcome != ONGOING) {
+        code = BAIL;
+        goto done;
+    }
+    if ((code = expand_node(&t, 0, expand, &value)) != OK)
+        goto done;
+
+    for (s = 0; s < sims; s++) {
+        i = 0;
+        len = 0;
+        for (;;) {
+            if (t.nodes[i].terminal) {
+                value = t.nodes[i].terminal_value;
+                break;
+            }
+            if (t.nodes[i].depth >= max_depth) {
+                code = evaluate_node(&t, i, evaluate, &value);
+                break;
+            }
+            if (t.nodes[i].handle == NULL) {
+                code = expand_node(&t, i, expand, &value);
+                break;
+            }
+            if (!t.nodes[i].built && (code = build_node(&t, i, build)) != OK)
+                break;
+            j = puct_select(t.edges + i * t.k, t.k, c_puct);
+            if (j < 0) {
+                code = BAIL;
+                break;
+            }
+            if (t.edges[i * t.k + j].child < 0
+                && (code = step_child(&t, i, j, red)) != OK)
+                break;
+            t.path[len++] = i * t.k + j;
+            i = t.edges[i * t.k + j].child;
+        }
+        if (code != OK)
+            goto done;
+        /* mcts.backup: one addition per edge on the path. */
+        while (len > 0) {
+            ed = &t.edges[t.path[--len]];
+            ed->n += 1;
+            ed->w += value;
+        }
+    }
+
+    if ((visits = PyList_New(t.k)) == NULL) {
+        code = FAIL;
+        goto done;
+    }
+    for (j = 0; j < t.k; j++) {
+        PyObject *n = PyLong_FromLong(t.edges[j].n);
+        if (n == NULL) {
+            Py_DECREF(visits);
+            code = FAIL;
+            goto done;
+        }
+        PyList_SET_ITEM(visits, j, n);
+    }
+    out = Py_BuildValue("(NdO)", visits, t.nodes[0].value, t.root_built);
+done:
+    free_tree(&t);
+    if (code == BAIL)
+        Py_RETURN_NONE;
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"step", (PyCFunction)(void (*)(void))step, METH_FASTCALL, step_doc},
+    {"search", (PyCFunction)(void (*)(void))search, METH_FASTCALL, search_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "The compiled copy of environment._reference: a whole decision "
-             "on a flat engagement.",
+    .m_doc = "The compiled copy of environment._reference, a whole decision "
+             "on a flat engagement, and of mcts.run_search's tree walk.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

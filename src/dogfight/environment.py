@@ -28,8 +28,10 @@ the kernel.
 every substep, and where the kernel hands a decision back because the
 reference would raise.  Matches and tree search step flat tuples through
 it; a caller that holds an EngagementState flattens it first, and
-`unflatten` rebuilds one from a step's result.  Setting `_kernel` to None
-selects the reference.
+`unflatten` rebuilds one from a step's result.  (The kernel's own search
+walk, which run_search takes when its model is env_step, steps children by
+the same C decision as `step`, and hands the whole search back where `step`
+would hand back.)  Setting `_kernel` to None selects the reference.
 """
 
 from __future__ import annotations

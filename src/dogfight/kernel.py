@@ -1,9 +1,11 @@
 """Build, cache and load `_kernel.c`, the compiled copy of
-environment._reference.
+environment._reference and of mcts.run_search's tree walk.
 
-The extension has one entry point, `step`: a whole decision on the flat
-engagement tuple (environment.flatten).  environment.env_step, the one
-step of matches and tree search, is its one caller.
+The extension has two entry points.  `step` is a whole decision on the
+flat engagement tuple (environment.flatten); environment.env_step, the one
+step of matches and of run_search's Python walk, is its one caller.  `search` walks a search tree, stepping
+its children as `step` does and calling back into Python only for the
+networks; mcts.run_search calls it when its model is env_step.
 
 The C source defines no model constant.  `defines` turns the Python
 definitions (dynamics', environment's and missile's constants and the
@@ -27,8 +29,8 @@ multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
 load, `load` returns None with the reason, and env_step runs
-environment._reference, which gives the same bytes more slowly;
-`dogfight train` then says so on stderr.
+environment._reference and run_search its Python walk, which give the same
+bytes more slowly; `dogfight train` then says so on stderr.
 """
 
 from __future__ import annotations

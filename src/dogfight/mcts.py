@@ -30,6 +30,18 @@ Priors, visit counts and value sums are Python lists: a node has only
 than the arithmetic.  `puct_select` and `backup` compute in the order the
 array expressions did, so a search's result is the same to the bit;
 `SearchResult` hands the root's counts, priors and action back as arrays.
+
+There are two walks of the same tree.  When the model is `env_step` itself,
+the critic a network and the rng a Generator, the compiled kernel's
+`search` walks it: its C doubles hold the tree, PUCT and backup keep the
+operation order above, and each child is stepped as the kernel's `step`
+steps, with no Python call.  It calls back (`_callbacks`) only for the
+numpy work, at the points and in the order where the walk below does it,
+so the search rng is consumed the same way.  Where the kernel hands a
+search back (a child step it would hand back, a value or score that is not
+finite), `run_search` restores the rng's state and runs the walk below, the
+reference, which also serves any other model or critic and a host without
+the kernel.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import environment
 from .environment import (
     BLUE,
     REWARDS_BY_CODE,
@@ -64,8 +77,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.num_actions < 1 or self.num_simulations < 1 or self.max_depth < 1:
             raise ValueError("num_actions, num_simulations and max_depth must be >= 1")
-        if not self.c_puct > 0.0:
-            raise ValueError(f"c_puct must be positive, got {self.c_puct}")
+        if not (math.isfinite(self.c_puct) and self.c_puct > 0.0):
+            raise ValueError(f"c_puct must be positive and finite, got {self.c_puct}")
 
 
 class SearchNode:
@@ -164,20 +177,28 @@ def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
     return _evaluate_state(node, side, critic)
 
 
+def _candidates(own_obs, draws: np.ndarray, opp_obs, actor: MlpParams,
+                opponent: MlpParams):
+    """(actions, priors, mean, reply) arrays from a node's draws: the
+    policy's samples, their softmaxed log-densities, the actor's mean and
+    the opponent's policy mean."""
+    mean = forward(actor, own_obs)
+    actions = mean + np.exp(actor.log_std) * draws
+    logps = log_density(mean, actor.log_std, actions)
+    stable = np.exp(logps - logps.max())
+    return actions, stable / stable.sum(), mean, forward(opponent, opp_obs)
+
+
 def build_candidates(node: SearchNode, side: str, actor: MlpParams,
                      opponent: MlpParams) -> None:
     """Turn an expanded node's draws into actions, priors and the opponent's
-    reply: the policy's samples, their softmaxed log-densities, and the
-    opponent's policy mean."""
+    reply (`_candidates`), as lists of floats."""
     own_obs, opp_obs = _observations(node, side)
-    mean = forward(actor, own_obs)
-    actions = mean + np.exp(actor.log_std) * node.draws
-    logps = log_density(mean, actor.log_std, actions)
-    stable = np.exp(logps - logps.max())
-    node.priors = (stable / stable.sum()).tolist()
+    actions, priors, node.mean, reply = _candidates(own_obs, node.draws,
+                                                    opp_obs, actor, opponent)
+    node.priors = priors.tolist()
     node.actions = actions.tolist()
-    node.mean = mean
-    node.opp_action = forward(opponent, opp_obs).tolist()
+    node.opp_action = reply.tolist()
 
 
 def puct_select(node: SearchNode, c_puct: float) -> int:
@@ -222,6 +243,51 @@ def _make_child(node: SearchNode, idx: int, side: str,
     return child
 
 
+def _callbacks(actor: MlpParams, critic: MlpParams, opponent: MlpParams,
+               k: int, rng: np.random.Generator):
+    """The kernel walk's calls into numpy, each doing what the Python walk
+    does at the same point: expand(own) draws the node's normals and returns
+    (the critic's output, the handle build takes), evaluate(own) returns the
+    critic's output at the depth cap, and build(handle, opp) returns
+    `_candidates`."""
+    def expand(own):
+        draws = rng.standard_normal((k, actor.out_dim))
+        own = np.asarray(own, dtype=np.float64)
+        return float(forward(critic, own)[0]), (own, draws)
+
+    def evaluate(own):
+        return float(forward(critic, own)[0])
+
+    def build(handle, opp):
+        own, draws = handle
+        return _candidates(own, draws, opp, actor, opponent)
+
+    return expand, evaluate, build
+
+
+def _kernel_search(kernel, root_state: FlatState, side: str, actor: MlpParams,
+                   critic: MlpParams, opponent: MlpParams,
+                   config: SearchConfig, rng: np.random.Generator,
+                   root_obs: Optional[Observations]) -> Optional[SearchResult]:
+    """run_search's walk in the compiled kernel; None where it hands back."""
+    if root_obs is None:
+        root_obs = (observe(root_state, side),
+                    observe(root_state, other_side(side)))
+    found = kernel.search(root_state, side != BLUE, root_obs[0], root_obs[1],
+                          config.num_actions, config.num_simulations,
+                          config.c_puct, config.max_depth,
+                          *_callbacks(actor, critic, opponent,
+                                      config.num_actions, rng))
+    if found is None:
+        return None
+    visits, critic_value, (actions, priors, mean, _) = found
+    chosen = visits.index(max(visits))
+    return SearchResult(np.array(actions[chosen]),
+                        min(max(critic_value, -1.0), 1.0),
+                        np.array(visits, dtype=np.int64), priors, chosen,
+                        mean, critic_value)
+
+
 def run_search(root_state: FlatState, side: str, actor: MlpParams,
                critic: Critic, opponent: MlpParams, env_model: FlatModel,
                config: SearchConfig, rng: np.random.Generator, *,
@@ -237,9 +303,25 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
     backed up along the path.  A node's candidates are built on the first
     descent through it; the root's always are, since every simulation
     starts there.
+
+    With env_step itself as env_model, a network critic and a Generator,
+    the compiled kernel walks the tree; where it hands the search back, the
+    rng is restored and the Python walk below runs, as it does for any
+    other model or critic.  Both give the same result and leave the rng in
+    the same state.
     """
     if root_state[9]:  # the outcome code of a finished engagement
         raise ValueError("cannot search from a terminal state")
+    kernel = environment._kernel
+    if (kernel is not None and env_model is environment.env_step
+            and isinstance(critic, MlpParams)
+            and isinstance(rng, np.random.Generator)):
+        saved = rng.bit_generator.state
+        found = _kernel_search(kernel, root_state, side, actor, critic,
+                               opponent, config, rng, root_obs)
+        if found is not None:
+            return found
+        rng.bit_generator.state = saved  # the walk below draws afresh
     root = SearchNode(root_state, 0, root_obs)
     root_value = expand_node(root, side, actor, critic, opponent, config, rng)
 

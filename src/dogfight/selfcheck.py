@@ -33,6 +33,7 @@ from .environment import (
     reset,
 )
 from .harness import load_checkpoint, save_checkpoint
+from .mcts import SearchConfig, SearchResult, run_search
 from .missile import MissileState, MissileStatus, missile_step
 from .mlp import backprop, forward, init_params, log_density
 # The suite differentiates the production losses themselves, so it reaches
@@ -218,16 +219,23 @@ def envelope_state(rng: np.random.Generator) -> EngagementState:
 
 class KernelSpy:
     """Stands in for the kernel module, counting its calls and the decisions
-    it hands back to the Python code."""
+    and searches it hands back to the Python code."""
 
     def __init__(self, compiled):
         self.compiled = compiled
         self.calls = self.handed_back = 0
+        self.searches = self.searches_handed_back = 0
 
     def step(self, *args):
         res = self.compiled.step(*args)
         self.calls += 1
         self.handed_back += res is None
+        return res
+
+    def search(self, *args):
+        res = self.compiled.search(*args)
+        self.searches += 1
+        self.searches_handed_back += res is None
         return res
 
 
@@ -286,6 +294,98 @@ def check_kernel() -> str:
             "bit-identical to the Python loop")
 
 
+def prefix_root(rng: np.random.Generator) -> tuple:
+    """The flat end of a seeded random-action engagement prefix that has not
+    ended; about half of these carry a missile."""
+    state = None
+    while state is None or state[9]:
+        state = flatten(reset(int(rng.integers(0, 2 ** 31))))
+        for _ in range(int(rng.integers(0, 60))):
+            acts = rng.uniform((-1.0, -3.0, -4.0, -1.0), (9.0, 3.0, 4.0, 1.0),
+                               size=(2, 4)).tolist()
+            nxt = env_step(state, acts[0], acts[1])
+            if nxt[3]:
+                break
+            state = nxt[0]
+    return state
+
+
+def search_bytes(res: SearchResult) -> bytes:
+    """Every field of a SearchResult, arrays with their dtypes, floats as
+    their IEEE bytes."""
+    arrays = (res.action, res.visit_counts, res.priors, res.root_mean)
+    parts = [a.dtype.str.encode() + a.tobytes() for a in arrays]
+    parts.append(struct.pack("<qdd", res.chosen_index, res.root_value,
+                             res.root_critic))
+    return b"|".join(parts)
+
+
+SEARCH_CONFIGS = (SearchConfig(), SearchConfig(num_actions=4, c_puct=2.0),
+                  SearchConfig(num_simulations=30, max_depth=3),
+                  SearchConfig(num_actions=1, num_simulations=1, max_depth=1))
+
+
+def search_identity(searches: int, seed: int) -> dict:
+    """Run seeded searches on the kernel's walk (run_search with env_step
+    as the model) against run_search's Python walk (env_step behind a
+    wrapper).  AssertionError at the first SearchResult field or search rng
+    state that differs, or where the kernel hands a search back.
+
+    Roots come from `prefix_root`, the side alternates, and the networks
+    (default-size and small) and SEARCH_CONFIGS take turns.  Returns counts
+    of what the searches met, taken from the Python walk's model steps.
+    """
+    kernel = environment._kernel
+    if kernel is None:
+        raise AssertionError("the compiled kernel is not loaded")
+    spy = KernelSpy(kernel)
+    rng = np.random.default_rng(seed)
+    nets = [(init_params(3 * i, (13, *hidden, 4), with_log_std=True),
+             init_params(3 * i + 1, (13, *hidden, 1)),
+             init_params(3 * i + 2, (13, *hidden, 4), with_log_std=True))
+            for i, hidden in enumerate(((256, 256), (8, 8)))]
+    counts = dict(searches=0, missile_roots=0, ended=0)
+
+    def wrapped(flat, a_blue, a_red):
+        out = env_step(flat, a_blue, a_red)
+        counts["ended"] += out[3] != 0
+        return out
+
+    for i in range(searches):
+        root, side = prefix_root(rng), (BLUE, RED)[i % 2]
+        actor, critic, opponent = nets[i // 2 % 2]
+        config = SEARCH_CONFIGS[i // 4 % len(SEARCH_CONFIGS)]
+        fast_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+        try:
+            environment._kernel = spy
+            fast = run_search(root, side, actor, critic, opponent, env_step,
+                              config, fast_rng)
+        finally:
+            environment._kernel = kernel
+        ref = run_search(root, side, actor, critic, opponent, wrapped, config,
+                         ref_rng)
+        if (search_bytes(fast) != search_bytes(ref)
+                or fast_rng.bit_generator.state != ref_rng.bit_generator.state):
+            raise AssertionError(f"the kernel's walk and the Python walk differ "
+                                 f"from {root!r} for {side} under {config}")
+        counts["searches"] += 1
+        counts["missile_roots"] += environment._FLYING in root[4:6]
+    if spy.searches != searches or spy.searches_handed_back:
+        raise AssertionError(f"the kernel walked {spy.searches} of {searches} "
+                             f"searches and handed {spy.searches_handed_back} "
+                             "back to the Python walk")
+    return counts
+
+
+def check_search() -> str:
+    if environment._kernel is None:
+        return f"unavailable ({environment._KERNEL_DETAIL}); the Python walk runs"
+    counts = search_identity(300, 1)
+    return (f"{counts['searches']} searches ({counts['missile_roots']} from a "
+            f"missile in flight, {counts['ended']} engagement-ending model "
+            "steps) bit-identical to the Python walk")
+
+
 SELF_CHECKS = (
     ("trim drift", check_trim_drift),
     ("rk4 order", check_rk4_order),
@@ -295,4 +395,5 @@ SELF_CHECKS = (
     ("batch forward", check_batch_forward),
     ("checkpoint round-trip", check_checkpoint_roundtrip),
     ("compiled kernel", check_kernel),
+    ("compiled search", check_search),
 )

@@ -107,6 +107,10 @@ def test_parse_rejects_bad_values():
         parse_config("[scenario]\nalt_min = 50.0\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\niterations = 0\n")
+    # inf * 0 would make a NaN score where a prior underflows to 0.
+    for c_puct in ("inf", "-inf", "nan"):
+        with pytest.raises(ConfigError, match="c_puct"):
+            parse_config(f"[search]\nc_puct = {c_puct}\n")
     with pytest.raises(ConfigError, match="malformed"):
         parse_config("no section header")
 

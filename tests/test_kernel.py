@@ -4,7 +4,9 @@ Every test here compares a decision with the kernel (the default) and with
 `environment._kernel` patched to None, which runs environment._reference,
 the Python loop: the reference.  env_step, the one function that calls the
 kernel's `step`, reaches either.  Equality is of the IEEE bytes of every
-field of its result (selfcheck.step_bytes).
+field of its result (selfcheck.step_bytes).  The kernel's `search` is held
+to run_search's Python walk in test_mcts; here its reference counts and its
+error paths are checked.
 """
 
 import gc
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dogfight import environment, kernel, selfcheck
+from dogfight import environment, kernel, mcts, mlp, selfcheck
 from dogfight.dynamics import (
     GAMMA_LIMIT,
     PHYSICS_DT,
@@ -43,6 +45,7 @@ from dogfight.environment import (
     _evaluate,
     env_step,
     flatten,
+    observe,
     reset,
     unflatten,
 )
@@ -432,6 +435,88 @@ def test_kernel_calls_keep_input_refcounts(compiled, branch):
     assert [sys.getrefcount(o) for o in inputs] == before
 
 
+class Handle:
+    """An expand handle that counts its live instances."""
+
+    live = 0
+
+    def __init__(self, inner):
+        self.inner = inner
+        Handle.live += 1
+
+    def __del__(self):
+        Handle.live -= 1
+
+
+def search_args(branch):
+    """search's arguments for a SEARCH_BRANCHES branch: mcts' callbacks on
+    small networks, expand's handles wrapped in Handle, and expand raising
+    RuntimeError on every nth call where the branch names n."""
+    root, raise_at, _ = SEARCH_BRANCHES[branch]
+    nets = [mlp.init_params(i, (13, 8, 8, 1 if i == 1 else 4),
+                            with_log_std=i != 1) for i in range(3)]
+    expand, evaluate, build = mcts._callbacks(*nets, 9,
+                                              np.random.default_rng(0))
+    calls = [0]
+
+    def counted_expand(own):
+        calls[0] += 1
+        if raise_at is not None and calls[0] % raise_at == 0:
+            raise RuntimeError("expand failed")
+        value, handle = expand(own)
+        return value, Handle(handle)
+
+    def counted_build(handle, opp):
+        return build(handle.inner, opp)
+
+    return (root, False, observe(root, BLUE), observe(root, RED), 9, 20, 1.25,
+            5, counted_expand, evaluate, counted_build)
+
+
+# search's branches: (root, n where expand raises on every nth call, what
+# search returns).
+SEARCH_BRANCHES = {
+    "walked": (flatten(duel(separation=9000.0)), None, "result"),
+    # The first child step overflows blue's position and hands back.
+    "handed back": (flatten(duel(blue=AircraftState(0.0, 0.0, 5000.0, 1.7e308,
+                                                     0.0, 0.0))), None, None),
+    # The sixth expansion raises, mid-search.
+    "raised": (flatten(duel(separation=9000.0)), 6, RuntimeError),
+}
+
+
+def search_branch(compiled, branch, args):
+    """One compiled search on args, checked against its branch."""
+    expected = SEARCH_BRANCHES[branch][2]
+    if expected is RuntimeError:
+        with pytest.raises(RuntimeError, match="expand failed"):
+            compiled.search(*args)
+    else:
+        out = compiled.search(*args)
+        if expected is None:
+            assert out is None
+        else:
+            assert sum(out[0]) == 20 and math.isfinite(out[1])
+            # New objects are held by their container alone (the count
+            # includes getrefcount's argument).
+            assert [sys.getrefcount(out), sys.getrefcount(out[0]),
+                    sys.getrefcount(out[2])] == [2, 2, 2]
+        del out
+    assert Handle.live == 0  # the tree let go of every handle
+
+
+@pytest.mark.parametrize("branch", list(SEARCH_BRANCHES))
+def test_search_calls_keep_input_refcounts(compiled, branch):
+    # As for step: every input keeps its reference count across calls that
+    # walk the tree, hand it back, or stop on a callback's exception.
+    args = search_args(branch)
+    inputs = [o for o in (*args[:4], *args[0][:4], *args[8:]) if o is not None]
+    before = [sys.getrefcount(o) for o in inputs]
+    for _ in range(3):
+        search_branch(compiled, branch, args)
+    assert [sys.getrefcount(o) for o in inputs] == before
+
+
 def test_step_hands_malformed_inputs_back(compiled):
     flat = flatten(duel())
     assert compiled.step(flat, TRIM, TRIM) is not None
@@ -460,14 +545,24 @@ def test_kernel_identity_under_the_debug_allocator(compiled):
     # around every block, and -X dev adds the runtime's own checks, so a
     # reference dropped too early or a write past an object crashes or
     # fails here instead of corrupting a value somewhere later.
-    probe = ("from dogfight import selfcheck\n"
-             "print(selfcheck.kernel_identity(2000, 1)['decisions'])\n")
+    # The probe runs step's invariant, search's, and search's branches,
+    # among them a callback that raises mid-search, which frees the tree on
+    # the error path.
+    probe = ("from dogfight import environment, selfcheck\n"
+             "import test_kernel\n"
+             "print(selfcheck.kernel_identity(2000, 1)['decisions'])\n"
+             "print(selfcheck.search_identity(40, 1)['searches'])\n"
+             "for branch in test_kernel.SEARCH_BRANCHES:\n"
+             "    test_kernel.search_branch(environment._kernel, branch,\n"
+             "                              test_kernel.search_args(branch))\n"
+             "print(len(test_kernel.SEARCH_BRANCHES))\n")
     env = dict(os.environ, PYTHONMALLOC="debug",
-               PYTHONPATH=str(Path(kernel.__file__).parents[1]))
+               PYTHONPATH=os.pathsep.join((str(Path(kernel.__file__).parents[1]),
+                                           str(Path(__file__).parent))))
     proc = subprocess.run([sys.executable, "-X", "dev", "-c", probe],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "2000"
+    assert proc.stdout.split() == ["2000", "40", "3"]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")

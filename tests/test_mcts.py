@@ -1,5 +1,11 @@
 """Search tests.
 
+run_search walks the tree in the compiled kernel when its model is env_step
+itself, its critic a network and its rng a Generator, and in Python
+otherwise; `python_walk` is env_step behind a wrapper, which pins a search
+to the Python walk.  Tests that look inside the Python walk use it, and the
+kernel's walk is held to it byte for byte.
+
 The dominance test rigs the search with a stub rng that draws equal-norm
 actions (priors exactly 1/9) and a callable value oracle worth +1 only for
 one root child; the resulting visit counts follow a hand-derived recurrence
@@ -49,6 +55,10 @@ def make_critic(seed):
 env_model = env_step
 
 
+def python_walk(flat, a_blue, a_red):
+    return env_step(flat, a_blue, a_red)
+
+
 def manual_node(priors, visits=None, values=None):
     node = SearchNode(None, 0)
     k = len(priors)
@@ -83,8 +93,9 @@ def test_search_config_validation():
         SearchConfig(num_actions=0)
     with pytest.raises(ValueError):
         SearchConfig(num_simulations=0)
-    with pytest.raises(ValueError):
-        SearchConfig(c_puct=0.0)
+    for c_puct in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchConfig(c_puct=c_puct)
 
 
 def test_puct_tie_break_lowest_index():
@@ -353,25 +364,19 @@ def test_single_action_degenerates_to_raw_sample():
 SEARCH_SHA256 = "4de0bfb8347d42c2b64fe597ff3182c7da603dff81f22690e6954b528799ba65"
 
 
-def test_seeded_searches_are_pinned():
-    # 200 searches from states along seeded random-action engagements, both
-    # sides, fire enabled so that many roots and children carry missiles in
-    # flight, and some configurations beyond the default.  Every field of
-    # every SearchResult goes into the digest.
+def _pinned_searches(model):
+    """The digest of 200 searches from states along seeded random-action
+    engagements, both sides, fire enabled so that many roots and children
+    carry missiles in flight, and some configurations beyond the default.
+    Every field of every SearchResult goes into the digest."""
     rng = np.random.default_rng(77)
     nets = [(make_actor(3 * i), make_critic(3 * i + 1), make_actor(3 * i + 2))
             for i in range(3)]
     configs = (SearchConfig(), SearchConfig(num_actions=4, c_puct=2.0),
                SearchConfig(num_simulations=30, max_depth=3))
-    seen = {"missile_roots": 0, "terminal_children": 0}
-
-    def model(s, a_blue, a_red):
-        res = env_model(s, a_blue, a_red)
-        seen["terminal_children"] += res[3] != 0
-        return res
-
     digest = hashlib.sha256()
     state = None
+    missile_roots = 0
     for i in range(200):
         while state is None or state[9]:
             state = flatten(reset(int(rng.integers(0, 2 ** 31))))
@@ -382,7 +387,7 @@ def test_seeded_searches_are_pinned():
                 if nxt[3]:
                     break
                 state = nxt[0]
-        seen["missile_roots"] += state[2] is not None or state[3] is not None
+        missile_roots += state[2] is not None or state[3] is not None
         actor, critic, opponent = nets[i % 3]
         res = run_search(state, (BLUE, RED)[i % 2], actor, critic,
                          opponent, model, configs[i % 3],
@@ -395,27 +400,36 @@ def test_seeded_searches_are_pinned():
                             res.root_critic)).encode())
         nxt = env_step(state, res.action.tolist(), res.action[::-1].tolist())
         state = None if nxt[3] else nxt[0]
-    assert seen["missile_roots"] > 50 and seen["terminal_children"] > 100
-    assert digest.hexdigest() == SEARCH_SHA256
+    assert missile_roots > 50
+    return digest.hexdigest()
+
+
+def test_seeded_searches_are_pinned():
+    # The Python walk: the wrapping model also counts the children that end
+    # the engagement.
+    terminal_children = [0]
+
+    def model(s, a_blue, a_red):
+        res = env_model(s, a_blue, a_red)
+        terminal_children[0] += res[3] != 0
+        return res
+
+    assert _pinned_searches(model) == SEARCH_SHA256
+    assert terminal_children[0] > 100
+
+
+def test_seeded_searches_are_pinned_on_the_kernel_walk(monkeypatch):
+    # The same 200 searches with env_step itself as the model, which the
+    # kernel walks whole, reach the same digest.
+    if environment._kernel is None:
+        pytest.skip(f"no kernel: {environment._KERNEL_DETAIL}")
+    spy = selfcheck.KernelSpy(environment._kernel)
+    monkeypatch.setattr(environment, "_kernel", spy)
+    assert _pinned_searches(env_step) == SEARCH_SHA256
+    assert (spy.searches, spy.searches_handed_back) == (200, 0)
 
 
 DEFAULT_ACTOR, DEFAULT_CRITIC = (13, 256, 256, 4), (13, 256, 256, 1)
-
-
-def _prefix_root(seed_rng):
-    """The flat end of a seeded random-action engagement prefix that has not
-    ended; about half of these carry a missile."""
-    state = None
-    while state is None or state[9]:
-        state = flatten(reset(int(seed_rng.integers(0, 2 ** 31))))
-        for _ in range(int(seed_rng.integers(0, 60))):
-            acts = seed_rng.uniform((-1.0, -3.0, -4.0, -1.0),
-                                    (9.0, 3.0, 4.0, 1.0), size=(2, 4)).tolist()
-            nxt = env_step(state, acts[0], acts[1])
-            if nxt[3]:
-                break
-            state = nxt[0]
-    return state
 
 
 def _default_nets(count):
@@ -479,7 +493,8 @@ def _eager_search(root_state, side, actor, critic, opponent, model, config, rng)
 def test_deferred_candidates_match_eager_expansion(monkeypatch):
     # 50 searches on default-size networks, both sides, each from the end of
     # a seeded random-action prefix (about half the roots carry a missile).
-    # The deferred build must give every SearchResult field to the bit, consume
+    # On the Python walk, whose nodes the spies can see, the deferred build
+    # must give every SearchResult field to the bit, consume
     # the search rng as one (k, 4) draw per expansion, and run the actor and
     # opponent forwards only at nodes the tree descended through.
     seed_rng = np.random.default_rng(2104)
@@ -500,7 +515,7 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     monkeypatch.setattr(mcts, "forward", spy_forward)
     missile_roots = leaves = 0
     for i in range(50):
-        state = _prefix_root(seed_rng)
+        state = selfcheck.prefix_root(seed_rng)
         missile_roots += state[2] is not None or state[3] is not None
         side = (BLUE, RED)[i % 2]
         actor, critic, opponent = nets[i % 2]
@@ -509,7 +524,7 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
         forwards[0] = 0
         rng = np.random.default_rng(i)
         got = run_search(state, side, actor, critic, opponent,
-                         env_model, cfg, rng)
+                         python_walk, cfg, rng)
         n_forwards = forwards[0]
         want = _eager_search(state, side, actor, critic, opponent,
                              env_model, cfg, np.random.default_rng(i))
@@ -537,8 +552,8 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
 
 
 def model_call_identity(searches, seed):
-    """Run seeded default-size searches, both sides, from `_prefix_root`
-    roots, with every model call checked against env_step's Python loop,
+    """Run seeded default-size searches on the Python walk, both sides, from
+    `selfcheck.prefix_root` roots, with every model call checked against env_step's Python loop,
     byte for byte (selfcheck.step_bytes), and every state it steps checked
     to survive unflatten and flatten unchanged.  Returns (model calls, calls
     the kernel handed back, terminal calls, calls with a missile in
@@ -568,7 +583,7 @@ def model_call_identity(searches, seed):
 
     for i in range(searches):
         actor, critic, opponent = nets[i % 2]
-        run_search(_prefix_root(seed_rng), (BLUE, RED)[i % 2], actor,
+        run_search(selfcheck.prefix_root(seed_rng), (BLUE, RED)[i % 2], actor,
                    critic, opponent, checked, configs[i // 2 % 2],
                    np.random.default_rng(i))
     counts[1] = -1 if spy is None else spy.handed_back
@@ -579,3 +594,146 @@ def test_search_model_calls_match_env_step():
     calls, handed_back, ended, in_flight = model_call_identity(50, 1896)
     assert calls > 800 and ended > 50 and in_flight > 200
     assert handed_back == (-1 if environment._kernel is None else 0)
+
+
+class EqualNormGenerator(np.random.Generator):
+    """A Generator, so the kernel walks its searches, that draws
+    EqualNormRng's rows: equal priors, so scores tie."""
+
+    def standard_normal(self, shape):
+        return EqualNormRng().standard_normal(shape)
+
+
+def _both_walks(monkeypatch, root, side, actor, critic, opponent, config,
+                seed=0, generator=np.random.Generator):
+    """run_search from root on the kernel's walk and on the Python walk, each
+    with a fresh generator on PCG64(seed).  Asserts the same SearchResult
+    bytes, the same rng state afterwards and, where the kernel did not hand
+    back, the same forwards in the same order.  Returns (the result, the spy
+    that stood in for the kernel)."""
+    spy = selfcheck.KernelSpy(environment._kernel)
+    real_forward = mcts.forward
+    results, states, forwards = [], [], []
+    for model in (env_step, python_walk):
+        rng, log = generator(np.random.PCG64(seed)), []
+
+        def logged(params, x, log=log):
+            log.append((id(params), np.asarray(x, dtype=np.float64).tobytes()))
+            return real_forward(params, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(environment, "_kernel", spy)
+            m.setattr(mcts, "forward", logged)
+            results.append(run_search(root, side, actor, critic, opponent,
+                                      model, config, rng))
+        states.append(rng.bit_generator.state)
+        forwards.append(log)
+    assert selfcheck.search_bytes(results[0]) == \
+        selfcheck.search_bytes(results[1])
+    assert states[0] == states[1]
+    assert spy.searches_handed_back or forwards[0] == forwards[1]
+    return results[0], spy
+
+
+needs_kernel = pytest.mark.skipif(environment._kernel is None,
+                                  reason="the compiled kernel is not loaded")
+
+
+@needs_kernel
+def test_kernel_walk_equals_python_walk():
+    # The invariant that `dogfight selfcheck` runs, on other seeds: RED and
+    # BLUE roots, roots with missiles in flight, children that end the
+    # engagement, and SEARCH_CONFIGS down to one action, one simulation and
+    # depth 1.
+    counts = selfcheck.search_identity(64, 4242)
+    assert counts["searches"] == 64
+    assert counts["missile_roots"] > 10 and counts["ended"] > 20
+
+
+def _rigged_critic(seed, scale, bias):
+    critic = make_critic(seed)
+    critic.weights[-1] *= scale
+    critic.biases[-1][:] = bias
+    return critic
+
+
+@needs_kernel
+@pytest.mark.parametrize("generator", [np.random.Generator, EqualNormGenerator])
+@pytest.mark.parametrize("scale, bias", [(0.0, 0.25), (0.0, -3.0),
+                                         (400.0, 0.0), (400.0, 1.5)])
+def test_kernel_walk_equals_python_walk_on_rigged_critics(monkeypatch, scale,
+                                                          bias, generator):
+    # A constant critic with equal priors ties the scores that visits have
+    # not split, so the walk rests on PUCT's lowest-index rule; a scaled one
+    # leaves the clamp to [-1, 1] most values.
+    seed_rng = np.random.default_rng(5)
+    for i, config in enumerate(selfcheck.SEARCH_CONFIGS * 2):
+        res, spy = _both_walks(monkeypatch, selfcheck.prefix_root(seed_rng),
+                               (BLUE, RED)[i % 2], make_actor(i),
+                               _rigged_critic(i, scale, bias), make_actor(i + 1),
+                               config, seed=i, generator=generator)
+        assert (spy.searches, spy.searches_handed_back) == (1, 0)
+        if scale == 0.0:
+            assert res.root_critic == bias
+        assert res.root_value == min(max(res.root_critic, -1.0), 1.0)
+
+
+@needs_kernel
+def test_kernel_walk_on_the_smallest_search(monkeypatch):
+    config = SearchConfig(num_actions=1, num_simulations=1, max_depth=1)
+    for side in (BLUE, RED):
+        res, spy = _both_walks(monkeypatch, flatten(reset(33)), side,
+                               make_actor(7), make_critic(1), make_actor(2),
+                               config)
+        assert (spy.searches, spy.searches_handed_back) == (1, 0)
+        assert res.visit_counts.tolist() == [1] and res.chosen_index == 0
+
+
+@needs_kernel
+def test_kernel_walk_hand_back_leaves_no_trace(monkeypatch):
+    # A critic whose output is NaN hands the search back at the root; a blue
+    # aircraft so fast that its first substep overflows the position hands
+    # back at the first child step, after the root's draws.  The reference
+    # raises in neither, and the Python walk, with the rng restored, gives
+    # its own result: equal bytes and rng state to a search on the Python
+    # walk alone.
+    fast = flatten(reset(3))
+    fast = ((fast[0][:3] + (1.7e308,) + fast[0][4:]),) + fast[1:]
+    cases = ((flatten(reset(3)), _rigged_critic(1, 1.0, math.nan), BLUE),
+             (flatten(reset(3)), _rigged_critic(1, 1.0, math.nan), RED),
+             (fast, make_critic(1), BLUE))
+    for root, critic, side in cases:
+        res, spy = _both_walks(monkeypatch, root, side, make_actor(0), critic,
+                               make_actor(2), SearchConfig(), seed=9)
+        assert (spy.searches, spy.searches_handed_back) == (1, 1)
+        assert math.isnan(res.root_value) == math.isnan(critic.biases[-1][0])
+
+
+@needs_kernel
+@pytest.mark.parametrize("failing_call", [1, 2, 3, 17])
+def test_kernel_walk_raises_as_the_python_walk(monkeypatch, failing_call):
+    # A forward that raises on its nth call, whichever callback makes it:
+    # the critic's at the root (1), the actor's and the opponent's at the
+    # root's first descent (2, 3), and one deep in the search (17).  Both
+    # walks make their forwards in the same order, so both raise the same
+    # error with the search rng in the same state.
+    real_forward = mcts.forward
+    root = flatten(reset(8))
+    states = []
+    for model in (env_step, python_walk):
+        calls = [0]
+
+        def failing_forward(params, x):
+            calls[0] += 1
+            if calls[0] == failing_call:
+                raise FloatingPointError(f"forward {calls[0]}")
+            return real_forward(params, x)
+
+        rng = np.random.default_rng(4)
+        with monkeypatch.context() as m:
+            m.setattr(mcts, "forward", failing_forward)
+            with pytest.raises(FloatingPointError, match=f"forward {failing_call}$"):
+                run_search(root, RED, make_actor(0), make_critic(1),
+                           make_actor(2), model, SearchConfig(), rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]

@@ -208,9 +208,11 @@ def test_match_steps_only_through_env_step(monkeypatch, use_mcts, seed):
 def test_the_traced_step_sees_every_model_step(monkeypatch):
     # The benchmark's tracer counts env_step calls through a wrapper bound
     # to selfplay.env_step.  A match looks that name up at every decision
-    # and hands it to the search as its model, so a search match on one
-    # worker makes one wrapped call per decision and one per child that its
-    # searches step to.
+    # and hands it to the search as its model.  That model is not env_step
+    # itself, so run_search takes its Python walk (the kernel walks only
+    # searches whose model is env_step), and a search match on one worker
+    # makes one wrapped call per decision and one per child that its
+    # searches step to.  Traced searches therefore time the Python walk.
     steps, children = [0], [0]
     real_step, real_child = selfplay.env_step, mcts._make_child
 
