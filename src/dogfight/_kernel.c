@@ -31,8 +31,11 @@
  * stepped by `decide`, the body of `step`, and PUCT and backup keep the
  * Python walk's operation order.  It calls Python back for the networks
  * and the search rng only, where the Python walk does that work and in its
- * order.  Wherever a child step would hand back or a value or score is not
- * finite, it returns None and run_search runs its Python walk instead.
+ * order, and walks a critic output or score that is not finite as Python
+ * does (py_min, py_max, the argmax's strict greater-than).  Only where the
+ * root or a child step would hand back, or a callback's array is not of
+ * float64 and of its shape, does it return None for run_search's Python
+ * walk.
  *
  * The model constants are not written here: kernel.defines passes each
  * Python definition as a macro (G, PHYSICS_DT, V_FLOOR, GAMMA_LIMIT, the
@@ -830,7 +833,7 @@ observation(tree *t, Py_ssize_t i, int which)
 }
 
 /* Keep the critic's output out as node i's and set *value to it clamped
- * as mcts._evaluate_state clamps it; BAIL where out is not finite. */
+ * as mcts._evaluate_state clamps it. */
 static int
 keep_value(tree *t, Py_ssize_t i, PyObject *out, double *value)
 {
@@ -841,8 +844,6 @@ keep_value(tree *t, Py_ssize_t i, PyObject *out, double *value)
         return FAIL;
     }
     v = PyFloat_AS_DOUBLE(out);
-    if (!isfinite(v))
-        return BAIL;
     t->nodes[i].value = v;
     t->nodes[i].evaluated = 1;
     *value = py_min(py_max(v, -1.0), 1.0);
@@ -963,7 +964,7 @@ build_node(tree *t, Py_ssize_t i, PyObject *build)
 }
 
 /* mcts.puct_select over k edges, in its operation order; ties go to the
- * lowest index.  -1 where a score is not finite. */
+ * lowest index and, as in Python's max, no score is greater than a NaN. */
 static Py_ssize_t
 puct_select(const edge *ed, Py_ssize_t k, double c_puct)
 {
@@ -977,8 +978,6 @@ puct_select(const edge *ed, Py_ssize_t k, double c_puct)
     for (j = 0; j < k; j++) {
         q = ed[j].n ? ed[j].w / (double)ed[j].n : 0.0;
         score = q + c_puct * ed[j].p * root_n / (1.0 + (double)ed[j].n);
-        if (!isfinite(score))
-            return -1;
         if (best < 0 || score > best_score) {
             best = j;
             best_score = score;
@@ -1034,11 +1033,11 @@ PyDoc_STRVAR(search_doc,
 "at the depth cap, build(handle, opp) -> (actions, priors, mean, reply)\n"
 "arrays on the first descent through a node.\n"
 "\n"
-"Returns (root visit counts, root critic output, root build result), or\n"
-"None wherever a child step would hand back, a critic output or a score\n"
-"is not finite, or an array is not of float64 and of its shape: then\n"
-"run_search's Python walk must run the search.  An exception raised by a\n"
-"callback propagates.");
+"Returns (root visit counts, root critic output, root build result).  A\n"
+"critic output or score that is not finite is walked on as the Python walk\n"
+"walks it.  Returns None where the root or a child step would hand back,\n"
+"or an array is not of float64 and of its shape: then run_search's Python\n"
+"walk must run the search.  An exception raised by a callback propagates.");
 
 static PyObject *
 search(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -1109,10 +1108,6 @@ search(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             if (!t.nodes[i].built && (code = build_node(&t, i, build)) != OK)
                 break;
             j = puct_select(t.edges + i * t.k, t.k, c_puct);
-            if (j < 0) {
-                code = BAIL;
-                break;
-            }
             if (t.edges[i * t.k + j].child < 0
                 && (code = step_child(&t, i, j, red)) != OK)
                 break;

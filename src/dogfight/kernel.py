@@ -3,9 +3,13 @@ environment._reference and of mcts.run_search's tree walk.
 
 The extension has two entry points.  `step` is a whole decision on the
 flat engagement tuple (environment.flatten); environment.env_step, the one
-step of matches and of run_search's Python walk, is its one caller.  `search` walks a search tree, stepping
-its children as `step` does and calling back into Python only for the
-networks; mcts.run_search calls it when its model is env_step.
+step of matches and of run_search's Python walk, is its one caller.
+`search` walks a search tree, stepping its children as `step` does and
+calling back into Python only for the networks; mcts.run_search calls it
+when its model is env_step.  It hands a search back (returns None) only
+where the root or a child step would hand back or a callback's array is
+not float64 of its shape; critic outputs and scores that are not finite it
+walks as the Python walk does.
 
 The C source defines no model constant.  `defines` turns the Python
 definitions (dynamics', environment's and missile's constants and the

@@ -37,11 +37,12 @@ the critic a network and the rng a Generator, the compiled kernel's
 operation order above, and each child is stepped as the kernel's `step`
 steps, with no Python call.  It calls back (`_callbacks`) only for the
 numpy work, at the points and in the order where the walk below does it,
-so the search rng is consumed the same way.  Where the kernel hands a
-search back (a child step it would hand back, a value or score that is not
-finite), `run_search` restores the rng's state and runs the walk below, the
-reference, which also serves any other model or critic and a host without
-the kernel.
+so the search rng is consumed the same way; a critic output or score that
+is not finite it walks as the walk below does.  Where the kernel hands a
+search back (a child step it would hand back, or a callback's array that
+is not of float64 and of its shape), `run_search` restores the rng's state
+and runs the walk below, the reference, which also serves any other model
+or critic and a host without the kernel.
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ def _evaluate_state(node: SearchNode, side: str, critic: Critic) -> float:
 
 
 def expand_node(node: SearchNode, side: str, actor: MlpParams, critic: Critic,
-                opponent: MlpParams, config: SearchConfig,
-                rng: np.random.Generator) -> float:
+                config: SearchConfig, rng: np.random.Generator) -> float:
     """Draw the node's candidate noise, evaluate the node; returns its value.
 
     The draws become actions and priors in `build_candidates`, on the first
@@ -265,27 +265,15 @@ def _callbacks(actor: MlpParams, critic: MlpParams, opponent: MlpParams,
     return expand, evaluate, build
 
 
-def _kernel_search(kernel, root_state: FlatState, side: str, actor: MlpParams,
-                   critic: MlpParams, opponent: MlpParams,
-                   config: SearchConfig, rng: np.random.Generator,
-                   root_obs: Optional[Observations]) -> Optional[SearchResult]:
-    """run_search's walk in the compiled kernel; None where it hands back."""
-    if root_obs is None:
-        root_obs = (observe(root_state, side),
-                    observe(root_state, other_side(side)))
-    found = kernel.search(root_state, side != BLUE, root_obs[0], root_obs[1],
-                          config.num_actions, config.num_simulations,
-                          config.c_puct, config.max_depth,
-                          *_callbacks(actor, critic, opponent,
-                                      config.num_actions, rng))
-    if found is None:
-        return None
-    visits, critic_value, (actions, priors, mean, _) = found
+def _result(visits: list[int], actions, priors, mean: np.ndarray,
+            critic_value: float) -> SearchResult:
+    """The SearchResult of a root's visit counts, candidates, actor mean and
+    unclamped critic output, as either walk leaves them."""
     chosen = visits.index(max(visits))
     return SearchResult(np.array(actions[chosen]),
                         min(max(critic_value, -1.0), 1.0),
-                        np.array(visits, dtype=np.int64), priors, chosen,
-                        mean, critic_value)
+                        np.array(visits, dtype=np.int64), np.array(priors),
+                        chosen, mean, critic_value)
 
 
 def run_search(root_state: FlatState, side: str, actor: MlpParams,
@@ -312,18 +300,25 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
     """
     if root_state[9]:  # the outcome code of a finished engagement
         raise ValueError("cannot search from a terminal state")
+    if root_obs is None:
+        root_obs = (observe(root_state, side),
+                    observe(root_state, other_side(side)))
     kernel = environment._kernel
     if (kernel is not None and env_model is environment.env_step
             and isinstance(critic, MlpParams)
             and isinstance(rng, np.random.Generator)):
         saved = rng.bit_generator.state
-        found = _kernel_search(kernel, root_state, side, actor, critic,
-                               opponent, config, rng, root_obs)
+        found = kernel.search(root_state, side != BLUE, *root_obs,
+                              config.num_actions, config.num_simulations,
+                              config.c_puct, config.max_depth,
+                              *_callbacks(actor, critic, opponent,
+                                          config.num_actions, rng))
         if found is not None:
-            return found
+            visits, critic_value, (actions, priors, mean, _) = found
+            return _result(visits, actions, priors, mean, critic_value)
         rng.bit_generator.state = saved  # the walk below draws afresh
     root = SearchNode(root_state, 0, root_obs)
-    root_value = expand_node(root, side, actor, critic, opponent, config, rng)
+    expand_node(root, side, actor, critic, config, rng)
 
     for _ in range(config.num_simulations):
         node = root
@@ -336,7 +331,7 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
                 value = _evaluate_state(node, side, critic)
                 break
             if not node.expanded:
-                value = expand_node(node, side, actor, critic, opponent, config, rng)
+                value = expand_node(node, side, actor, critic, config, rng)
                 break
             if node.actions is None:
                 build_candidates(node, side, actor, opponent)
@@ -347,8 +342,5 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
             node = node.children[idx]
         backup(path, value)
 
-    visits = root.visit_counts
-    chosen = visits.index(max(visits))
-    return SearchResult(np.array(root.actions[chosen]), root_value,
-                        np.array(visits, dtype=np.int64), np.array(root.priors),
-                        chosen, root.mean, root.eval_value)
+    return _result(root.visit_counts, root.actions, root.priors, root.mean,
+                   root.eval_value)

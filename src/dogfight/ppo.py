@@ -106,8 +106,7 @@ class RolloutBuffer:
         return [t for ep in self.episodes for t in ep]
 
 
-def compute_advantages(buffer: RolloutBuffer, config: TrainConfig,
-                       normalize: bool = True) -> None:
+def compute_advantages(buffer: RolloutBuffer, config: TrainConfig) -> None:
     """Fill GAE advantages and discounted-outcome value targets in place.
 
     Value targets follow target(t) = gamma * target(t+1) backward from the
@@ -129,13 +128,12 @@ def compute_advantages(buffer: RolloutBuffer, config: TrainConfig,
             tr.value_target = target
             next_value = tr.value
             target = gamma * target
-    if normalize:
-        trs = buffer.transitions()
-        adv = np.array([t.advantage for t in trs])
-        mean = float(adv.mean())
-        std = max(float(adv.std()), 1e-8)
-        for t in trs:
-            t.advantage = (t.advantage - mean) / std
+    trs = buffer.transitions()
+    adv = np.array([t.advantage for t in trs])
+    mean = float(adv.mean())
+    std = max(float(adv.std()), 1e-8)
+    for t in trs:
+        t.advantage = (t.advantage - mean) / std
 
 
 def clip_surrogate(ratio: np.ndarray, advantage: np.ndarray,

@@ -450,11 +450,14 @@ class Handle:
 
 def search_args(branch):
     """search's arguments for a SEARCH_BRANCHES branch: mcts' callbacks on
-    small networks, expand's handles wrapped in Handle, and expand raising
+    small networks, the critic's last-layer weights the branch's where it
+    names them, expand's handles wrapped in Handle, and expand raising
     RuntimeError on every nth call where the branch names n."""
-    root, raise_at, _ = SEARCH_BRANCHES[branch]
+    root, raise_at, critic_weights, _ = SEARCH_BRANCHES[branch]
     nets = [mlp.init_params(i, (13, 8, 8, 1 if i == 1 else 4),
                             with_log_std=i != 1) for i in range(3)]
+    if critic_weights is not None:
+        nets[1].weights[-1][:, 0] = critic_weights
     expand, evaluate, build = mcts._callbacks(*nets, 9,
                                               np.random.default_rng(0))
     calls = [0]
@@ -473,21 +476,27 @@ def search_args(branch):
             5, counted_expand, evaluate, counted_build)
 
 
-# search's branches: (root, n where expand raises on every nth call, what
-# search returns).
+# search's branches: (root, n where expand raises on every nth call, the
+# critic's last-layer weights if not its own, what search returns).
 SEARCH_BRANCHES = {
-    "walked": (flatten(duel(separation=9000.0)), None, "result"),
+    "walked": (flatten(duel(separation=9000.0)), None, None, "result"),
+    # One +inf and one -inf weight: the critic's output is NaN at some nodes
+    # and infinite at others, and the search is walked to its result.
+    "non-finite values": (flatten(duel(separation=9000.0)), None,
+                          [math.inf, -math.inf] + [0.0] * 6,
+                          "non-finite result"),
     # The first child step overflows blue's position and hands back.
     "handed back": (flatten(duel(blue=AircraftState(0.0, 0.0, 5000.0, 1.7e308,
-                                                     0.0, 0.0))), None, None),
+                                                     0.0, 0.0))),
+                    None, None, None),
     # The sixth expansion raises, mid-search.
-    "raised": (flatten(duel(separation=9000.0)), 6, RuntimeError),
+    "raised": (flatten(duel(separation=9000.0)), 6, None, RuntimeError),
 }
 
 
 def search_branch(compiled, branch, args):
     """One compiled search on args, checked against its branch."""
-    expected = SEARCH_BRANCHES[branch][2]
+    expected = SEARCH_BRANCHES[branch][3]
     if expected is RuntimeError:
         with pytest.raises(RuntimeError, match="expand failed"):
             compiled.search(*args)
@@ -496,7 +505,8 @@ def search_branch(compiled, branch, args):
         if expected is None:
             assert out is None
         else:
-            assert sum(out[0]) == 20 and math.isfinite(out[1])
+            assert sum(out[0]) == 20
+            assert math.isfinite(out[1]) == (expected == "result")
             # New objects are held by their container alone (the count
             # includes getrefcount's argument).
             assert [sys.getrefcount(out), sys.getrefcount(out[0]),
@@ -546,8 +556,9 @@ def test_kernel_identity_under_the_debug_allocator(compiled):
     # reference dropped too early or a write past an object crashes or
     # fails here instead of corrupting a value somewhere later.
     # The probe runs step's invariant, search's, and search's branches,
-    # among them a callback that raises mid-search, which frees the tree on
-    # the error path.
+    # among them a critic whose outputs are not finite, walked to a result,
+    # and a callback that raises mid-search, which frees the tree on the
+    # error path.
     probe = ("from dogfight import environment, selfcheck\n"
              "import test_kernel\n"
              "print(selfcheck.kernel_identity(2000, 1)['decisions'])\n"
@@ -562,7 +573,7 @@ def test_kernel_identity_under_the_debug_allocator(compiled):
     proc = subprocess.run([sys.executable, "-X", "dev", "-c", probe],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2000", "40", "3"]
+    assert proc.stdout.split() == ["2000", "40", "4"]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")

@@ -126,7 +126,7 @@ def test_half_built_node_never_reaches_selection():
     # Expanded but not yet descended through: there are no candidates to
     # select among or to step, and both say so rather than fail on None.
     node = SearchNode(flatten(reset(1)), 0)
-    expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+    expand_node(node, BLUE, make_actor(0), make_critic(1),
                 SearchConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError, match="candidates"):
         puct_select(node, 1.25)
@@ -153,7 +153,7 @@ def test_expand_node_populates_children():
     state = reset(1)
     node = SearchNode(flatten(state), 0)
     cfg = SearchConfig()
-    value = expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+    value = expand_node(node, BLUE, make_actor(0), make_critic(1),
                         cfg, np.random.default_rng(0))
     assert node.expanded
     assert node.draws.shape == (9, 4) and node.actions is None
@@ -163,14 +163,14 @@ def test_expand_node_populates_children():
     assert node.visit_counts == [0] * 9 and node.total_values == [0.0] * 9
     assert -1.0 <= value <= 1.0
     with pytest.raises(ValueError):
-        expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+        expand_node(node, BLUE, make_actor(0), make_critic(1),
                     cfg, np.random.default_rng(0))
 
 
 def test_expand_equal_log_densities_uniform_priors():
     state = reset(2)
     node = SearchNode(flatten(state), 0)
-    expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+    expand_node(node, BLUE, make_actor(0), make_critic(1),
                 SearchConfig(), EqualNormRng())
     build_candidates(node, BLUE, make_actor(0), make_actor(2))
     np.testing.assert_array_equal(node.priors, np.full(9, 1.0 / 9.0))
@@ -180,7 +180,7 @@ def test_expand_terminal_node_returns_outcome():
     node = SearchNode(flatten(reset(0)), 1)
     node.terminal = True
     node.terminal_value = -1.0
-    value = expand_node(node, BLUE, make_actor(0), make_critic(1), make_actor(2),
+    value = expand_node(node, BLUE, make_actor(0), make_critic(1),
                         SearchConfig(), np.random.default_rng(0))
     assert value == -1.0
     assert not node.expanded
@@ -189,7 +189,7 @@ def test_expand_terminal_node_returns_outcome():
 def test_critic_value_clamped():
     state = reset(3)
     node = SearchNode(flatten(state), 0)
-    value = expand_node(node, BLUE, make_actor(0), lambda s: 5.0, make_actor(2),
+    value = expand_node(node, BLUE, make_actor(0), lambda s: 5.0,
                         SearchConfig(), np.random.default_rng(0))
     assert value == 1.0
 
@@ -257,7 +257,7 @@ def test_tree_invariants_after_search():
     actor, critic, opponent = make_actor(0), make_critic(1), make_actor(2)
     rng = np.random.default_rng(5)
     root = SearchNode(flatten(state), 0)
-    expand_node(root, BLUE, actor, critic, opponent, cfg, rng)
+    expand_node(root, BLUE, actor, critic, cfg, rng)
     for _ in range(cfg.num_simulations):
         node, path = root, []
         while True:
@@ -268,7 +268,7 @@ def test_tree_invariants_after_search():
                 value = m._evaluate_state(node, BLUE, critic)
                 break
             if not node.expanded:
-                value = expand_node(node, BLUE, actor, critic, opponent, cfg, rng)
+                value = expand_node(node, BLUE, actor, critic, cfg, rng)
                 break
             if node.actions is None:
                 build_candidates(node, BLUE, actor, opponent)
@@ -691,22 +691,39 @@ def test_kernel_walk_on_the_smallest_search(monkeypatch):
 
 @needs_kernel
 def test_kernel_walk_hand_back_leaves_no_trace(monkeypatch):
-    # A critic whose output is NaN hands the search back at the root; a blue
-    # aircraft so fast that its first substep overflows the position hands
-    # back at the first child step, after the root's draws.  The reference
-    # raises in neither, and the Python walk, with the rng restored, gives
-    # its own result: equal bytes and rng state to a search on the Python
-    # walk alone.
+    # Values that are not finite stay in the kernel's walk, on either side: a
+    # critic whose output is NaN, an actor of zero std, whose priors are all
+    # NaN, and a critic with one +inf and one -inf last-layer weight, whose
+    # output is +inf at some nodes and NaN at others.  A blue aircraft so
+    # fast that its first substep overflows the position hands back at the
+    # first child step, after the root's draws.  The reference raises in
+    # none of these, and the Python walk, with the rng restored, gives its
+    # own result: equal bytes and rng state to a search on the Python walk
+    # alone.
     fast = flatten(reset(3))
     fast = ((fast[0][:3] + (1.7e308,) + fast[0][4:]),) + fast[1:]
-    cases = ((flatten(reset(3)), _rigged_critic(1, 1.0, math.nan), BLUE),
-             (flatten(reset(3)), _rigged_critic(1, 1.0, math.nan), RED),
-             (fast, make_critic(1), BLUE))
-    for root, critic, side in cases:
-        res, spy = _both_walks(monkeypatch, root, side, make_actor(0), critic,
+    zero_std = make_actor(0)
+    zero_std.log_std[:] = -1000.0
+    infinite = make_critic(1)
+    infinite.weights[-1][:] = 0.0
+    infinite.weights[-1][:2] = [[math.inf], [-math.inf]]
+    nan_critic = _rigged_critic(1, 1.0, math.nan)
+    cases = [(flatten(reset(3)), actor, critic, side, 0)
+             for actor, critic in ((make_actor(0), nan_critic),
+                                   (zero_std, make_critic(1)),
+                                   (make_actor(0), infinite))
+             for side in (BLUE, RED)]
+    cases.append((fast, make_actor(0), make_critic(1), BLUE, 1))
+    for root, actor, critic, side, handed_back in cases:
+        res, spy = _both_walks(monkeypatch, root, side, actor, critic,
                                make_actor(2), SearchConfig(), seed=9)
-        assert (spy.searches, spy.searches_handed_back) == (1, 1)
-        assert math.isnan(res.root_value) == math.isnan(critic.biases[-1][0])
+        assert (spy.searches, spy.searches_handed_back) == (1, handed_back)
+        assert math.isfinite(res.root_critic) == (
+            critic is not nan_critic and critic is not infinite)
+        assert math.isnan(res.root_value) == math.isnan(res.root_critic)
+        # Every PUCT score is NaN, so every simulation descends child 0.
+        assert (res.visit_counts[0] == 20) == (actor is zero_std)
+        assert np.isnan(res.priors).all() == (actor is zero_std)
 
 
 @needs_kernel

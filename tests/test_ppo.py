@@ -76,11 +76,15 @@ def test_compute_advantages_rejects_open_episode():
 
 
 def test_single_step_episode_delta():
+    # One-step episodes: each advantage is its delta z - V, 0.7 and -1.3,
+    # which normalize to +1 and -1.
     buf = RolloutBuffer()
     buf.add(make_transition(1.0, 0.3, True))
-    compute_advantages(buf, CFG, normalize=False)
-    assert buf.transitions()[0].advantage == pytest.approx(0.7)
-    assert buf.transitions()[0].value_target == 1.0
+    buf.add(make_transition(-1.0, 0.3, True))
+    compute_advantages(buf, CFG)
+    trs = buf.transitions()
+    assert [t.advantage for t in trs] == pytest.approx([1.0, -1.0])
+    assert [t.value_target for t in trs] == [1.0, -1.0]
 
 
 def test_all_draw_buffer_has_zero_targets():
