@@ -1,5 +1,5 @@
-/* The compiled copy of environment._reference and of mcts.run_search's
- * tree walk.
+/* The compiled copy of environment._reference and of mcts._walk, the
+ * search's tree walk.
  *
  * `step` is a whole decision on a flat engagement, the tuple that matches
  * pass to environment.env_step, its one caller (see
@@ -26,16 +26,16 @@
  * environment._reference, which raises the reference's exception or yields
  * its values.
  *
- * `search` is run_search's walk: the tree's visit counts, value sums,
- * priors, actions, child links and engagements are C values, each child is
- * stepped by `decide`, the body of `step`, and PUCT and backup keep the
- * Python walk's operation order.  It calls Python back for the networks
- * and the search rng only, where the Python walk does that work and in its
- * order, and walks a critic output or score that is not finite as Python
+ * `search` is mcts._walk on the same arguments: the tree's visit counts,
+ * value sums, priors, actions, child links and engagements are C values,
+ * each child is stepped by `decide`, the body of `step`, and PUCT and
+ * backup keep _walk's operation order.  It calls the same callbacks, for
+ * the networks and the search rng, at the same points and in the same
+ * order, and walks a critic output or score that is not finite as _walk
  * does (py_min, py_max, the argmax's strict greater-than).  Only where the
  * root or a child step would hand back, or a callback's array is not of
- * float64 and of its shape, does it return None for run_search's Python
- * walk.
+ * float64 and of its shape, does it return None for run_search to run
+ * _walk.
  *
  * The model constants are not written here: kernel.defines passes each
  * Python definition as a macro (G, PHYSICS_DT, V_FLOOR, GAMMA_LIMIT, the
@@ -739,7 +739,7 @@ step(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
-/* The search tree of mcts.run_search.  A node holds its engagement and its
+/* The search tree of mcts._walk.  A node holds its engagement and its
  * (own, opponent) observations; once expanded, the handle that expand
  * returned; once built, the opponent's reply and its k edges. */
 typedef struct {
@@ -833,7 +833,7 @@ observation(tree *t, Py_ssize_t i, int which)
 }
 
 /* Keep the critic's output out as node i's and set *value to it clamped
- * as mcts._evaluate_state clamps it. */
+ * as mcts._walk clamps it. */
 static int
 keep_value(tree *t, Py_ssize_t i, PyObject *out, double *value)
 {
@@ -850,7 +850,7 @@ keep_value(tree *t, Py_ssize_t i, PyObject *out, double *value)
     return OK;
 }
 
-/* mcts.expand_node through expand(own) -> (critic output, handle). */
+/* mcts.expand_node: expand(own) -> (critic output, handle) at node i. */
 static int
 expand_node(tree *t, Py_ssize_t i, PyObject *expand, double *value)
 {
@@ -875,8 +875,8 @@ expand_node(tree *t, Py_ssize_t i, PyObject *expand, double *value)
     return code;
 }
 
-/* mcts._evaluate_state at the depth cap, through evaluate(own) -> critic
- * output, called once per node. */
+/* _walk at the depth cap: evaluate(own) -> the critic's output at node i,
+ * called once per node. */
 static int
 evaluate_node(tree *t, Py_ssize_t i, PyObject *evaluate, double *value)
 {
@@ -918,9 +918,9 @@ copy_doubles(PyObject *obj, double *out, Py_ssize_t n)
     return ok;
 }
 
-/* mcts.build_candidates through build(handle, opp) -> (actions, priors,
- * mean, reply): node i's k edges and the opponent's reply.  BAIL where an
- * array is not of float64 and of its shape. */
+/* _walk's first descent through node i: build(handle, opp) -> (actions,
+ * priors, mean, reply) become its k edges and the opponent's reply.  BAIL
+ * where an array is not of float64 and of its shape. */
 static int
 build_node(tree *t, Py_ssize_t i, PyObject *build)
 {

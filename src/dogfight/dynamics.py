@@ -161,8 +161,3 @@ def rk4_step(s: AircraftState, c: ControlInput, dt: float = PHYSICS_DT) -> Aircr
 def _velocity(v, gamma, phi):
     cg = math.cos(gamma)
     return (v * cg * math.cos(phi), v * cg * math.sin(phi), v * math.sin(gamma))
-
-
-def velocity_vector(s: AircraftState) -> tuple[float, float, float]:
-    """Inertial velocity components implied by (v, gamma, phi)."""
-    return _velocity(s.v, s.gamma, s.phi)

@@ -142,7 +142,7 @@ def load_config(path) -> LeagueConfig:
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return parse_config(fp.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 

@@ -1,15 +1,16 @@
 """Build, cache and load `_kernel.c`, the compiled copy of
-environment._reference and of mcts.run_search's tree walk.
+environment._reference and of mcts._walk, the search's tree walk.
 
 The extension has two entry points.  `step` is a whole decision on the
 flat engagement tuple (environment.flatten); environment.env_step, the one
-step of matches and of run_search's Python walk, is its one caller.
-`search` walks a search tree, stepping its children as `step` does and
-calling back into Python only for the networks; mcts.run_search calls it
+step of matches and of mcts._walk, is its one caller.  `search` is
+mcts._walk on the same arguments: it walks a search tree, stepping its
+children as `step` does and calling back into Python only for the
+networks and the search rng (mcts._callbacks); mcts.run_search calls it
 when its model is env_step.  It hands a search back (returns None) only
 where the root or a child step would hand back or a callback's array is
 not float64 of its shape; critic outputs and scores that are not finite it
-walks as the Python walk does.
+walks as _walk does.
 
 The C source defines no model constant.  `defines` turns the Python
 definitions (dynamics', environment's and missile's constants and the
@@ -33,7 +34,7 @@ multiply and an add into a fused multiply-add, and no builtin replacement of
 the C library's math functions.  Nothing here is required: without a compiler,
 with a cache directory that cannot be written, or when the library does not
 load, `load` returns None with the reason, and env_step runs
-environment._reference and run_search its Python walk, which give the same
+environment._reference and run_search mcts._walk, which give the same
 bytes more slowly; `dogfight train` then says so on stderr.
 """
 

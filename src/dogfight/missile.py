@@ -32,7 +32,6 @@ from .dynamics import (
     PHYSICS_DT,
     AircraftState,
     _clip_gamma,
-    _velocity,
     wrap_angle,
 )
 
@@ -162,11 +161,6 @@ def _derivatives(v, gamma, phi, t, n_mc, n_mh):
     vcg = v * cg
     return (vcg * math.cos(phi), vcg * math.sin(phi), v * sg,
             (pm - qm) * G / gm - G * sg, (n_mh - cg) * G / v, n_mc * G / vcg)
-
-
-def missile_velocity(m: MissileState) -> Vec3:
-    """Inertial velocity components implied by (vm, gamma, phi)."""
-    return _velocity(m.vm, m.gamma, m.phi)
 
 
 def _segment_min_distance(r0: Vec3, r1: Vec3) -> float:

@@ -271,6 +271,13 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[run]\niterations = 2\xff\n")
+    assert main(["train", "--config", str(bad)]) == 1
+    assert f"config error: cannot read config {bad}" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exits_two(tmp_path, capsys):
     ghost = tmp_path / "ghost.ckpt"
     assert main(["eval", "--a", str(ghost), "--b", str(ghost)]) == 2

@@ -19,10 +19,10 @@ from dogfight.dynamics import (
     AircraftState,
     ControlInput,
     DegenerateStateError,
+    _velocity,
     aircraft_derivatives,
     clamp_controls,
     rk4_step,
-    velocity_vector,
     wrap_angle,
 )
 
@@ -236,7 +236,7 @@ def test_wrap_angle_interval():
 def test_velocity_vector_consistent_with_derivatives():
     s = AircraftState(1.0, 2.0, 3000.0, 320.0, 0.4, -2.1)
     d = aircraft_derivatives(s, ControlInput(0.0, 1.0, 0.0))
-    assert velocity_vector(s) == (d.x, d.y, d.z)
+    assert _velocity(s.v, s.gamma, s.phi) == (d.x, d.y, d.z)
 
 
 def textbook_rk4(s, c, dt):

@@ -347,6 +347,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.ini")
 
 
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "latin.ini"
+    path.write_bytes(b"[run]\nseed = 7 # \xff\n")
+    with pytest.raises(ConfigError, match=r"cannot read config .*latin\.ini: 'utf-8'"):
+        load_config(path)
+
+
 def test_write_metrics_lines():
     sink = io.StringIO()
     train = TrainMetrics(surrogate=-0.01, value_loss=0.5, entropy=5.67,

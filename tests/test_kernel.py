@@ -6,7 +6,8 @@ the Python loop: the reference.  env_step, the one function that calls the
 kernel's `step`, reaches either.  Equality is of the IEEE bytes of every
 field of its result (selfcheck.step_bytes).  The kernel's `search` is held
 to run_search's Python walk in test_mcts; here its reference counts and its
-error paths are checked.
+error paths are checked, each branch against mcts._walk on the same
+argument tuple.
 """
 
 import gc
@@ -452,28 +453,34 @@ def search_args(branch):
     """search's arguments for a SEARCH_BRANCHES branch: mcts' callbacks on
     small networks, the critic's last-layer weights the branch's where it
     names them, expand's handles wrapped in Handle, and expand raising
-    RuntimeError on every nth call where the branch names n."""
+    RuntimeError on every nth call where the branch names n.  Each search
+    on them draws from the same rng state, reset when the root is
+    expanded, so every walk of one tuple searches alike."""
     root, raise_at, critic_weights, _ = SEARCH_BRANCHES[branch]
     nets = [mlp.init_params(i, (13, 8, 8, 1 if i == 1 else 4),
                             with_log_std=i != 1) for i in range(3)]
     if critic_weights is not None:
         nets[1].weights[-1][:, 0] = critic_weights
-    expand, evaluate, build = mcts._callbacks(*nets, 9,
-                                              np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    expand, evaluate, build = mcts._callbacks(*nets, 9, rng)
+    own, opp = observe(root, BLUE), observe(root, RED)
     calls = [0]
 
-    def counted_expand(own):
+    def counted_expand(obs):
         calls[0] += 1
         if raise_at is not None and calls[0] % raise_at == 0:
             raise RuntimeError("expand failed")
-        value, handle = expand(own)
+        if obs is own:
+            rng.bit_generator.state = start
+        value, handle = expand(obs)
         return value, Handle(handle)
 
-    def counted_build(handle, opp):
-        return build(handle.inner, opp)
+    def counted_build(handle, obs):
+        return build(handle.inner, obs)
 
-    return (root, False, observe(root, BLUE), observe(root, RED), 9, 20, 1.25,
-            5, counted_expand, evaluate, counted_build)
+    return (root, False, own, opp, 9, 20, 1.25, 5, counted_expand, evaluate,
+            counted_build)
 
 
 # search's branches: (root, n where expand raises on every nth call, the
@@ -495,11 +502,14 @@ SEARCH_BRANCHES = {
 
 
 def search_branch(compiled, branch, args):
-    """One compiled search on args, checked against its branch."""
+    """One compiled search on args, checked against its branch and, where
+    it is walked or raises, against mcts._walk on the same args."""
     expected = SEARCH_BRANCHES[branch][3]
     if expected is RuntimeError:
         with pytest.raises(RuntimeError, match="expand failed"):
             compiled.search(*args)
+        with pytest.raises(RuntimeError, match="expand failed"):
+            mcts._walk(*args, env_step)
     else:
         out = compiled.search(*args)
         if expected is None:
@@ -511,6 +521,13 @@ def search_branch(compiled, branch, args):
             # includes getrefcount's argument).
             assert [sys.getrefcount(out), sys.getrefcount(out[0]),
                     sys.getrefcount(out[2])] == [2, 2, 2]
+            # The same tuple on the Python walk: the same visits, critic
+            # output and root arrays, byte for byte.
+            ref = mcts._walk(*args, env_step)
+            assert out[0] == ref[0]
+            assert np.float64(out[1]).tobytes() == np.float64(ref[1]).tobytes()
+            assert [a.tobytes() for a in out[2]] == [a.tobytes() for a in ref[2]]
+            del ref
         del out
     assert Handle.live == 0  # the tree let go of every handle
 

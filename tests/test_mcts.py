@@ -1,14 +1,15 @@
 """Search tests.
 
 run_search walks the tree in the compiled kernel when its model is env_step
-itself, its critic a network and its rng a Generator, and in Python
-otherwise; `python_walk` is env_step behind a wrapper, which pins a search
-to the Python walk.  Tests that look inside the Python walk use it, and the
-kernel's walk is held to it byte for byte.
+itself and its rng a Generator, and in `mcts._walk` otherwise;
+`python_walk` is env_step behind a wrapper, which pins a search to the
+Python walk.  Tests that look inside the tree call `_walk` (see `walk`) or
+use that wrapper, and the kernel's walk is held to the Python walk byte for
+byte.
 
 The dominance test rigs the search with a stub rng that draws equal-norm
-actions (priors exactly 1/9) and a callable value oracle worth +1 only for
-one root child; the resulting visit counts follow a hand-derived recurrence
+actions (priors exactly 1/9) and a value oracle worth +1 only for one root
+child; the resulting visit counts follow a hand-derived recurrence
 (round-robin until the good child is found, then all remaining visits on
 it), which the test asserts exactly.
 """
@@ -27,6 +28,7 @@ from dogfight.environment import (
     env_step,
     flatten,
     observe,
+    other_side,
     reset,
     unflatten,
 )
@@ -35,7 +37,6 @@ from dogfight.mcts import (
     SearchNode,
     SearchResult,
     backup,
-    build_candidates,
     expand_node,
     puct_select,
     run_search,
@@ -59,16 +60,29 @@ def python_walk(flat, a_blue, a_red):
     return env_step(flat, a_blue, a_red)
 
 
-def manual_node(priors, visits=None, values=None):
-    node = SearchNode(None, 0)
-    k = len(priors)
-    node.expanded = True
-    node.priors = [float(p) for p in priors]
-    node.visit_counts = [0] * k if visits is None else [int(n) for n in visits]
-    node.total_values = [0.0] * k if values is None else [float(w) for w in values]
-    node.actions = np.zeros((k, 4))
-    node.children = [None] * k
-    return node
+def root_obs(flat, side):
+    return observe(flat, side), observe(flat, other_side(side))
+
+
+def walk(monkeypatch, flat, side, actor, critic, opponent, config, rng,
+         model=env_model):
+    """mcts._walk on run_search's arguments, with a spy on expand_node.
+    Returns (_walk's result, the nodes it expanded, the root first)."""
+    expanded = []
+    real_expand = mcts.expand_node
+
+    def spy_expand(node, expand):
+        expanded.append(node)
+        return real_expand(node, expand)
+
+    with monkeypatch.context() as m:
+        m.setattr(mcts, "expand_node", spy_expand)
+        out = mcts._walk(flat, side != BLUE, *root_obs(flat, side),
+                         config.num_actions, config.num_simulations,
+                         config.c_puct, config.max_depth,
+                         *mcts._callbacks(actor, critic, opponent,
+                                          config.num_actions, rng), model)
+    return out, expanded
 
 
 class EqualNormRng:
@@ -99,99 +113,103 @@ def test_search_config_validation():
 
 
 def test_puct_tie_break_lowest_index():
-    node = manual_node(np.full(9, 1.0 / 9.0))
-    assert puct_select(node, 1.25) == 0
+    assert puct_select([1.0 / 9.0] * 9, [0] * 9, [0.0] * 9, 1.25) == 0
 
 
 def test_puct_prior_dominates_before_visits():
-    priors = np.full(9, 0.1 / 8.0)
+    priors = [0.1 / 8.0] * 9
     priors[4] = 0.9
-    node = manual_node(priors)
-    assert puct_select(node, 1.25) == 4
+    assert puct_select(priors, [0] * 9, [0.0] * 9, 1.25) == 4
 
 
 def test_puct_explores_away_from_heavily_visited_child():
-    visits = np.zeros(9, dtype=np.int64)
+    visits = [0] * 9
     visits[3] = 19
-    node = manual_node(np.full(9, 1.0 / 9.0), visits=visits)
-    assert puct_select(node, 1.25) != 3
-
-
-def test_puct_requires_expanded_node():
-    with pytest.raises(ValueError):
-        puct_select(SearchNode(None, 0), 1.25)
-
-
-def test_half_built_node_never_reaches_selection():
-    # Expanded but not yet descended through: there are no candidates to
-    # select among or to step, and both say so rather than fail on None.
-    node = SearchNode(flatten(reset(1)), 0)
-    expand_node(node, BLUE, make_actor(0), make_critic(1),
-                SearchConfig(), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="candidates"):
-        puct_select(node, 1.25)
-    with pytest.raises(ValueError, match="candidates"):
-        mcts._make_child(node, 0, BLUE, env_model)
-    build_candidates(node, BLUE, make_actor(0), make_actor(2))
-    assert puct_select(node, 1.25) in range(9)
+    assert puct_select([1.0 / 9.0] * 9, visits, [0.0] * 9, 1.25) != 3
 
 
 def test_backup_running_mean():
-    node = manual_node(np.full(9, 1.0 / 9.0))
+    # With no prior term, PUCT picks the highest mean backed-up value; an
+    # unvisited child counts 0 and a tie goes to the lower index.
+    node = SearchNode(None, 1, None)
+    node.visit_counts, node.total_values = [0] * 9, [0.0] * 9
     backup([(node, 1)], 0.5)
-    assert node.visit_counts[1] == 1
-    assert node.total_values[1] == 0.5
-    assert node.q_values()[1] == 0.5
+    assert (node.visit_counts[1], node.total_values[1]) == (1, 0.5)
+    assert puct_select([0.0] * 9, node.visit_counts, node.total_values, 1.25) == 1
     backup([(node, 1)], -0.5)
-    assert node.visit_counts[1] == 2
-    assert node.total_values[1] == 0.0
-    assert node.q_values()[1] == 0.0
-    assert node.q_values()[0] == 0.0  # unvisited children report 0
+    assert (node.visit_counts[1], node.total_values[1]) == (2, 0.0)
+    assert puct_select([0.0] * 9, node.visit_counts, node.total_values, 1.25) == 0
+    assert sum(node.visit_counts) == 2 and sum(node.total_values) == 0.0
 
 
 def test_expand_node_populates_children():
-    state = reset(1)
-    node = SearchNode(flatten(state), 0)
-    cfg = SearchConfig()
-    value = expand_node(node, BLUE, make_actor(0), make_critic(1),
-                        cfg, np.random.default_rng(0))
-    assert node.expanded
-    assert node.draws.shape == (9, 4) and node.actions is None
-    build_candidates(node, BLUE, make_actor(0), make_actor(2))
-    assert np.shape(node.actions) == (9, 4)
-    assert abs(sum(node.priors) - 1.0) < 1e-9
-    assert node.visit_counts == [0] * 9 and node.total_values == [0.0] * 9
-    assert -1.0 <= value <= 1.0
-    with pytest.raises(ValueError):
-        expand_node(node, BLUE, make_actor(0), make_critic(1),
-                    cfg, np.random.default_rng(0))
+    # Expansion keeps the critic's output and expand's handle (the own
+    # observation and the node's draws), nothing more; the first descent
+    # builds the candidates, priors, reply and edges.
+    flat = flatten(reset(1))
+    critic = make_critic(1)
+    node = SearchNode(flat, 0, root_obs(flat, BLUE))
+    expand, _, build = mcts._callbacks(make_actor(0), critic, make_actor(2), 9,
+                                       np.random.default_rng(0))
+    value = expand_node(node, expand)
+    own, draws = node.handle
+    assert draws.shape == (9, 4) and node.actions is None
+    assert node.visit_counts is None and node.children is None
+    assert node.value == float(mlp.forward(critic, own)[0])
+    assert value == min(max(node.value, -1.0), 1.0)
+    actions, priors, mean, reply = build(node.handle, node.obs[1])
+    assert actions.shape == (9, 4) and mean.shape == reply.shape == (4,)
+    assert abs(priors.sum() - 1.0) < 1e-9
 
 
-def test_expand_equal_log_densities_uniform_priors():
-    state = reset(2)
-    node = SearchNode(flatten(state), 0)
-    expand_node(node, BLUE, make_actor(0), make_critic(1),
-                SearchConfig(), EqualNormRng())
-    build_candidates(node, BLUE, make_actor(0), make_actor(2))
-    np.testing.assert_array_equal(node.priors, np.full(9, 1.0 / 9.0))
+def test_expand_equal_log_densities_uniform_priors(monkeypatch):
+    (visits, _, built), nodes = walk(monkeypatch, flatten(reset(2)), BLUE,
+                                     make_actor(0), make_critic(1),
+                                     make_actor(2), SearchConfig(),
+                                     EqualNormRng())
+    np.testing.assert_array_equal(built[1], np.full(9, 1.0 / 9.0))
+    assert nodes[0].priors == [1.0 / 9.0] * 9 and sum(visits) == 20
 
 
-def test_expand_terminal_node_returns_outcome():
-    node = SearchNode(flatten(reset(0)), 1)
-    node.terminal = True
-    node.terminal_value = -1.0
-    value = expand_node(node, BLUE, make_actor(0), make_critic(1),
-                        SearchConfig(), np.random.default_rng(0))
-    assert value == -1.0
-    assert not node.expanded
+def test_expand_terminal_node_returns_outcome(monkeypatch):
+    # A model that ends the engagement at every step with red's win: each
+    # child is terminal, so it is never expanded or evaluated, and its
+    # reward, -1 to blue, is what every simulation backs up.
+    forwards = [0]
+    real_forward = mcts.forward
+
+    def counted(params, x):
+        forwards[0] += 1
+        return real_forward(params, x)
+
+    def red_wins(flat, a_blue, a_red):
+        return env_step(flat, a_blue, a_red)[:3] + (2,)
+
+    monkeypatch.setattr(mcts, "forward", counted)
+    (visits, _, _), nodes = walk(monkeypatch, flatten(reset(0)), BLUE,
+                                 make_actor(0), make_critic(1), make_actor(2),
+                                 SearchConfig(), np.random.default_rng(0),
+                                 red_wins)
+    root = nodes[0]
+    assert nodes == [root] and sum(visits) == 20
+    assert forwards[0] == 3  # the root's critic, actor and opponent
+    children = [c for c in root.children if c is not None]
+    assert children and all(c.terminal_value == -1.0 and c.handle is None
+                            and c.value is None for c in children)
+    assert sum(root.total_values) == -20.0
 
 
 def test_critic_value_clamped():
-    state = reset(3)
-    node = SearchNode(flatten(state), 0)
-    value = expand_node(node, BLUE, make_actor(0), lambda s: 5.0,
-                        SearchConfig(), np.random.default_rng(0))
-    assert value == 1.0
+    # A critic that outputs 5.0 everywhere: the root value is clamped to the
+    # outcome scale, and the unclamped output comes back too, on both walks.
+    critic = make_critic(1)
+    critic.weights[-1][:] = 0.0
+    critic.biases[-1][:] = 5.0
+    for model in (env_model, python_walk):
+        res = run_search(flatten(reset(3)), BLUE, make_actor(0), critic,
+                         make_actor(2), model, SearchConfig(),
+                         np.random.default_rng(0))
+        assert (res.root_value, res.root_critic) == (1.0, 5.0)
 
 
 def test_run_search_root_visit_sum():
@@ -240,65 +258,43 @@ def test_run_search_deterministic():
     assert a.chosen_index == b.chosen_index
 
 
-def _walk(node):
+def _nodes(node):
     yield node
     if node.children:
         for child in node.children:
             if child is not None:
-                yield from _walk(child)
+                yield from _nodes(child)
 
 
-def test_tree_invariants_after_search():
-    # Re-run the search loop manually so the tree stays inspectable.
-    from dogfight import mcts as m
-
-    state = reset(12)
+def test_tree_invariants_after_search(monkeypatch):
     cfg = SearchConfig()
-    actor, critic, opponent = make_actor(0), make_critic(1), make_actor(2)
-    rng = np.random.default_rng(5)
-    root = SearchNode(flatten(state), 0)
-    expand_node(root, BLUE, actor, critic, cfg, rng)
-    for _ in range(cfg.num_simulations):
-        node, path = root, []
-        while True:
-            if node.terminal:
-                value = node.terminal_value
-                break
-            if node.depth >= cfg.max_depth:
-                value = m._evaluate_state(node, BLUE, critic)
-                break
-            if not node.expanded:
-                value = expand_node(node, BLUE, actor, critic, cfg, rng)
-                break
-            if node.actions is None:
-                build_candidates(node, BLUE, actor, opponent)
-            idx = puct_select(node, cfg.c_puct)
-            if node.children[idx] is None:
-                node.children[idx] = m._make_child(node, idx, BLUE, env_model)
-            path.append((node, idx))
-            node = node.children[idx]
-        backup(path, value)
-
-    assert sum(root.visit_counts) == cfg.num_simulations
-    for node in _walk(root):
+    (visits, _, _), expanded = walk(monkeypatch, flatten(reset(12)), BLUE,
+                                    make_actor(0), make_critic(1),
+                                    make_actor(2), cfg,
+                                    np.random.default_rng(5))
+    root = expanded[0]
+    assert visits is root.visit_counts
+    assert sum(visits) == cfg.num_simulations
+    for node in _nodes(root):
         # Each node's observations are the env model's, equal to observe's.
         own, opp = node.obs
         np.testing.assert_array_equal(own, observe(node.state, BLUE))
         np.testing.assert_array_equal(opp, observe(node.state, RED))
-        if not node.expanded:
+        if node.handle is None:
             continue
-        q = np.asarray(node.q_values())
-        assert np.all(q >= -1.0 - 1e-12) and np.all(q <= 1.0 + 1e-12)
         if node.actions is None:
             # A leaf: expanded, never descended through, so no candidates.
-            assert node.priors is None and sum(node.visit_counts) == 0
+            assert node.priors is None and node.visit_counts is None
             continue
+        q = [w / n if n else 0.0
+             for w, n in zip(node.total_values, node.visit_counts)]
+        assert all(-1.0 - 1e-12 <= v <= 1.0 + 1e-12 for v in q)
         assert abs(sum(node.priors) - 1.0) < 1e-9
         # Visits entering an expanded interior node: one expanded it, the
         # rest descended to its children.
         for i, child in enumerate(node.children):
-            if child is not None and child.expanded:
-                assert sum(child.visit_counts) == node.visit_counts[i] - 1
+            if child is not None and child.handle is not None:
+                assert sum(child.visit_counts or [0]) == node.visit_counts[i] - 1
 
 
 def test_opponent_plays_policy_mean():
@@ -323,30 +319,36 @@ def test_rigged_dominance_visit_recurrence():
     # Uniform priors (stub rng), depth-1 search, value +1 only behind child
     # k: selection round-robins indices 0..k, then locks onto k.  Expected
     # counts: one visit for each child below k, 20-k for k, none above.
+    # The oracle knows child k by the identity of the observation that the
+    # model returned for it, so it runs on the Python walk only (the
+    # kernel's walk hands evaluate new tuples).  Its value would not do:
+    # EqualNormRng's rows 3 and 7 differ only in the fire logit, and where
+    # the gate refuses a launch they step to the same state, so an oracle
+    # keyed on the value rewards child 3 as well as child 7.
     cfg = SearchConfig(max_depth=1)
-    actor, opponent = make_actor(0), make_actor(2)
+    actor, critic, opponent = make_actor(0), make_critic(1), make_actor(2)
     for k in range(9):
-        state = reset(20 + k)
-        stub = EqualNormRng()
-        obs = observe(flatten(state), BLUE)
-        mean = mlp.forward(actor, obs)
-        expected_actions = mean + np.exp(actor.log_std) * stub.standard_normal((9, 4))
-        best_ids = set()
+        flat = flatten(reset(20 + k))
+        mean = mlp.forward(actor, observe(flat, BLUE))
+        expected_actions = mean + np.exp(actor.log_std) \
+            * EqualNormRng().standard_normal((9, 4))
+        best = set()
 
-        def model(s, ab, ar, _k=k):
-            res = env_model(s, ab, ar)
+        def tagging_model(s, ab, ar, _k=k):
+            out = env_model(s, ab, ar)
             if np.array_equal(ab, expected_actions[_k]):
-                best_ids.add(id(res[0]))
-            return res
+                best.add(id(out[1]))
+            return out
 
-        res = run_search(flatten(state), BLUE, actor,
-                         lambda st: 1.0 if id(st) in best_ids else 0.0,
-                         opponent, model, cfg, EqualNormRng())
-        assert res.chosen_index == k
-        expected_counts = np.zeros(9, dtype=np.int64)
-        expected_counts[:k] = 1
-        expected_counts[k] = 20 - k
-        np.testing.assert_array_equal(res.visit_counts, expected_counts)
+        expand, _, build = mcts._callbacks(actor, critic, opponent, 9,
+                                           EqualNormRng())
+        visits, _, _ = mcts._walk(flat, False, *root_obs(flat, BLUE), 9,
+                                  cfg.num_simulations, cfg.c_puct,
+                                  cfg.max_depth, expand,
+                                  lambda own: 1.0 if id(own) in best else 0.0,
+                                  build, tagging_model)
+        assert visits.index(max(visits)) == k
+        assert visits == [1] * k + [20 - k] + [0] * (8 - k)
 
 
 def test_single_action_degenerates_to_raw_sample():
@@ -439,11 +441,11 @@ def _default_nets(count):
             for i in range(count)]
 
 
-def _eager_expand(node, side, actor, critic, opponent, config, rng):
+def _eager_expand(node, actor, critic, opponent, k, rng):
     """The reference expansion: candidates, priors and the opponent's reply
-    built at once, for every expanded node."""
-    k = config.num_actions
-    own_obs, opp_obs = mcts._observations(node, side)
+    built at once, for every expanded node.  The handle is the actor's
+    mean."""
+    own_obs, opp_obs = node.obs
     mean = mlp.forward(actor, own_obs)
     draws = rng.standard_normal((k, actor.out_dim))
     actions = mean + np.exp(actor.log_std) * draws
@@ -454,32 +456,35 @@ def _eager_expand(node, side, actor, critic, opponent, config, rng):
     node.visit_counts = [0] * k
     node.total_values = [0.0] * k
     node.children = [None] * k
-    node.mean = mean
-    node.opp_action = mlp.forward(opponent, opp_obs).tolist()
-    node.expanded = True
-    return mcts._evaluate_state(node, side, critic)
+    node.handle = mean
+    node.reply = mlp.forward(opponent, opp_obs).tolist()
+    node.value = float(mlp.forward(critic, own_obs)[0])
+    return min(max(node.value, -1.0), 1.0)
 
 
 def _eager_search(root_state, side, actor, critic, opponent, model, config, rng):
-    """run_search's loop driven by the eager expansion."""
-    root = SearchNode(root_state, 0)
-    root_value = _eager_expand(root, side, actor, critic, opponent, config, rng)
+    """_walk's loop driven by the eager expansion."""
+    k, red = config.num_actions, side != BLUE
+    root = SearchNode(root_state, 0, root_obs(root_state, side))
+    root_value = _eager_expand(root, actor, critic, opponent, k, rng)
     for _ in range(config.num_simulations):
         node, path = root, []
         while True:
-            if node.terminal:
+            if node.terminal_value is not None:
                 value = node.terminal_value
                 break
             if node.depth >= config.max_depth:
-                value = mcts._evaluate_state(node, side, critic)
+                if node.value is None:
+                    node.value = float(mlp.forward(critic, node.obs[0])[0])
+                value = min(max(node.value, -1.0), 1.0)
                 break
-            if not node.expanded:
-                value = _eager_expand(node, side, actor, critic, opponent, config,
-                                      rng)
+            if node.handle is None:
+                value = _eager_expand(node, actor, critic, opponent, k, rng)
                 break
-            idx = puct_select(node, config.c_puct)
+            idx = puct_select(node.priors, node.visit_counts,
+                              node.total_values, config.c_puct)
             if node.children[idx] is None:
-                node.children[idx] = mcts._make_child(node, idx, side, model)
+                node.children[idx] = mcts._make_child(node, idx, red, model)
             path.append((node, idx))
             node = node.children[idx]
         backup(path, value)
@@ -487,7 +492,7 @@ def _eager_search(root_state, side, actor, critic, opponent, model, config, rng)
     chosen = visits.index(max(visits))
     return SearchResult(np.array(root.actions[chosen]), root_value,
                         np.array(visits, dtype=np.int64), np.array(root.priors),
-                        chosen, root.mean, root.eval_value)
+                        chosen, root.handle, root.value)
 
 
 def test_deferred_candidates_match_eager_expansion(monkeypatch):
@@ -503,9 +508,9 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     expanded, forwards = [], [0]
     real_expand, real_forward = mcts.expand_node, mcts.forward
 
-    def spy_expand(node, *args):
+    def spy_expand(node, expand):
         expanded.append(node)
-        return real_expand(node, *args)
+        return real_expand(node, expand)
 
     def spy_forward(params, x):
         forwards[0] += 1
@@ -540,14 +545,14 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
         assert rng.bit_generator.state == twin.bit_generator.state
 
         descended = [n for n in expanded if n.actions is not None]
-        capped = [n for n in _walk(expanded[0])
-                  if not n.expanded and n.eval_value is not None]
+        capped = [n for n in _nodes(expanded[0])
+                  if n.handle is None and n.value is not None]
         assert n_forwards == len(expanded) + len(capped) + 2 * len(descended)
         for node in expanded:
             if node.actions is None:
                 leaves += 1
-                assert node.priors is None and node.mean is None
-                assert node.opp_action is None and sum(node.visit_counts) == 0
+                assert node.priors is None and node.reply is None
+                assert node.visit_counts is None
     assert missile_roots > 15 and leaves > 200
 
 

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from dogfight import missile
-from dogfight.dynamics import G, GAMMA_LIMIT, PHYSICS_DT, AircraftState, wrap_angle
+from dogfight.dynamics import (
+    G,
+    GAMMA_LIMIT,
+    PHYSICS_DT,
+    AircraftState,
+    _velocity,
+    wrap_angle,
+)
 from dogfight.missile import (
     HIT_RADIUS,
     MAX_COMMAND,
@@ -27,7 +34,6 @@ from dogfight.missile import (
     launch_missile,
     mass_at,
     missile_step,
-    missile_velocity,
     pn_commands,
     thrust_at,
 )
@@ -154,7 +160,7 @@ def test_vertical_climb_speed_rate():
     # Near-vertical climb under thrust: dv = (P0 - drag) * g / mass - g.
     gamma = GAMMA_LIMIT
     m = fresh(vm=300.0, gamma=gamma, t=1.0)
-    vel = missile_velocity(m)
+    vel = _velocity(m.vm, m.gamma, m.phi)
     dt = 1e-8
     tpos = (m.x + 1000.0 * vel[0] / 300.0, m.y + 1000.0 * vel[1] / 300.0,
             m.z + 1000.0 * vel[2] / 300.0)
@@ -270,7 +276,7 @@ def textbook_missile_step(m, tpos, tvel, dt):
     as k1 + 2 (k2 + k3) + k4, the model's rounding.  A hit is a closest
     approach of the linearly moving target under the hit radius.
     """
-    vel = missile_velocity(m)
+    vel = _velocity(m.vm, m.gamma, m.phi)
     try:
         n_mc, n_mh = pn_commands(tpos[0] - m.x, tpos[1] - m.y, tpos[2] - m.z,
                                  tvel[0] - vel[0], tvel[1] - vel[1],
@@ -348,7 +354,7 @@ def test_missile_step_equals_textbook_rk4_bit_for_bit():
         m = MissileState(x, y, z, vm, gamma, float(rng.uniform(-math.pi, math.pi)),
                          t, "blue", "red", MissileStatus.IN_FLIGHT, n_mc, n_mh)
         if kind == 2:  # up to 0.4 s ahead of the nose, give or take 50 m
-            ahead = np.multiply(missile_velocity(m), rng.uniform(0.0, 0.4))
+            ahead = np.multiply(_velocity(m.vm, m.gamma, m.phi), rng.uniform(0.0, 0.4))
             tpos = tuple(map(float, np.add((x, y, z), ahead)
                              + rng.uniform(-50.0, 50.0, 3)))
         tvel = (0.0, 0.0, 0.0) if kind == 1 else \
