@@ -11,8 +11,7 @@ sampling raw actions.
 
 import numpy as np
 
-from dogfight import SearchConfig, env_step, flatten, init_params, reset, \
-    run_search
+from dogfight import SearchConfig, flatten, init_params, reset, run_search
 from dogfight.environment import BLUE
 from dogfight.selfplay import AgentCheckpoint, play_match
 
@@ -24,7 +23,7 @@ critic = init_params(4, LAYERS[:-1] + (1,))
 # tuple that matches and search step through env_step.
 state = flatten(reset(seed=0))
 cfg = SearchConfig(num_actions=9, num_simulations=20, c_puct=1.25, max_depth=5)
-res = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
+res = run_search(state, BLUE, actor, critic, actor, cfg,
                  np.random.default_rng(7))
 print("visit counts:", res.visit_counts.tolist(),
       " sum =", int(res.visit_counts.sum()))
@@ -32,7 +31,7 @@ print("priors sum to", float(res.priors.sum()))
 print(f"root value {res.root_value:+.4f}, chose candidate {res.chosen_index}")
 
 # The same seed gives the same search, visit for visit.
-res2 = run_search(state, BLUE, actor, critic, actor, env_step, cfg,
+res2 = run_search(state, BLUE, actor, critic, actor, cfg,
                   np.random.default_rng(7))
 print("deterministic rerun:", np.array_equal(res.visit_counts, res2.visit_counts))
 

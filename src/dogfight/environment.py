@@ -29,9 +29,10 @@ every substep, and where the kernel hands a decision back because the
 reference would raise.  Matches and tree search step flat tuples through
 it; a caller that holds an EngagementState flattens it first, and
 `unflatten` rebuilds one from a step's result.  (The kernel's own search
-walk, which run_search takes when its model is env_step, steps children by
-the same C decision as `step`, and hands the whole search back where `step`
-would hand back.)  Setting `_kernel` to None selects the reference.
+walk, which run_search takes wherever the kernel is loaded, steps children
+by the same C decision as `step`, and hands the whole search back where
+`step` would hand back.)  Setting `_kernel` to None selects the reference,
+for search as for a step.
 """
 
 from __future__ import annotations
@@ -327,7 +328,6 @@ FlatState = tuple
 # (next flat state, obs_blue, obs_red, outcome code); the observations are
 # tuples of OBS_DIM floats.
 FlatStep = tuple
-FlatModel = Callable[[FlatState, Action, Action], FlatStep]
 
 OUTCOMES_BY_CODE = (Outcome.ONGOING, Outcome.BLUE_WIN, Outcome.RED_WIN,
                     Outcome.DRAW)

@@ -7,7 +7,8 @@ default from the dataclass field.  Unknown sections or keys are rejected so
 a typo cannot silently break a reproduction.  The
 checkpoint format stores every tensor as little-endian float64 with a
 CRC32 trailer, so a round-trip is bit-exact and corruption, truncation,
-bad magic, and version drift are four distinct errors.
+bad magic, and version drift are four distinct errors.  A file that holds
+no agent (see _params_from) is refused too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .environment import OBS_DIM
 from .mlp import MlpParams
 from .selfplay import AgentCheckpoint, IterationMetrics, LeagueConfig
 
@@ -220,14 +222,19 @@ def _read_tensor(cur: _Cursor) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _params_from(tensors: list[np.ndarray], what: str) -> MlpParams:
+def _params_from(tensors: list[np.ndarray], what: str, outputs: int,
+                 with_log_std: bool) -> MlpParams:
+    """The network in tensors (weights, biases, then the log-std where
+    with_log_std), which must map OBS_DIM features to outputs."""
     n = len(tensors)
-    layers, has_log_std = divmod(n, 2)
-    if layers < 1:
-        raise CheckpointError(f"{what}: too few tensors ({n})")
+    layers = (n - with_log_std) // 2
+    if layers < 1 or n != 2 * layers + with_log_std:
+        raise CheckpointError(
+            f"{what}: {n} tensors are not layers "
+            f"{'with' if with_log_std else 'without'} a log-std")
     weights = tensors[:layers]
     biases = tensors[layers:2 * layers]
-    log_std = tensors[-1] if has_log_std else None
+    log_std = tensors[-1] if with_log_std else None
     for i, w in enumerate(weights):
         if w.ndim != 2:
             raise CheckpointError(f"{what}: weight {i} is not a matrix")
@@ -235,7 +242,11 @@ def _params_from(tensors: list[np.ndarray], what: str) -> MlpParams:
             raise CheckpointError(f"{what}: bias {i} shape mismatch")
         if i and weights[i - 1].shape[1] != w.shape[0]:
             raise CheckpointError(f"{what}: layer {i} dimension mismatch")
-    if log_std is not None and log_std.shape != (weights[-1].shape[1],):
+    if (weights[0].shape[0], weights[-1].shape[1]) != (OBS_DIM, outputs):
+        raise CheckpointError(
+            f"{what}: maps {weights[0].shape[0]} features to "
+            f"{weights[-1].shape[1]}, not {OBS_DIM} to {outputs}")
+    if log_std is not None and log_std.shape != (outputs,):
         raise CheckpointError(f"{what}: log-std shape mismatch")
     return MlpParams(list(weights), list(biases), log_std)
 
@@ -298,14 +309,17 @@ def load_checkpoint(path) -> AgentCheckpoint:
             f"{path}: file version {version}, reader supports {FORMAT_VERSION}")
     iteration = cur.u32()
     seed = cur.u64()
-    hash_text = cur.take(cur.u32()).decode("utf-8")
+    try:
+        hash_text = cur.take(cur.u32()).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: config hash is not UTF-8") from None
     n_actor = cur.u32()
     n_critic = cur.u32()
     tensors = [_read_tensor(cur) for _ in range(n_actor + n_critic)]
     if not cur.exhausted:
         raise CheckpointError(f"{path}: unread bytes inside payload")
-    actor = _params_from(tensors[:n_actor], "actor")
-    critic = _params_from(tensors[n_actor:], "critic")
+    actor = _params_from(tensors[:n_actor], f"{path}: actor", 4, True)
+    critic = _params_from(tensors[n_actor:], f"{path}: critic", 1, False)
     return AgentCheckpoint(iteration=iteration, actor=actor, critic=critic,
                            seed=seed, config_hash=hash_text)
 

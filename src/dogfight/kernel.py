@@ -6,8 +6,8 @@ flat engagement tuple (environment.flatten); environment.env_step, the one
 step of matches and of mcts._walk, is its one caller.  `search` is
 mcts._walk on the same arguments: it walks a search tree, stepping its
 children as `step` does and calling back into Python only for the
-networks and the search rng (mcts._callbacks); mcts.run_search calls it
-when its model is env_step.  It hands a search back (returns None) only
+networks and the search rng (mcts._callbacks); mcts.run_search, its one
+caller, hands it every search.  It hands a search back (returns None) only
 where the root or a child step would hand back or a callback's array is
 not float64 of its shape; critic outputs and scores that are not finite it
 walks as _walk does.

@@ -16,23 +16,22 @@ evaluate(own) values a node at the depth cap.  Drawing at expansion keeps
 the rng consumed in expansion order, so building later changes no value.
 
 Two walks of the same tree make these calls, at the same points and in the
-same order, so the search rng is consumed the same way.  When the model is
-`env_step` itself and the rng a Generator, the compiled kernel's `search`
-walks the tree: its C doubles hold the tree, and each child is stepped as
-the kernel's `step` steps, with no Python call.  `_walk` is that walk in
-Python, on the same arguments plus the model that steps a child.  It is
-the reference, and it runs any other model or rng, on a host without the
-kernel, and any search the kernel hands back (a child step it would hand
-back, or a callback's array that is not of float64 and of its shape), after
-`run_search` restores the rng's state.
+same order, so the search rng is consumed the same way.  Wherever the
+compiled kernel is loaded, its `search` walks the tree: its C doubles hold
+the tree, and each child is stepped as the kernel's `step` steps, with no
+Python call.  `_walk` is that walk in Python, on the same arguments,
+stepping each child with `env_step`.  It is the reference, and it runs on a
+host without the kernel and for any search the kernel hands back (a child
+step it would hand back, or a callback's array that is not of float64 and
+of its shape), after `run_search` restores the rng's state.  So, as for a
+step, `environment._kernel` alone picks the route.
 
 The tree, root included, holds flat engagements (`environment.flatten`),
-not EngagementStates.  The env model takes a flat state and both raw
-actions and returns (next flat state, obs_blue, obs_red, outcome code), as
-`environment.env_step` does, with observations equal to `observe` of the
-returned state; a child keeps that pair, seen from the searching side.
-Candidate actions and the opponent's reply are lists of floats, so the
-model reads them without numpy.
+not EngagementStates.  A child is `env_step` of its parent's engagement
+under both raw actions, and keeps the step's observations, equal to
+`observe` of its state, seen from the searching side.  Candidate actions
+and the opponent's reply are lists of floats, so the step reads them
+without numpy.
 
 Priors, visit counts and value sums are Python lists: a node has only
 `num_actions` children, and on a handful of floats a numpy call costs more
@@ -53,8 +52,8 @@ from . import environment
 from .environment import (
     BLUE,
     REWARDS_BY_CODE,
-    FlatModel,
     FlatState,
+    env_step,
     observe,
     other_side,
 )
@@ -175,26 +174,24 @@ def backup(path: list[tuple[SearchNode, int]], value: float) -> None:
         node.total_values[idx] += value
 
 
-def _make_child(node: SearchNode, idx: int, red: bool,
-                env_model: FlatModel) -> SearchNode:
+def _make_child(node: SearchNode, idx: int, red: bool) -> SearchNode:
     """Step node's engagement under candidate idx and the opponent's reply,
     for red's side when red is true, else blue's."""
     if red:
-        state, obs_blue, obs_red, code = env_model(node.state, node.reply,
-                                                   node.actions[idx])
+        state, obs_blue, obs_red, code = env_step(node.state, node.reply,
+                                                  node.actions[idx])
         obs = (obs_red, obs_blue)
     else:
-        state, obs_blue, obs_red, code = env_model(node.state,
-                                                   node.actions[idx], node.reply)
+        state, obs_blue, obs_red, code = env_step(node.state,
+                                                  node.actions[idx], node.reply)
         obs = (obs_blue, obs_red)
     return SearchNode(state, node.depth + 1, obs,
                       REWARDS_BY_CODE[code][red] if code else None)
 
 
 def _walk(root: FlatState, red: bool, own, opp, k: int, simulations: int,
-          c_puct: float, max_depth: int, expand, evaluate, build,
-          env_model: FlatModel):
-    """The kernel's `search` in Python, with env_model stepping each child:
+          c_puct: float, max_depth: int, expand, evaluate, build):
+    """The kernel's `search` in Python, with env_step stepping each child:
     the same arguments, the same callbacks at the same points, and the same
     (root visit counts, root critic output, root build result).
 
@@ -235,7 +232,7 @@ def _walk(root: FlatState, red: bool, own, opp, k: int, simulations: int,
             idx = puct_select(node.priors, node.visit_counts,
                               node.total_values, c_puct)
             if node.children[idx] is None:
-                node.children[idx] = _make_child(node, idx, red, env_model)
+                node.children[idx] = _make_child(node, idx, red)
             path.append((node, idx))
             node = node.children[idx]
         backup(path, value)
@@ -243,19 +240,18 @@ def _walk(root: FlatState, red: bool, own, opp, k: int, simulations: int,
 
 
 def run_search(root_state: FlatState, side: str, actor: MlpParams,
-               critic: MlpParams, opponent: MlpParams, env_model: FlatModel,
-               config: SearchConfig, rng: np.random.Generator, *,
+               critic: MlpParams, opponent: MlpParams, config: SearchConfig,
+               rng: np.random.Generator, *,
                root_obs: Optional[Observations] = None) -> SearchResult:
     """Search from the flat root_state; return the most-visited root action.
 
-    env_model steps flat states, as `environment.env_step` does.  root_obs,
-    when given, must be the (own, opponent) pair that `observe` returns for
-    root_state.  rng draws the candidates' standard normals.
+    root_obs, when given, must be the (own, opponent) pair that `observe`
+    returns for root_state.  rng draws the candidates' standard normals.
 
-    With env_step itself as env_model and a Generator, the compiled kernel
-    walks the tree; where it hands the search back, the rng is restored and
-    `_walk` runs on the same arguments, as it does for any other model or
-    rng.  Both give the same result and leave the rng in the same state.
+    Where the compiled kernel is loaded, it walks the tree; where it hands
+    the search back, the rng is restored and `_walk` runs on the same
+    arguments, as it does without the kernel.  Both give the same result
+    and leave the rng in the same state.
     """
     if root_state[9]:  # the outcome code of a finished engagement
         raise ValueError("cannot search from a terminal state")
@@ -267,14 +263,13 @@ def run_search(root_state: FlatState, side: str, actor: MlpParams,
             *_callbacks(actor, critic, opponent, config.num_actions, rng))
     found = None
     kernel = environment._kernel
-    if (kernel is not None and env_model is environment.env_step
-            and isinstance(rng, np.random.Generator)):
+    if kernel is not None:
         saved = rng.bit_generator.state
         found = kernel.search(*args)
         if found is None:
             rng.bit_generator.state = saved  # _walk draws afresh
     if found is None:
-        found = _walk(*args, env_model)
+        found = _walk(*args)
     visits, critic_value, (actions, priors, mean, _) = found
     chosen = visits.index(max(visits))
     return SearchResult(np.array(actions[chosen]),

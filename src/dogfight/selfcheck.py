@@ -10,6 +10,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -326,14 +327,14 @@ SEARCH_CONFIGS = (SearchConfig(), SearchConfig(num_actions=4, c_puct=2.0),
 
 
 def search_identity(searches: int, seed: int) -> dict:
-    """Run seeded searches on the kernel's walk (run_search with env_step
-    as the model) against run_search's Python walk (env_step behind a
-    wrapper).  AssertionError at the first SearchResult field or search rng
-    state that differs, or where the kernel hands a search back.
+    """Run seeded searches on the kernel's walk against run_search's Python
+    walk, which it takes under a stand-in kernel that keeps `step` and hands
+    every search back.  AssertionError at the first SearchResult field or
+    search rng state that differs, or where the kernel hands a search back.
 
     Roots come from `prefix_root`, the side alternates, and the networks
     (default-size and small) and SEARCH_CONFIGS take turns.  Returns counts
-    of what the searches met, taken from the Python walk's model steps.
+    of what the searches met, taken from the Python walk's steps.
     """
     kernel = environment._kernel
     if kernel is None:
@@ -346,10 +347,12 @@ def search_identity(searches: int, seed: int) -> dict:
             for i, hidden in enumerate(((256, 256), (8, 8)))]
     counts = dict(searches=0, missile_roots=0, ended=0)
 
-    def wrapped(flat, a_blue, a_red):
-        out = env_step(flat, a_blue, a_red)
-        counts["ended"] += out[3] != 0
+    def step(*args):
+        out = kernel.step(*args)
+        counts["ended"] += out is not None and out[3] != 0
         return out
+
+    python_walk = SimpleNamespace(step=step, search=lambda *args: None)
 
     for i in range(searches):
         root, side = prefix_root(rng), (BLUE, RED)[i % 2]
@@ -358,12 +361,13 @@ def search_identity(searches: int, seed: int) -> dict:
         fast_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
         try:
             environment._kernel = spy
-            fast = run_search(root, side, actor, critic, opponent, env_step,
-                              config, fast_rng)
+            fast = run_search(root, side, actor, critic, opponent, config,
+                              fast_rng)
+            environment._kernel = python_walk
+            ref = run_search(root, side, actor, critic, opponent, config,
+                             ref_rng)
         finally:
             environment._kernel = kernel
-        ref = run_search(root, side, actor, critic, opponent, wrapped, config,
-                         ref_rng)
         if (search_bytes(fast) != search_bytes(ref)
                 or fast_rng.bit_generator.state != ref_rng.bit_generator.state):
             raise AssertionError(f"the kernel's walk and the Python walk differ "

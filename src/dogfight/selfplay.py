@@ -8,9 +8,10 @@ LeagueConfig is the whole run: that seed, the league's settings and the
 output directory; harness reads and writes it as the run's config.ini.
 
 A match flattens its start state once and steps that flat engagement
-tuple through environment.env_step, the step search takes too.  Both look
-the name up in this module at call time, so a wrapper bound here sees
-every decision and every model step of a search.
+tuple through environment.env_step, the step search takes too.  A match
+looks the name up in this module at call time, so a wrapper bound here sees
+every decision of a match; a search's own steps stay in the compiled
+kernel's walk wherever the kernel is loaded.
 
 Matches share nothing but read-only agents, so both match loops run on
 forked worker processes (`workers._in_order`), one per usable CPU (the
@@ -159,7 +160,7 @@ def _act(agent: AgentCheckpoint, side: str, state: FlatState,
     """
     if use_mcts:
         found = run_search(state, side, agent.actor, agent.critic, opponent,
-                           env_step, search_config, rng, root_obs=obs)
+                           search_config, rng, root_obs=obs)
         action = found.action
         logp = log_density(found.root_mean, agent.actor.log_std, action)
         return action, float(logp), found.root_critic

@@ -172,25 +172,25 @@ class _EqualNormRng:
         return np.stack(rows)
 
 
-def test_criterion_6_search_properties():
+def test_criterion_6_search_properties(monkeypatch):
     actor = mlp.init_params(0, SMALL, with_log_std=True)
     critic = mlp.init_params(1, SMALL[:-1] + (1,))
     opponent = mlp.init_params(2, SMALL, with_log_std=True)
 
     res = run_search(flatten(reset(3)), BLUE, actor, critic, opponent,
-                     env_step, SearchConfig(), np.random.default_rng(5))
+                     SearchConfig(), np.random.default_rng(5))
     visits_ok = int(res.visit_counts.sum()) == 20
     priors_ok = abs(float(res.priors.sum()) - 1.0) < 1e-12
 
     # Rigged oracle: value +1 only behind one known child; the search must
     # pick that child in every seeded trial.  The oracle knows the child by
-    # the identity of blue's observation that the model returned for it, so
-    # it runs on the Python walk (mcts._walk) only: the kernel's walk hands
-    # the critic new tuples.  An oracle keyed on the value of the child's
-    # observation would not do: _EqualNormRng's rows 3 and 7 differ only in
-    # the fire logit, and where the gate refuses a launch they step to the
-    # same state, so it rewards child 3 as well as child 7 (such an oracle
-    # dominated 95 of 100 trials).
+    # the identity of blue's observation that the step returned for it, so
+    # it runs on the Python walk (mcts._walk, stepping children with
+    # mcts.env_step) only: the kernel's walk hands the critic new tuples.
+    # An oracle keyed on the value of the child's observation would not do:
+    # _EqualNormRng's rows 3 and 7 differ only in the fire logit, and where
+    # the gate refuses a launch they step to the same state, so it rewards
+    # child 3 as well as child 7 (such an oracle dominated 95 of 100 trials).
     cfg = SearchConfig(max_depth=1)
     dominated = 0
     for trial in range(100):
@@ -202,25 +202,24 @@ def test_criterion_6_search_properties():
             * _EqualNormRng().standard_normal((9, 4))
         best = set()
 
-        def tagging_model(s, ab, ar, _k=k, _e=expected, _ids=best):
+        def tagging_step(s, ab, ar, _k=k, _e=expected, _ids=best):
             out = env_step(s, ab, ar)
             if np.array_equal(ab, _e[_k]):
                 _ids.add(id(out[1]))
             return out
 
+        monkeypatch.setattr(mcts, "env_step", tagging_step)
         expand, _, build = mcts._callbacks(actor, critic, opponent, 9,
                                            _EqualNormRng())
         visits, _, _ = mcts._walk(
             state, False, own, observe(state, RED), 9, cfg.num_simulations,
             cfg.c_puct, cfg.max_depth, expand,
-            lambda o, _ids=best: 1.0 if id(o) in _ids else 0.0, build,
-            tagging_model)
+            lambda o, _ids=best: 1.0 if id(o) in _ids else 0.0, build)
         dominated += visits.index(max(visits)) == k
 
     state = flatten(reset(33))
     single = run_search(state, BLUE, actor, critic, opponent,
-                        env_step, SearchConfig(num_actions=1),
-                        np.random.default_rng(77))
+                        SearchConfig(num_actions=1), np.random.default_rng(77))
     raw, _ = mlp.sample_and_logprob(actor, observe(state, BLUE),
                                     np.random.default_rng(77))
     degenerate_ok = np.array_equal(single.action, raw)

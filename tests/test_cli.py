@@ -298,6 +298,18 @@ def test_corrupt_checkpoint_exits_two(ckpt_pair, tmp_path, capsys):
                  "--traj", str(tmp_path / "t.csv")]) == 2
 
 
+def test_checkpoint_without_an_agent_exits_two(ckpt_pair, tmp_path, capsys):
+    # An actor saved without a log-std is refused at load, before a search
+    # could reach for its spread.
+    it = tmp_path / "it.ckpt"
+    save_checkpoint(it, AgentCheckpoint(0, init_params(1, (13, 8, 8, 4)),
+                                        init_params(2, (13, 8, 8, 1)), 0, "t"))
+    assert main(["eval", "--a", str(it), "--b", str(ckpt_pair[1]),
+                 "--games", "1", "--mcts-a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(it) in err
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SOURCE_ROOT = Path(dogfight.__file__).resolve().parents[1]
 

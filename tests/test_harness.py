@@ -39,7 +39,7 @@ from dogfight.harness import (
     write_metrics,
     write_trajectory,
 )
-from dogfight.mlp import init_params
+from dogfight.mlp import MlpParams, init_params
 from dogfight.ppo import TrainMetrics
 from dogfight.selfplay import AgentCheckpoint, IterationMetrics, LeagueConfig, \
     MatchRecord
@@ -295,6 +295,74 @@ def test_checkpoint_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _nets_that_are_not_agents():
+    """(actor, critic, the refusal's words) of networks that a checkpoint
+    file can hold but that are not an agent."""
+    actor, critic = _checkpoint().actor, _checkpoint().critic
+
+    def actor_with(**parts):
+        return MlpParams(**{"weights": actor.weights, "biases": actor.biases,
+                            "log_std": actor.log_std, **parts})
+
+    return {
+        "actor without log-std": (
+            init_params(1, (13, 8, 8, 4)), critic,
+            "actor: 6 tensors are not layers with a log-std"),
+        "critic with log-std": (actor, init_params(1, (13, 8, 1),
+                                                   with_log_std=True),
+                                "critic: 5 tensors are not layers without"),
+        "three-output critic": (actor, init_params(1, (13, 8, 8, 3)),
+                                "critic: maps 13 features to 3, not 13 to 1"),
+        "twelve-feature actor": (
+            init_params(0, (12, 6, 4), with_log_std=True), critic,
+            "actor: maps 12 features to 4, not 13 to 4"),
+        "two-output actor": (
+            init_params(0, (13, 6, 2), with_log_std=True), critic,
+            "actor: maps 13 features to 2, not 13 to 4"),
+        "log-std only": (MlpParams([], [], np.zeros(4)), critic,
+                         "actor: 1 tensors are not layers"),
+        "flat weight": (actor_with(weights=[actor.weights[0].ravel()]
+                                   + actor.weights[1:]),
+                        critic, "actor: weight 0 is not a matrix"),
+        "bias shape": (actor_with(biases=[np.zeros(5)] + actor.biases[1:]),
+                       critic, "actor: bias 0 shape mismatch"),
+        "layer dimensions": (actor_with(weights=[actor.weights[0],
+                                                 actor.weights[2],
+                                                 actor.weights[2]],
+                                        biases=[actor.biases[0],
+                                                actor.biases[2],
+                                                actor.biases[2]]),
+                             critic, "actor: layer 1 dimension mismatch"),
+        "log-std shape": (actor_with(log_std=np.zeros(3)), critic,
+                          "actor: log-std shape mismatch"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nets_that_are_not_agents()))
+def test_checkpoint_refuses_what_is_not_an_agent(tmp_path, case):
+    # save_checkpoint writes any networks; load_checkpoint refuses a file
+    # whose actor or critic could not fly, naming the path.
+    actor, critic, words = _nets_that_are_not_agents()[case]
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(path, replace(_checkpoint(), actor=actor, critic=critic))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ") and words in str(err.value)
+
+
+def test_checkpoint_refuses_a_config_hash_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.ckpt"
+    save_checkpoint(path, replace(_checkpoint(), config_hash="abc12é"))
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[4:8])
+    payload = data[8:8 + length].replace("é".encode("utf-8"), b"\xff\xfe", 1)
+    path.write_bytes(data[:8] + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: config hash is not UTF-8"
 
 
 def test_checkpoint_version_mismatch_names_both(tmp_path):

@@ -509,7 +509,7 @@ def search_branch(compiled, branch, args):
         with pytest.raises(RuntimeError, match="expand failed"):
             compiled.search(*args)
         with pytest.raises(RuntimeError, match="expand failed"):
-            mcts._walk(*args, env_step)
+            mcts._walk(*args)
     else:
         out = compiled.search(*args)
         if expected is None:
@@ -523,7 +523,7 @@ def search_branch(compiled, branch, args):
                     sys.getrefcount(out[2])] == [2, 2, 2]
             # The same tuple on the Python walk: the same visits, critic
             # output and root arrays, byte for byte.
-            ref = mcts._walk(*args, env_step)
+            ref = mcts._walk(*args)
             assert out[0] == ref[0]
             assert np.float64(out[1]).tobytes() == np.float64(ref[1]).tobytes()
             assert [a.tobytes() for a in out[2]] == [a.tobytes() for a in ref[2]]

@@ -1,11 +1,12 @@
 """Search tests.
 
-run_search walks the tree in the compiled kernel when its model is env_step
-itself and its rng a Generator, and in `mcts._walk` otherwise;
-`python_walk` is env_step behind a wrapper, which pins a search to the
+run_search walks the tree in the compiled kernel wherever it is loaded, and
+in `mcts._walk` otherwise.  PYTHON_WALK stands in for the kernel: it keeps
+the kernel's `step` and hands every search back, which pins a search to the
 Python walk.  Tests that look inside the tree call `_walk` (see `walk`) or
-use that wrapper, and the kernel's walk is held to the Python walk byte for
-byte.
+run under that stand-in, rigged steps replace `mcts.env_step`, which the
+Python walk steps children with, and the kernel's walk is held to the
+Python walk byte for byte.
 
 The dominance test rigs the search with a stub rng that draws equal-norm
 actions (priors exactly 1/9) and a value oracle worth +1 only for one root
@@ -16,6 +17,7 @@ it), which the test asserts exactly.
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,19 +55,17 @@ def make_critic(seed):
     return mlp.init_params(seed, SMALL[:-1] + (1,))
 
 
-env_model = env_step
-
-
-def python_walk(flat, a_blue, a_red):
-    return env_step(flat, a_blue, a_red)
+PYTHON_WALK = SimpleNamespace(
+    step=(lambda *args: None) if environment._kernel is None
+    else environment._kernel.step,
+    search=lambda *args: None)
 
 
 def root_obs(flat, side):
     return observe(flat, side), observe(flat, other_side(side))
 
 
-def walk(monkeypatch, flat, side, actor, critic, opponent, config, rng,
-         model=env_model):
+def walk(monkeypatch, flat, side, actor, critic, opponent, config, rng):
     """mcts._walk on run_search's arguments, with a spy on expand_node.
     Returns (_walk's result, the nodes it expanded, the root first)."""
     expanded = []
@@ -81,7 +81,7 @@ def walk(monkeypatch, flat, side, actor, critic, opponent, config, rng,
                          config.num_actions, config.num_simulations,
                          config.c_puct, config.max_depth,
                          *mcts._callbacks(actor, critic, opponent,
-                                          config.num_actions, rng), model)
+                                          config.num_actions, rng))
     return out, expanded
 
 
@@ -172,7 +172,7 @@ def test_expand_equal_log_densities_uniform_priors(monkeypatch):
 
 
 def test_expand_terminal_node_returns_outcome(monkeypatch):
-    # A model that ends the engagement at every step with red's win: each
+    # A step that ends the engagement every time with red's win: each
     # child is terminal, so it is never expanded or evaluated, and its
     # reward, -1 to blue, is what every simulation backs up.
     forwards = [0]
@@ -186,10 +186,10 @@ def test_expand_terminal_node_returns_outcome(monkeypatch):
         return env_step(flat, a_blue, a_red)[:3] + (2,)
 
     monkeypatch.setattr(mcts, "forward", counted)
+    monkeypatch.setattr(mcts, "env_step", red_wins)
     (visits, _, _), nodes = walk(monkeypatch, flatten(reset(0)), BLUE,
                                  make_actor(0), make_critic(1), make_actor(2),
-                                 SearchConfig(), np.random.default_rng(0),
-                                 red_wins)
+                                 SearchConfig(), np.random.default_rng(0))
     root = nodes[0]
     assert nodes == [root] and sum(visits) == 20
     assert forwards[0] == 3  # the root's critic, actor and opponent
@@ -199,23 +199,23 @@ def test_expand_terminal_node_returns_outcome(monkeypatch):
     assert sum(root.total_values) == -20.0
 
 
-def test_critic_value_clamped():
+def test_critic_value_clamped(monkeypatch):
     # A critic that outputs 5.0 everywhere: the root value is clamped to the
     # outcome scale, and the unclamped output comes back too, on both walks.
     critic = make_critic(1)
     critic.weights[-1][:] = 0.0
     critic.biases[-1][:] = 5.0
-    for model in (env_model, python_walk):
+    for kernel in (environment._kernel, PYTHON_WALK):
+        monkeypatch.setattr(environment, "_kernel", kernel)
         res = run_search(flatten(reset(3)), BLUE, make_actor(0), critic,
-                         make_actor(2), model, SearchConfig(),
+                         make_actor(2), SearchConfig(),
                          np.random.default_rng(0))
         assert (res.root_value, res.root_critic) == (1.0, 5.0)
 
 
 def test_run_search_root_visit_sum():
     res = run_search(flatten(reset(4)), BLUE, make_actor(0), make_critic(1),
-                     make_actor(2), env_model, SearchConfig(),
-                     np.random.default_rng(7))
+                     make_actor(2), SearchConfig(), np.random.default_rng(7))
     assert int(res.visit_counts.sum()) == 20
     assert res.action.shape == (4,)
     assert abs(res.priors.sum() - 1.0) < 1e-9
@@ -228,7 +228,7 @@ def test_run_search_returns_root_forwards():
     state = reset(4)
     actor, critic = make_actor(0), make_critic(1)
     res = run_search(flatten(state), BLUE, actor, critic, make_actor(2),
-                     env_model, SearchConfig(), np.random.default_rng(7))
+                     SearchConfig(), np.random.default_rng(7))
     obs = observe(flatten(state), BLUE)
     np.testing.assert_array_equal(res.root_mean, mlp.forward(actor, obs))
     assert res.root_critic == float(mlp.forward(critic, obs)[0])
@@ -241,15 +241,13 @@ def test_run_search_rejects_terminal_root():
     done = replace(state, outcome=Outcome.DRAW)
     with pytest.raises(ValueError):
         run_search(flatten(done), BLUE, make_actor(0), make_critic(1),
-                   make_actor(2), env_model, SearchConfig(),
-                   np.random.default_rng(0))
+                   make_actor(2), SearchConfig(), np.random.default_rng(0))
 
 
 def test_run_search_deterministic():
     def once():
         return run_search(flatten(reset(9)), RED, make_actor(3),
-                          make_critic(4), make_actor(5), env_model,
-                          SearchConfig(),
+                          make_critic(4), make_actor(5), SearchConfig(),
                           np.random.default_rng(11))
 
     a, b = once(), once()
@@ -276,7 +274,7 @@ def test_tree_invariants_after_search(monkeypatch):
     assert visits is root.visit_counts
     assert sum(visits) == cfg.num_simulations
     for node in _nodes(root):
-        # Each node's observations are the env model's, equal to observe's.
+        # Each node's observations are env_step's, equal to observe's.
         own, opp = node.obs
         np.testing.assert_array_equal(own, observe(node.state, BLUE))
         np.testing.assert_array_equal(opp, observe(node.state, RED))
@@ -297,30 +295,32 @@ def test_tree_invariants_after_search(monkeypatch):
                 assert sum(child.visit_counts or [0]) == node.visit_counts[i] - 1
 
 
-def test_opponent_plays_policy_mean():
+def test_opponent_plays_policy_mean(monkeypatch):
     state = reset(14)
     opponent = make_actor(6)
     expected = mlp.forward(opponent, observe(flatten(state), RED))
     seen = []
 
-    def recording_model(s, ab, ar):
+    def recording_step(s, ab, ar):
         if s == flatten(state):
             seen.append(ar)
-        return env_model(s, ab, ar)
+        return env_step(s, ab, ar)
 
+    monkeypatch.setattr(environment, "_kernel", PYTHON_WALK)
+    monkeypatch.setattr(mcts, "env_step", recording_step)
     run_search(flatten(state), BLUE, make_actor(0), make_critic(1), opponent,
-               recording_model, SearchConfig(), np.random.default_rng(3))
+               SearchConfig(), np.random.default_rng(3))
     assert seen
     for ar in seen:
         np.testing.assert_array_equal(ar, expected)
 
 
-def test_rigged_dominance_visit_recurrence():
+def test_rigged_dominance_visit_recurrence(monkeypatch):
     # Uniform priors (stub rng), depth-1 search, value +1 only behind child
     # k: selection round-robins indices 0..k, then locks onto k.  Expected
     # counts: one visit for each child below k, 20-k for k, none above.
     # The oracle knows child k by the identity of the observation that the
-    # model returned for it, so it runs on the Python walk only (the
+    # step returned for it, so it runs on the Python walk only (the
     # kernel's walk hands evaluate new tuples).  Its value would not do:
     # EqualNormRng's rows 3 and 7 differ only in the fire logit, and where
     # the gate refuses a launch they step to the same state, so an oracle
@@ -334,19 +334,20 @@ def test_rigged_dominance_visit_recurrence():
             * EqualNormRng().standard_normal((9, 4))
         best = set()
 
-        def tagging_model(s, ab, ar, _k=k):
-            out = env_model(s, ab, ar)
+        def tagging_step(s, ab, ar, _k=k):
+            out = env_step(s, ab, ar)
             if np.array_equal(ab, expected_actions[_k]):
                 best.add(id(out[1]))
             return out
 
+        monkeypatch.setattr(mcts, "env_step", tagging_step)
         expand, _, build = mcts._callbacks(actor, critic, opponent, 9,
                                            EqualNormRng())
         visits, _, _ = mcts._walk(flat, False, *root_obs(flat, BLUE), 9,
                                   cfg.num_simulations, cfg.c_puct,
                                   cfg.max_depth, expand,
                                   lambda own: 1.0 if id(own) in best else 0.0,
-                                  build, tagging_model)
+                                  build)
         assert visits.index(max(visits)) == k
         assert visits == [1] * k + [20 - k] + [0] * (8 - k)
 
@@ -356,7 +357,7 @@ def test_single_action_degenerates_to_raw_sample():
     actor = make_actor(7)
     cfg = SearchConfig(num_actions=1)
     res = run_search(flatten(state), BLUE, actor, make_critic(1),
-                     make_actor(2), env_model, cfg, np.random.default_rng(77))
+                     make_actor(2), cfg, np.random.default_rng(77))
     expected, _ = mlp.sample_and_logprob(actor, observe(flatten(state), BLUE),
                                          np.random.default_rng(77))
     np.testing.assert_array_equal(res.action, expected)
@@ -366,7 +367,7 @@ def test_single_action_degenerates_to_raw_sample():
 SEARCH_SHA256 = "4de0bfb8347d42c2b64fe597ff3182c7da603dff81f22690e6954b528799ba65"
 
 
-def _pinned_searches(model):
+def _pinned_searches():
     """The digest of 200 searches from states along seeded random-action
     engagements, both sides, fire enabled so that many roots and children
     carry missiles in flight, and some configurations beyond the default.
@@ -392,8 +393,7 @@ def _pinned_searches(model):
         missile_roots += state[2] is not None or state[3] is not None
         actor, critic, opponent = nets[i % 3]
         res = run_search(state, (BLUE, RED)[i % 2], actor, critic,
-                         opponent, model, configs[i % 3],
-                         np.random.default_rng(i))
+                         opponent, configs[i % 3], np.random.default_rng(i))
         digest.update(res.action.tobytes())
         digest.update(np.asarray(res.visit_counts, dtype=np.int64).tobytes())
         digest.update(res.priors.tobytes())
@@ -406,28 +406,30 @@ def _pinned_searches(model):
     return digest.hexdigest()
 
 
-def test_seeded_searches_are_pinned():
-    # The Python walk: the wrapping model also counts the children that end
-    # the engagement.
+def test_seeded_searches_are_pinned(monkeypatch):
+    # The Python walk: a wrapped step also counts the children that end the
+    # engagement.
     terminal_children = [0]
 
-    def model(s, a_blue, a_red):
-        res = env_model(s, a_blue, a_red)
+    def counting_step(s, a_blue, a_red):
+        res = env_step(s, a_blue, a_red)
         terminal_children[0] += res[3] != 0
         return res
 
-    assert _pinned_searches(model) == SEARCH_SHA256
+    monkeypatch.setattr(environment, "_kernel", PYTHON_WALK)
+    monkeypatch.setattr(mcts, "env_step", counting_step)
+    assert _pinned_searches() == SEARCH_SHA256
     assert terminal_children[0] > 100
 
 
 def test_seeded_searches_are_pinned_on_the_kernel_walk(monkeypatch):
-    # The same 200 searches with env_step itself as the model, which the
-    # kernel walks whole, reach the same digest.
+    # The same 200 searches, which the kernel walks whole, reach the same
+    # digest.
     if environment._kernel is None:
         pytest.skip(f"no kernel: {environment._KERNEL_DETAIL}")
     spy = selfcheck.KernelSpy(environment._kernel)
     monkeypatch.setattr(environment, "_kernel", spy)
-    assert _pinned_searches(env_step) == SEARCH_SHA256
+    assert _pinned_searches() == SEARCH_SHA256
     assert (spy.searches, spy.searches_handed_back) == (200, 0)
 
 
@@ -462,7 +464,7 @@ def _eager_expand(node, actor, critic, opponent, k, rng):
     return min(max(node.value, -1.0), 1.0)
 
 
-def _eager_search(root_state, side, actor, critic, opponent, model, config, rng):
+def _eager_search(root_state, side, actor, critic, opponent, config, rng):
     """_walk's loop driven by the eager expansion."""
     k, red = config.num_actions, side != BLUE
     root = SearchNode(root_state, 0, root_obs(root_state, side))
@@ -484,7 +486,7 @@ def _eager_search(root_state, side, actor, critic, opponent, model, config, rng)
             idx = puct_select(node.priors, node.visit_counts,
                               node.total_values, config.c_puct)
             if node.children[idx] is None:
-                node.children[idx] = mcts._make_child(node, idx, red, model)
+                node.children[idx] = mcts._make_child(node, idx, red)
             path.append((node, idx))
             node = node.children[idx]
         backup(path, value)
@@ -518,6 +520,7 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
 
     monkeypatch.setattr(mcts, "expand_node", spy_expand)
     monkeypatch.setattr(mcts, "forward", spy_forward)
+    monkeypatch.setattr(environment, "_kernel", PYTHON_WALK)
     missile_roots = leaves = 0
     for i in range(50):
         state = selfcheck.prefix_root(seed_rng)
@@ -528,11 +531,10 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
         expanded.clear()
         forwards[0] = 0
         rng = np.random.default_rng(i)
-        got = run_search(state, side, actor, critic, opponent,
-                         python_walk, cfg, rng)
+        got = run_search(state, side, actor, critic, opponent, cfg, rng)
         n_forwards = forwards[0]
-        want = _eager_search(state, side, actor, critic, opponent,
-                             env_model, cfg, np.random.default_rng(i))
+        want = _eager_search(state, side, actor, critic, opponent, cfg,
+                             np.random.default_rng(i))
         for field in ("action", "visit_counts", "priors", "root_mean"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
@@ -556,13 +558,13 @@ def test_deferred_candidates_match_eager_expansion(monkeypatch):
     assert missile_roots > 15 and leaves > 200
 
 
-def model_call_identity(searches, seed):
+def model_call_identity(monkeypatch, searches, seed):
     """Run seeded default-size searches on the Python walk, both sides, from
-    `selfcheck.prefix_root` roots, with every model call checked against env_step's Python loop,
-    byte for byte (selfcheck.step_bytes), and every state it steps checked
-    to survive unflatten and flatten unchanged.  Returns (model calls, calls
-    the kernel handed back, terminal calls, calls with a missile in
-    flight)."""
+    `selfcheck.prefix_root` roots, with every child step checked against
+    env_step's Python loop, byte for byte (selfcheck.step_bytes), and every
+    state it steps checked to survive unflatten and flatten unchanged.
+    Returns (child steps, steps the kernel handed back, terminal steps,
+    steps with a missile in flight)."""
     seed_rng = np.random.default_rng(seed)
     nets = _default_nets(2)
     configs = (SearchConfig(), SearchConfig(num_simulations=30, max_depth=3))
@@ -573,7 +575,7 @@ def model_call_identity(searches, seed):
     def checked(flat, a_blue, a_red):
         saved, environment._kernel = environment._kernel, spy
         try:
-            out = env_model(flat, a_blue, a_red)
+            out = env_step(flat, a_blue, a_red)
             environment._kernel = None
             ref = env_step(flat, a_blue, a_red)
         finally:
@@ -588,21 +590,25 @@ def model_call_identity(searches, seed):
 
     for i in range(searches):
         actor, critic, opponent = nets[i % 2]
-        run_search(selfcheck.prefix_root(seed_rng), (BLUE, RED)[i % 2], actor,
-                   critic, opponent, checked, configs[i // 2 % 2],
-                   np.random.default_rng(i))
+        root = selfcheck.prefix_root(seed_rng)
+        with monkeypatch.context() as m:
+            m.setattr(environment, "_kernel", PYTHON_WALK)
+            m.setattr(mcts, "env_step", checked)
+            run_search(root, (BLUE, RED)[i % 2], actor, critic, opponent,
+                       configs[i // 2 % 2], np.random.default_rng(i))
     counts[1] = -1 if spy is None else spy.handed_back
     return tuple(counts)
 
 
-def test_search_model_calls_match_env_step():
-    calls, handed_back, ended, in_flight = model_call_identity(50, 1896)
+def test_search_model_calls_match_env_step(monkeypatch):
+    calls, handed_back, ended, in_flight = model_call_identity(monkeypatch,
+                                                               50, 1896)
     assert calls > 800 and ended > 50 and in_flight > 200
     assert handed_back == (-1 if environment._kernel is None else 0)
 
 
 class EqualNormGenerator(np.random.Generator):
-    """A Generator, so the kernel walks its searches, that draws
+    """A Generator, whose state run_search can save and restore, that draws
     EqualNormRng's rows: equal priors, so scores tie."""
 
     def standard_normal(self, shape):
@@ -619,7 +625,7 @@ def _both_walks(monkeypatch, root, side, actor, critic, opponent, config,
     spy = selfcheck.KernelSpy(environment._kernel)
     real_forward = mcts.forward
     results, states, forwards = [], [], []
-    for model in (env_step, python_walk):
+    for kernel in (spy, PYTHON_WALK):
         rng, log = generator(np.random.PCG64(seed)), []
 
         def logged(params, x, log=log):
@@ -627,10 +633,10 @@ def _both_walks(monkeypatch, root, side, actor, critic, opponent, config,
             return real_forward(params, x)
 
         with monkeypatch.context() as m:
-            m.setattr(environment, "_kernel", spy)
+            m.setattr(environment, "_kernel", kernel)
             m.setattr(mcts, "forward", logged)
             results.append(run_search(root, side, actor, critic, opponent,
-                                      model, config, rng))
+                                      config, rng))
         states.append(rng.bit_generator.state)
         forwards.append(log)
     assert selfcheck.search_bytes(results[0]) == \
@@ -742,7 +748,7 @@ def test_kernel_walk_raises_as_the_python_walk(monkeypatch, failing_call):
     real_forward = mcts.forward
     root = flatten(reset(8))
     states = []
-    for model in (env_step, python_walk):
+    for kernel in (environment._kernel, PYTHON_WALK):
         calls = [0]
 
         def failing_forward(params, x):
@@ -753,9 +759,10 @@ def test_kernel_walk_raises_as_the_python_walk(monkeypatch, failing_call):
 
         rng = np.random.default_rng(4)
         with monkeypatch.context() as m:
+            m.setattr(environment, "_kernel", kernel)
             m.setattr(mcts, "forward", failing_forward)
             with pytest.raises(FloatingPointError, match=f"forward {failing_call}$"):
                 run_search(root, RED, make_actor(0), make_critic(1),
-                           make_actor(2), model, SearchConfig(), rng)
+                           make_actor(2), SearchConfig(), rng)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]

@@ -168,8 +168,8 @@ def _transitions_digest(buffer):
 def test_match_steps_only_through_env_step(monkeypatch, use_mcts, seed):
     # Each decision of a match is one env_step call on the flat tuple: one
     # kernel call that the kernel finishes, with no EngagementState rebuilt.
-    # Search, on both sides or neither, makes its own model calls, which are
-    # counted apart.
+    # Search, on both sides or neither, steps its children inside the
+    # kernel's walk, which hands no search back.
     if environment._kernel is None:
         pytest.skip(f"kernel unavailable: {environment._KERNEL_DETAIL}")
     spy = selfcheck.KernelSpy(environment._kernel)
@@ -181,18 +181,6 @@ def test_match_steps_only_through_env_step(monkeypatch, use_mcts, seed):
     # mcts does not import unflatten; the stub fails a search that would.
     for module in (environment, mcts):
         monkeypatch.setattr(module, "unflatten", unreachable, raising=False)
-    search_steps = [0]
-    real_search = selfplay.run_search
-
-    def counting_search(state, side, actor, critic, opponent, env_model,
-                        *args, **kwargs):
-        def model(*step_args):
-            search_steps[0] += 1
-            return env_model(*step_args)
-        return real_search(state, side, actor, critic, opponent, model, *args,
-                           **kwargs)
-
-    monkeypatch.setattr(selfplay, "run_search", counting_search)
     buffer = RolloutBuffer()
     record = play_match(make_agent(3, 1), make_agent(4), use_mcts, use_mcts,
                         seed, search_config=FAST_SEARCH, record_side=BLUE,
@@ -200,40 +188,36 @@ def test_match_steps_only_through_env_step(monkeypatch, use_mcts, seed):
     outcome, decisions, sim_time, digest = PINNED_MATCHES[use_mcts, seed]
     assert record == MatchRecord(1, 0, 0, outcome, decisions, sim_time, seed)
     assert _transitions_digest(buffer) == digest
-    assert spy.calls - search_steps[0] == decisions
-    assert spy.handed_back == 0
-    assert (search_steps[0] > 0) == use_mcts
+    assert spy.calls == decisions and spy.handed_back == 0
+    assert (spy.searches > 0) == use_mcts and spy.searches_handed_back == 0
 
 
-def test_the_traced_step_sees_every_model_step(monkeypatch):
+def test_traced_searches_walk_in_the_kernel(monkeypatch):
     # The benchmark's tracer counts env_step calls through a wrapper bound
-    # to selfplay.env_step.  A match looks that name up at every decision
-    # and hands it to the search as its model.  That model is not env_step
-    # itself, so run_search takes its Python walk (the kernel walks only
-    # searches whose model is env_step), and a search match on one worker
-    # makes one wrapped call per decision and one per child that its
-    # searches step to.  Traced searches therefore time the Python walk.
-    steps, children = [0], [0]
-    real_step, real_child = selfplay.env_step, mcts._make_child
+    # to selfplay.env_step.  A match looks that name up at every decision,
+    # but its searches step their children in the kernel's walk, as they do
+    # untraced: a search match on one worker makes one wrapped call per
+    # decision, and the kernel walks both sides' searches whole.
+    if environment._kernel is None:
+        pytest.skip(f"kernel unavailable: {environment._KERNEL_DETAIL}")
+    spy = selfcheck.KernelSpy(environment._kernel)
+    steps = [0]
+    real_step = selfplay.env_step
 
     def counting_step(*args, **kwargs):
         steps[0] += 1
         return real_step(*args, **kwargs)
 
-    def counting_child(*args):
-        children[0] += 1
-        return real_child(*args)
-
+    monkeypatch.setattr(environment, "_kernel", spy)
     monkeypatch.setattr(selfplay, "env_step", counting_step)
-    monkeypatch.setattr(mcts, "_make_child", counting_child)
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     records = []
     evaluate_vs_past(make_agent(3, 1), [make_agent(4)],
                      np.random.default_rng(5), opponents=1, games=1,
                      use_mcts=True, search_config=FAST_SEARCH,
                      match_sink=records.append)
-    assert len(records) == 1 and children[0] > 0
-    assert steps[0] == records[0].episode_length + children[0]
+    assert len(records) == 1 and steps[0] == records[0].episode_length
+    assert spy.searches == 2 * steps[0] and spy.searches_handed_back == 0
 
 
 def test_play_match_records_blue_transitions():
